@@ -5,14 +5,13 @@ intermediate expansion displays, and tuned-scaling rate confirmation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _phi, _h_sub, kernel_scaled, tail_integral
-from .limits import c_tilde, h_const, k_limit, l1, l2
+from .limits import _jo, _js, c_tilde, h_const, k_limit, l1, l2
 from .polynomials import EnsembleParams, rr_scaled_raw
-from .quadrature import complex_quad
 from .series import pochhammer
 
 _EPS = np.finfo(float).eps
@@ -64,6 +63,18 @@ def _scaled_kernel(beta: int, N: int, X: float, Y: float,
     return kernel_scaled(beta, X, Y, EnsembleParams(beta, N, p, q))
 
 
+def _report(N_list, svals, residuals, K: complex) -> ResidualReport:
+    """Floor flag, log-log fit and two-point Richardson extrapolation of the
+    scaled kernel values svals."""
+    floor = 1e3 * _EPS * abs(K)
+    floor_hit = any(r < floor for r in residuals)
+    slope, r2 = fit_loglog(N_list, residuals)
+    r = N_list[-1] / N_list[-2]
+    extrap = (r * svals[-1] - svals[-2]) / (r - 1)
+    return ResidualReport(tuple(N_list), tuple(residuals), slope, r2,
+                          complex(extrap), floor_hit)
+
+
 def kernel_residual_scan(beta: int, X: float, Y: float, params: EnsembleParams,
                          N_list, order: int = 0) -> ResidualReport:
     """Residuals |scaled S_N - sum_{j<=order} L_j / N^j| and their log-log slope.
@@ -89,14 +100,7 @@ def kernel_residual_scan(beta: int, X: float, Y: float, params: EnsembleParams,
         svals.append(s)
         model = sum(t / N ** j for j, t in enumerate(terms))
         residuals.append(abs(s - model))
-    floor = 1e3 * _EPS * abs(K)
-    floor_hit = any(r < floor for r in residuals)
-    slope, r2 = fit_loglog(N_list, residuals)
-    # two-point Richardson on the scaled kernel itself
-    r = N_list[-1] / N_list[-2]
-    extrap = (r * svals[-1] - svals[-2]) / (r - 1)
-    return ResidualReport(tuple(N_list), tuple(residuals), slope, r2,
-                          complex(extrap), floor_hit)
+    return _report(N_list, svals, residuals, K)
 
 
 def tuned_scaling_residual(beta: int, X: float, Y: float,
@@ -117,13 +121,7 @@ def tuned_scaling_residual(beta: int, X: float, Y: float,
         s = _scaled_kernel(beta, N, X * scale, Y * scale, p, q) * scale
         svals.append(s)
         residuals.append(abs(s - K))
-    floor = 1e3 * _EPS * abs(K)
-    floor_hit = any(r < floor for r in residuals)
-    slope, r2 = fit_loglog(N_list, residuals)
-    r = N_list[-1] / N_list[-2]
-    extrap = (r * svals[-1] - svals[-2]) / (r - 1)
-    return ResidualReport(tuple(N_list), tuple(residuals), slope, r2,
-                          complex(extrap), floor_hit)
+    return _report(N_list, svals, residuals, K)
 
 
 # --- intermediate expansion oracles -------------------------------------------
@@ -192,14 +190,7 @@ def intermediate_expansion_check(kind: str, N: int, X: float,
         # A.2 scaled tail: N^(p+2) int_{-inf}^{z(X)} I_{N-2} w1 vs Jo-series
         pr = EnsembleParams(1, N, p, q)
         lhs = float(N) ** (p + 2) * tail_integral(N - 2, X, pr)
-        qe = 2 * q
-
-        def g(j):
-            return complex_quad(
-                lambda s: np.exp(complex(-q * math.pi, -s)) * s ** (p + 1)
-                * c_tilde(j, 2, p, qe, s), 0.0, X)
-
-        rhs = g(0) + g(1) / N
+        rhs = _jo(0, p, q, X) + _jo(1, p, q, X) / N
         return float(N ** 2 * abs(lhs - rhs))
     if kind == "icc4":
         # A.3 symplectic tail: -N^(2p+1) e^{q pi/2} int_{-inf}^{z(X)} I_{2N-1} w1
@@ -207,13 +198,7 @@ def intermediate_expansion_check(kind: str, N: int, X: float,
         pr = EnsembleParams(4, N, p, q)
         lhs = -float(N) ** (2 * p + 1) * math.exp(q * math.pi / 2) \
             * tail_integral(2 * N - 1, X, pr)
-
-        def g(j):
-            return complex_quad(
-                lambda s: np.exp(-2j * s) * s ** (2 * p)
-                * c_tilde(j, 1, 2 * p, q, 2 * s), 0.0, X)
-
-        rhs = g(0) + g(1) / (2 * N)
+        rhs = _js(0, p, q, X) + _js(1, p, q, X) / (2 * N)
         return float(N ** 2 * abs(lhs - rhs))
     if kind == "gamma2N":
         # gamma_{2N-1} = 2p/h_{2N-1} against its expansion in M = 2N

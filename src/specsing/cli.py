@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import asymptotics, density, kernels, limits
 from .polynomials import EnsembleParams, orthogonality_check
@@ -43,7 +39,6 @@ class RunConfig:
     grid_y: list = field(default_factory=lambda: [0.9, 3.1])
     out: str = "specsing_out.json"
     format: str = "json"
-    threads: int = 1
     tolerances: dict = field(default_factory=dict)
 
     def validate(self):
@@ -65,8 +60,6 @@ class RunConfig:
             raise ValueError("n-list entries must be >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, _DEFAULT_TOL[key]))
@@ -275,8 +268,6 @@ def build_config(argv) -> RunConfig:
     ap.add_argument("--grid-y", type=str, help="comma-separated Y grid")
     ap.add_argument("--out", type=str)
     ap.add_argument("--format", choices=("csv", "json"))
-    ap.add_argument("--threads", type=int,
-                    default=None, help="worker threads (SPECSING_THREADS fallback)")
     args = ap.parse_args(argv)
 
     data = {}
@@ -297,10 +288,6 @@ def build_config(argv) -> RunConfig:
         data["grid_x"] = _floats(args.grid_x)
     if args.grid_y is not None:
         data["grid_y"] = _floats(args.grid_y)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SPECSING_THREADS", data.get("threads", 1)))
-    data["threads"] = threads
     known = {f for f in RunConfig.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:

@@ -24,7 +24,7 @@ import numpy as np
 from .jack import hyper_pfq_alpha
 from .polynomials import EnsembleParams
 from .quadrature import sector_integrate_adaptive
-from .series import PoleError, log_gamma
+from .series import log_gamma
 
 _REALITY_TOL = 1e-8
 

@@ -19,53 +19,59 @@ from functools import lru_cache
 import numpy as np
 
 from .polynomials import EnsembleParams, rr_norm
-from .quadrature import QuadratureRule, complex_quad_segments
+from .quadrature import complex_quad_segments
 from .series import default_control, hyp2f1_terminating, log_gamma
 
 _DIAG_SWITCH = 1e-6
 
 
-def _phi(N: int, k: int, P: float, Q: float, X: float) -> complex:
-    """omega2(z(X))^{1/2} I_{N-k}(z(X)) in stable pieces:
+def _prefactor(N: int, k: int, P: float, Q: float, X: float) -> complex:
+    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N."""
+    p = P - N
+    u = X / N
+    amp = (p + k) * math.log(math.sin(u)) + Q * (u - math.pi / 2)
+    phase = -X + k * u
+    sign = -1.0 if (N - k) % 2 else 1.0
+    return sign * math.exp(amp) * complex(math.cos(phase), math.sin(phase))
 
-    (-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2} F_k(X),
+
+def _phi(N: int, k: int, P: float, Q: float, X: float) -> complex:
+    """omega2(z(X))^{1/2} I_{N-k}(z(X)) in stable pieces: the prefactor times
+
     F_k(X) = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}),   p = P - N.
     """
     p = P - N
-    u = X / N
     F = hyp2f1_terminating(N - k, complex(p + k, -Q), complex(2 * p + 2 * k),
-                           1 - np.exp(2j * u), default_control(N))
-    amp = (p + k) * math.log(math.sin(u)) + Q * (u - math.pi / 2)
-    phase = -X + k * u
-    sign = -1.0 if (N - k) % 2 else 1.0
-    return sign * math.exp(amp) * complex(math.cos(phase), math.sin(phase)) * F
+                           1 - np.exp(2j * (X / N)), default_control(N))
+    return _prefactor(N, k, P, Q, X) * F
 
 
-def _phi_deriv(N: int, k: int, P: float, Q: float, X: float) -> complex:
-    """d/dX of _phi, with the 2F1 differentiated in closed form."""
+def _phi_and_deriv(N: int, k: int, P: float, Q: float,
+                   X: float) -> tuple[complex, complex]:
+    """(_phi, d/dX _phi), with the 2F1 differentiated in closed form."""
     p = P - N
     u = X / N
-    z = 1 - np.exp(2j * u)
-    a, b, c = -(N - k), complex(p + k, -Q), complex(2 * p + 2 * k)
-    F = hyp2f1_terminating(N - k, b, c, z, default_control(N))
+    e = np.exp(2j * u)
+    b, c = complex(p + k, -Q), complex(2 * p + 2 * k)
+    F = hyp2f1_terminating(N - k, b, c, 1 - e, default_control(N))
+    dF_dz = 0.0 + 0.0j
     if N - k >= 1:
-        dF_dz = a * b / c * hyp2f1_terminating(N - k - 1, b + 1, c + 1, z,
-                                               default_control(N))
-    else:
-        dF_dz = 0.0 + 0.0j
-    dz_dX = -2j / N * np.exp(2j * u)
+        dF_dz = -(N - k) * b / c * hyp2f1_terminating(N - k - 1, b + 1, c + 1, 1 - e,
+                                                       default_control(N))
+    pref = _prefactor(N, k, P, Q, X)
+    phi = pref * F
     logamp_prime = (p + k) / (N * math.tan(u)) + complex(0, -1 + k / N) + Q / N
-    phi = _phi(N, k, P, Q, X)
-    amp = (p + k) * math.log(math.sin(u)) + Q * (u - math.pi / 2)
-    phase = -X + k * u
-    sign = -1.0 if (N - k) % 2 else 1.0
-    pref = sign * math.exp(amp) * complex(math.cos(phase), math.sin(phase))
-    return logamp_prime * phi + pref * dF_dz * dz_dX
+    return phi, logamp_prime * phi + pref * dF_dz * (-2j / N * e)
 
 
 @lru_cache(maxsize=4096)
 def _h_sub(n: int, P: float, Q: float) -> float:
     return rr_norm(n, complex(-P, Q))
+
+
+def _gamma(j: int, P: float, Q: float) -> float:
+    """gamma_j = (P - 1 - j)/h_j of the (P, Q) system."""
+    return (P - 1 - j) / _h_sub(j, P, Q)
 
 
 def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> complex:
@@ -77,9 +83,9 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
     if abs(X - Y) < _DIAG_SWITCH * (1 + abs(X)):
         # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips
         M = 0.5 * (X + Y)
-        num = (_phi(N, k, P, Q, M) * _phi_deriv(N, k + 1, P, Q, M)
-               - _phi_deriv(N, k, P, Q, M) * _phi(N, k + 1, P, Q, M))
-        return -num / h
+        f0, d0 = _phi_and_deriv(N, k, P, Q, M)
+        f1, d1 = _phi_and_deriv(N, k + 1, P, Q, M)
+        return -(f0 * d1 - d0 * f1) / h
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)
            - _phi(N, k, P, Q, Y) * _phi(N, k + 1, P, Q, X))
     dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)
@@ -129,7 +135,7 @@ def correlation_det(points, params: EnsembleParams) -> float:
 class SkewConstants:
     """Scalar constants entering the beta = 1, 4 kernels.
 
-    gamma_j = (P - 1 - j)/h_j with the beta-specific weight parameters;
+    gamma_j = (P - 1 - j)/h_j (`_gamma`) with the beta-specific weight parameters;
     eta1, eta2 are the beta = 1 limit constants; s_tilde_k = (1/2) int w1 I_k
     (filled only when needed, i.e. for odd N at beta = 1).
     """
@@ -165,30 +171,25 @@ def skew_constants(params: EnsembleParams, parity: str = "even") -> SkewConstant
     P, Q = params.weight_params()
     N, p = params.size, params.p
     if params.beta == 1:
-        gam = {j: (P - 1 - j) / _h_sub(j, P, Q) for j in (N - 2, N - 3) if j >= 0}
+        gam = {j: _gamma(j, P, Q) for j in (N - 2, N - 3) if j >= 0}
         eta1, eta2 = eta_constants(p, params.q)
         st = {}
         if parity == "odd":
             st = {N - 1 - j: _s_tilde(N, 1 + j, P, Q) for j in range(3)}
         return SkewConstants(gamma=gam, eta1=eta1, eta2=eta2, s_tilde=st)
     if params.beta == 4:
-        M = 2 * N
-        gam = {M - 1: (P - 1 - (M - 1)) / _h_sub(M - 1, P, Q)}
-        return SkewConstants(gamma=gam)
+        return SkewConstants(gamma={2 * N - 1: _gamma(2 * N - 1, P, Q)})
     raise ValueError("skew constants exist for beta in {1, 4}")
 
 
 # --- integral terms ----------------------------------------------------------
 
-def tail_integral(degree: int, upper_X: float, params: EnsembleParams,
-                  weight_kind: str = "w1", rule: QuadratureRule | None = None) -> complex:
+def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> complex:
     """int_{-inf}^{z(upper_X)} I_degree(t) w1(t) dt via the circle substitution.
 
     w1 is the beta-specific square-root weight; degrees are taken in the
     polynomial system of the params (size N for beta=1, 2N for beta=4).
     """
-    if weight_kind != "w1":
-        raise ValueError("only the w1 weight kind is supported")
     N = params.size
     P, Q = params.weight_params()
     M = 2 * N if params.beta == 4 else N
@@ -202,8 +203,7 @@ def tail_integral(degree: int, upper_X: float, params: EnsembleParams,
     def f(s):
         return _phi(M, shift, P, Q, scale * s) / (N * math.sin(s / N))
 
-    mid = min(upper_X / 2, upper_X)
-    return complex_quad_segments(f, [0.0, mid, upper_X])
+    return complex_quad_segments(f, [0.0, upper_X / 2, upper_X])
 
 
 def _w1_full_line(n: int, P: float, Q: float) -> float:
@@ -223,11 +223,6 @@ def _w1_full_line(n: int, P: float, Q: float) -> float:
            - 2 * log_gamma(complex((r + 1) / 2, Q / 2)).real
            + log_gamma((n + 1) / 2) - log_gamma((2 * P - n + 1) / 2))
     return math.exp(num.real)
-
-
-def _w1_full_line_even(N: int, p: float, q: float) -> float:
-    """Closed form of int_{-inf}^{inf} I_{N-2} w1 dt for beta = 1, N even."""
-    return _w1_full_line(N - 2, N + p, 2 * q)
 
 
 def w1_integral_closed(P: float, Q: float) -> float:
@@ -252,49 +247,48 @@ def kernel_s1_scaled(X: float, Y: float, params: EnsembleParams,
     if (N % 2 == 0) != (parity == "even"):
         raise ValueError("N parity does not match the requested formula")
     if parity == "even":
-        return _s1_even_scaled(N, params, X, Y)
+        return float(_s1_core(N, 1, params, X, Y)[0].real)
     return _s1_odd_scaled(N, params, X, Y)
 
 
-def _s1_even_scaled(N: int, params: EnsembleParams, X: float, Y: float) -> float:
-    p, q = params.p, params.q
-    P, Q = N + p, 2 * q
+def _sgn_integral(N: int, shift: int, X: float, params: EnsembleParams) -> complex:
+    """int sgn(z(X) - t) I_{N-shift}(t) w1(t) dt = 2 tail - 2 s~."""
+    P, Q = params.weight_params()
+    return 2 * tail_integral(N - shift, X, params) - 2 * _s_tilde(N, shift, P, Q)
+
+
+def _s1_core(N: int, k: int, params: EnsembleParams, X: float,
+             Y: float) -> tuple[complex, complex]:
+    """The even-N formula on the degree-(N-k) CD kernel of the (N+p, 2q)
+    weight: k = 1 is the even-N kernel, k = 2 part 1 of the odd-N one.
+
+    Returns the term and w1(y) I_{N-k}(y), which the odd-N kernel reuses.
+    """
+    P, Q = params.weight_params()
     uX, uY = X / N, Y / N
-    t1 = math.sin(uY) / math.sin(uX) * _cd_scaled(N, 1, P, Q, X, Y)
-    gam = (p + 1) / _h_sub(N - 2, P, Q)
-    sgn_int = 2 * tail_integral(N - 2, X, params) - _w1_full_line_even(N, p, q)
-    w1poly_y = math.sin(uY) * _phi(N, 1, P, Q, Y)
-    dz = _dz_dX(X, N)
-    t2 = 0.5 * gam * w1poly_y * sgn_int * dz
-    return float((t1 + t2).real)
+    t1 = math.sin(uY) / math.sin(uX) * _cd_scaled(N, k, P, Q, X, Y)
+    w1poly_y = math.sin(uY) * _phi(N, k, P, Q, Y)
+    t2 = (0.5 * _gamma(N - 1 - k, P, Q) * w1poly_y * _sgn_integral(N, k + 1, X, params)
+          * _dz_dX(X, N))
+    return t1 + t2, w1poly_y
 
 
 def _s1_odd_scaled(N: int, params: EnsembleParams, X: float, Y: float) -> float:
     """Odd-N kernel: the even formula at N-1 (same weight) plus the
     rank-one and paired sgn-integral corrections with s~ constants."""
-    p = params.p
-    P, Q = N + p, 2 * params.q
-    uY = Y / N
+    P, Q = params.weight_params()
     dz = _dz_dX(X, N)
-
-    # part 1: even-form with N -> N-1 but the same weight parameters
-    t1 = math.sin(uY) / math.sin(X / N) * _cd_scaled(N, 2, P, Q, X, Y)
-    gam_n3 = (P - 1 - (N - 3)) / _h_sub(N - 3, P, Q)
-    sgn_int_n3 = 2 * tail_integral(N - 3, X, params) - 2 * _s_tilde(N, 3, P, Q)
-    w1poly_y2 = math.sin(uY) * _phi(N, 2, P, Q, Y)
-    part1 = t1 + 0.5 * gam_n3 * w1poly_y2 * sgn_int_n3 * dz
+    part1, w1poly_y2 = _s1_core(N, 2, params, X, Y)
 
     # part 2: rank-one term
     st1 = _s_tilde(N, 1, P, Q)
-    w1poly_y1 = math.sin(uY) * _phi(N, 1, P, Q, Y)
+    w1poly_y1 = math.sin(Y / N) * _phi(N, 1, P, Q, Y)
     part2 = w1poly_y1 / (2 * st1) * dz
 
     # part 3: paired sgn-integral correction
-    st3 = _s_tilde(N, 3, P, Q)
-    sgn1 = 2 * tail_integral(N - 1, X, params) - 2 * st1
-    sgn2 = 2 * tail_integral(N - 2, X, params) - 2 * _s_tilde(N, 2, P, Q)
-    pair = sgn1 * w1poly_y2 - sgn2 * w1poly_y1
-    part3 = -0.5 * gam_n3 * st3 / st1 * pair * dz
+    pair = (_sgn_integral(N, 1, X, params) * w1poly_y2
+            - _sgn_integral(N, 2, X, params) * w1poly_y1)
+    part3 = -0.5 * _gamma(N - 3, P, Q) * _s_tilde(N, 3, P, Q) / st1 * pair * dz
     return float((part1 + part2 + part3).real)
 
 
@@ -313,31 +307,19 @@ def kernel_s4_scaled(X: float, Y: float, params: EnsembleParams) -> float:
     if params.beta != 4:
         raise ValueError("kernel_s4_scaled requires beta=4 params")
     N = params.size
-    p = params.p
     P, Q = params.weight_params()
     M = 2 * N
     uX, uY = X / N, Y / N
     # first term: (1/2) sqrt((1+x^2)/(1+y^2)) S_{2N,2}(x,y) dz/dX, polynomials
-    # living in the M = 2N system with scaled argument 2X
-    h = _h_sub(M - 1, P, Q)
-    if abs(X - Y) < _DIAG_SWITCH * (1 + abs(X)):
-        Mm = 0.5 * (X + Y)
-        num = 2 * (_phi(M, 0, P, Q, 2 * Mm) * _phi_deriv(M, 1, P, Q, 2 * Mm)
-                   - _phi_deriv(M, 0, P, Q, 2 * Mm) * _phi(M, 1, P, Q, 2 * Mm))
-        s2_dz = -num / h
-    else:
-        num = (_phi(M, 0, P, Q, 2 * X) * _phi(M, 1, P, Q, 2 * Y)
-               - _phi(M, 0, P, Q, 2 * Y) * _phi(M, 1, P, Q, 2 * X))
-        dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))
-        s2_dz = num / dx / h * _dz_dX(X, N)
-    t1 = 0.5 * math.sin(uY) / math.sin(uX) * s2_dz
+    # living in the M = 2N system with scaled argument 2X (whose dz/dX is half
+    # the N-scaled one, which supplies the 1/2)
+    t1 = math.sin(uY) / math.sin(uX) * _cd_scaled(M, 0, P, Q, 2 * X, 2 * Y)
 
     # second term: the tail integral over (z(X), inf) equals minus the lower
     # tail (the full-line integral of I_{2N-1} w1 vanishes)
-    gam = 2 * p / h
     w1poly_y = math.sin(uY) * _phi(M, 0, P, Q, 2 * Y)
     tail_up = -tail_integral(M - 1, X, params)
-    t2 = -0.5 * gam * w1poly_y * tail_up * _dz_dX(X, N)
+    t2 = -0.5 * _gamma(M - 1, P, Q) * w1poly_y * tail_up * _dz_dX(X, N)
     return float((t1 + t2).real)
 
 

@@ -34,11 +34,13 @@ constant p for all three beta (checked numerically to full precision).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import eta_constants
 from .polynomials import EnsembleParams
 from .quadrature import complex_quad
 from .series import hyp1f1, log_gamma, pochhammer
@@ -166,20 +168,30 @@ def _k2_diag(p: float, q: float, X: float, k: int = 0) -> complex:
     return -pref * dJ
 
 
+def _pm_diagonal(f):
+    """Near the diagonal, average f over (M + d, M - d) and (M - d, M + d).
+
+    For L1 and L2, which have no closed-form diagonal derivative (K does:
+    `_k2_diag`).
+    """
+    @functools.wraps(f)
+    def g(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
+        if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
+            d = _DIAG_EPS * (1 + abs(X))
+            M = 0.5 * (X + Y)
+            return 0.5 * (f(p, q, M + d, M - d, k) + f(p, q, M - d, M + d, k))
+        return f(p, q, X, Y, k)
+    return g
+
+
+@_pm_diagonal
 def _l1_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
-    if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-        d = _DIAG_EPS * (1 + abs(X))
-        M = 0.5 * (X + Y)
-        return 0.5 * (_l1_2(p, q, M + d, M - d, k) + _l1_2(p, q, M - d, M + d, k))
     b = j_blocks(k, p, q, X, Y)
     return _pref2(p, q, k, X, Y) * (b["J1"] + b["Q1"] * b["J0"])
 
 
+@_pm_diagonal
 def _l2_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
-    if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-        d = _DIAG_EPS * (1 + abs(X))
-        M = 0.5 * (X + Y)
-        return 0.5 * (_l2_2(p, q, M + d, M - d, k) + _l2_2(p, q, M - d, M + d, k))
     b = j_blocks(k, p, q, X, Y)
     return _pref2(p, q, k, X, Y) * (
         b["J2"] + b["Q1"] * b["J1"] + (b["Q2"] + X * X / 3) * b["J0"])
@@ -205,6 +217,16 @@ def j_symp_raw(f, X: float, p: float) -> complex:
     return complex_quad(g, 0.0, X)
 
 
+def _jo(j: int, p: float, q: float, X: float) -> complex:
+    """J_o[C_j^{(p, 2q, 2)}](X), the beta = 1 integral."""
+    return j_odd(lambda s: c_tilde(j, 2, p, 2 * q, s), X, p, q)
+
+
+def _js(j: int, p: float, q: float, X: float) -> complex:
+    """int_0^X e^{-2is} s^(2p) C_j^{(2p, q, 1)}(2s) ds, the beta = 4 integral."""
+    return j_symp_raw(lambda s: c_tilde(j, 1, 2 * p, q, 2 * s), X, p)
+
+
 def _js_prefactor(p: float, q: float, Y: float) -> complex:
     """p 2^(8p) |G(2p+1-iq)|^2/(pi G(4p+1) G(4p+2)) e^{-q pi - 2iY} Y^(2p+1)."""
     lg = (2 * log_gamma(complex(2 * p + 1, -q)).real
@@ -222,15 +244,12 @@ def k_limit(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         return _k2(p, q, X, Y)
     if beta == 1:
         qe = 2 * q
-        from .kernels import eta_constants
         eta1, eta2 = eta_constants(p, q)
-        J0c = j_odd(lambda s: c_tilde(0, 2, p, qe, s), X, p, q)
         extra = (eta2 / (X * X) * np.exp(-1j * Y) * Y ** (p + 2)
-                 * c_tilde(0, 1, p, qe, Y) * (J0c - eta1 / 2))
+                 * c_tilde(0, 1, p, qe, Y) * (_jo(0, p, q, X) - eta1 / 2))
         return (Y / X) * _k2(p, qe, X, Y, k=1) + extra
     if beta == 4:
-        Js0 = _js_prefactor(p, q, Y) * c_tilde(0, 0, 2 * p, q, 2 * Y) \
-            * j_symp_raw(lambda s: c_tilde(0, 1, 2 * p, q, 2 * s), X, p)
+        Js0 = _js_prefactor(p, q, Y) * c_tilde(0, 0, 2 * p, q, 2 * Y) * _js(0, p, q, X)
         return (Y / X) * _k2(2 * p, q, 2 * X, 2 * Y) - 2 / (X * X) * Js0
     raise ValueError("beta must be 1, 2 or 4")
 
@@ -242,10 +261,8 @@ def l1(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         return _l1_2(p, q, X, Y)
     if beta == 1:
         qe = 2 * q
-        from .kernels import eta_constants
         eta1, eta2 = eta_constants(p, q)
-        J0c = j_odd(lambda s: c_tilde(0, 2, p, qe, s), X, p, q)
-        J1c = j_odd(lambda s: c_tilde(1, 2, p, qe, s), X, p, q)
+        J0c, J1c = _jo(0, p, q, X), _jo(1, p, q, X)
         extra = (eta2 / (X * X) * np.exp(-1j * Y) * Y ** (p + 2) * (
             c_tilde(1, 1, p, qe, Y) * (J0c - eta1 / 2)
             + c_tilde(0, 1, p, qe, Y)
@@ -256,8 +273,7 @@ def l1(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         pref = _js_prefactor(p, q, Y)
         c0Y = c_tilde(0, 0, pe, q, 2 * Y)
         c1Y = c_tilde(1, 0, pe, q, 2 * Y)
-        I0 = j_symp_raw(lambda s: c_tilde(0, 1, pe, q, 2 * s), X, p)
-        I1 = j_symp_raw(lambda s: c_tilde(1, 1, pe, q, 2 * s), X, p)
+        I0, I1 = _js(0, p, q, X), _js(1, p, q, X)
         Js1 = pref * (c1Y * I0 + c0Y * I1 + 2 * p * (4 * p + 1) * c0Y * I0)
         return (Y / (2 * X)) * _l1_2(pe, q, 2 * X, 2 * Y) - Js1 / (X * X)
     raise ValueError("beta must be 1, 2 or 4")
@@ -274,9 +290,7 @@ def l2(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         c0Y = c_tilde(0, 0, pe, q, 2 * Y)
         c1Y = c_tilde(1, 0, pe, q, 2 * Y)
         c2Y = c_tilde(2, 0, pe, q, 2 * Y)
-        I0 = j_symp_raw(lambda s: c_tilde(0, 1, pe, q, 2 * s), X, p)
-        I1 = j_symp_raw(lambda s: c_tilde(1, 1, pe, q, 2 * s), X, p)
-        I2 = j_symp_raw(lambda s: c_tilde(2, 1, pe, q, 2 * s), X, p)
+        I0, I1, I2 = _js(0, p, q, X), _js(1, p, q, X), _js(2, p, q, X)
         Ix = j_symp_raw(lambda s: (2 * s * s / 3) * c_tilde(0, 1, pe, q, 2 * s), X, p)
         a1 = 2 * p * (4 * p + 1)
         a2 = p * (4 * p + 1) * (24 * p * p - 2 * p - 1) / 3

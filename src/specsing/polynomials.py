@@ -115,10 +115,6 @@ def weight_cauchy(x: float, w: CauchyWeightParams) -> float:
     return float(np.exp(-w.P * np.log1p(x * x) + 2 * w.Q * np.arctan(x)))
 
 
-def log_weight_cauchy(x: float, w: CauchyWeightParams) -> float:
-    return float(-w.P * np.log1p(x * x) + 2 * w.Q * np.arctan(x))
-
-
 def weight_circle_scaled(X: float, params: EnsembleParams) -> float:
     """omega2(z(X))^(1/2) = (sin(X/N))^(N+p) exp(q~ (X/N - pi/2)) for beta = 2,
     and the analogous form with the substituted (P, Q) otherwise; log-space."""
@@ -233,7 +229,7 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     evaluated with a tanh-sinh rule (handles the algebraic endpoint behaviour
     of the weight).  The tan form stays finite at nodes next to theta = 0, and
     sqrt(omega2 dx/dtheta) is applied to each polynomial factor so that
-    neither product overflows.
+    neither product overflows; nodes where it underflows to 0 are skipped.
     """
     from .quadrature import tanh_sinh_rule
 
@@ -242,8 +238,10 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     rule = rule or tanh_sinh_rule(0.0, 2 * math.pi, level=11)
     x = np.tan((rule.nodes - math.pi) / 2)
     root = np.exp(0.5 * ((1 - P) * np.log1p(x * x) + 2 * Q * np.arctan(x) - math.log(2)))
+    live = root != 0  # where root underflows, the term is 0 * finite
+    x, root = x[live], root[live]
     vals = (rr_poly(n, c, x) * root) * (rr_poly(m, c, x) * root)
-    integral = np.sum(vals * rule.weights)
+    integral = np.sum(vals * rule.weights[live])
     hn = rr_norm(n, c)
     target = hn if n == m else 0.0
     return float(abs(integral - target) / hn)

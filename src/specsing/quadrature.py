@@ -6,7 +6,7 @@ integrands with |diff|-type interior kinks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad as _quad
@@ -16,11 +16,10 @@ from .series import NonConvergenceError
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights with declared domain and endpoint-singularity treatment."""
+    """Nodes/weights with declared domain."""
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]
-    singularity_mode: str = "none"
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -45,8 +44,7 @@ def _tanh_sinh_raw(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x[keep], w[keep], dist[keep]
 
 
-def tanh_sinh_rule(a: float, b: float, level: int = 8,
-                   singularity_mode: str = "endpoint_algebraic") -> QuadratureRule:
+def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
     """Tanh-sinh rule on (a, b); handles integrable algebraic endpoint
     singularities.  Node count roughly doubles per level."""
     x, w, dist = _tanh_sinh_raw(level)
@@ -55,8 +53,7 @@ def tanh_sinh_rule(a: float, b: float, level: int = 8,
     # stably; only those that round onto an endpoint are dropped
     nodes = np.where(x >= 0, b - half * dist, a + half * dist)
     keep = (nodes > a) & (nodes < b)
-    return QuadratureRule(nodes=nodes[keep], weights=w[keep] * half, domain=(a, b),
-                          singularity_mode=singularity_mode)
+    return QuadratureRule(nodes=nodes[keep], weights=w[keep] * half, domain=(a, b))
 
 
 def tanh_sinh_integrate(fvec, a: float, b: float, level: int = 8) -> complex:

@@ -7,7 +7,6 @@ ratios with large arguments can be formed as exp of log differences.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,9 @@ class SeriesControl:
 
     rel_tol: term magnitude cutoff relative to the running sum.
     max_terms: hard cap on the number of summed terms.
-    compensated: use Kahan compensated summation.
     """
     rel_tol: float = 1e-15
     max_terms: int = 2000
-    compensated: bool = True
 
     def __post_init__(self):
         if not (0 < self.rel_tol < 1):
@@ -46,7 +43,7 @@ DEFAULT_CONTROL = SeriesControl()
 
 def default_control(n: int = 0) -> SeriesControl:
     """Default truncation policy, sized for degree-n terminating sums."""
-    return SeriesControl(rel_tol=1e-15, max_terms=10 * int(n) + 200, compensated=True)
+    return SeriesControl(rel_tol=1e-15, max_terms=10 * int(n) + 200)
 
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
@@ -111,13 +108,10 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z: complex,
         if denom == 0:
             raise PoleError(f"2F1 parameter pole: (c)_alpha vanished at alpha={alpha + 1}")
         term = term * ((-n + alpha) * (b + alpha) / denom) * z
-        if ctrl.compensated:
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        else:
-            total += term
+        y = term - comp  # Kahan summation
+        t = total + y
+        comp = (t - total) - y
+        total = t
         if abs(term) < ctrl.rel_tol * max(abs(total), 1e-300):
             break
     return total
@@ -125,7 +119,7 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z: complex,
 
 def hyp1f1(a: complex, c: complex, z: complex,
            ctrl: SeriesControl | None = None) -> complex:
-    """Kummer 1F1(a; c; z) by its power series with compensated summation."""
+    """Kummer 1F1(a; c; z) by its power series with Kahan summation."""
     if c == 0 and a == 0:
         # joint limit a, c -> 0 with a/c -> 1/2: 1 + (e^z - 1)/2
         return complex(1 + (np.exp(z) - 1) / 2)
@@ -137,13 +131,10 @@ def hyp1f1(a: complex, c: complex, z: complex,
     term = 1.0 + 0.0j
     for k in range(ctrl.max_terms):
         term = term * (a + k) / ((c + k) * (k + 1)) * z
-        if ctrl.compensated:
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        else:
-            total += term
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         if abs(term) < ctrl.rel_tol * max(abs(total), 1e-300):
             return total
     raise NonConvergenceError(
@@ -170,14 +161,3 @@ def gamma_ratio_expansion(z: complex, a: complex, b: complex, order: int) -> com
         out += binom * (3 * s * s - d - 1) / (12 * z * z)
     return complex(z ** d * out)
 
-
-def kahan_sum(terms) -> complex:
-    """Compensated sum of an iterable of (complex) terms."""
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for x in terms:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total

@@ -1,12 +1,10 @@
 """Command-line interface: config handling, exit codes, deterministic
 emission, and round-tripping."""
 import json
-import math
-import os
 
 import pytest
 
-from specsing.cli import RunConfig, build_config, emit, load_report, main, run
+from specsing.cli import RunConfig, emit, load_report, main, run
 
 
 def _cfg(tmp_path, **kw):
@@ -36,12 +34,6 @@ class TestValidation:
     def test_bad_theta_is_validation_error(self, tmp_path):
         cfg = _cfg(tmp_path, command="density-eval", grid_x=[7.0])
         assert run(cfg) == 1  # theta outside (0, 2 pi)
-
-    def test_threads_env_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SPECSING_THREADS", "3")
-        cfg = build_config(["--command", "kernel-eval", "--grid-x", "2.0",
-                            "--grid-y", "0.9", "--n-list", "10"])
-        assert cfg.threads == 3
 
 
 class TestCommands:

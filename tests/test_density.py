@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from specsing import (DensityTilde, EnsembleParams, MorrisParams, i_integral,
-                      kernel_s2, morris_closed, morris_quadrature, rho_finite,
-                      rho_limit)
+                      k_limit, kernel_s2, morris_closed, morris_quadrature,
+                      rho_finite, rho_limit)
 from specsing.density import _b_integral, c_beta_limit
 from specsing.series import gammaf
 
@@ -175,6 +175,18 @@ class TestRhoLimit:
         # (about -16 target / N^2), so it falls by about 4 per doubling
         resid = {N: 2 * vals[2 * N] - vals[N] - target for N in (8, 16)}
         assert 0.2 < resid[16] / resid[8] < 0.3
+
+    @pytest.mark.parametrize("pq", [(1.5, 0.7), (0.8, -0.4), (2.3, 1.0),
+                                    (1.1, 0.0)])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 3.5])
+    def test_q_sign_matches_kernel_diagonal(self, pq, theta):
+        # the density and kernel conventions carry opposite phases:
+        # rho_inf(theta; q) = K_inf(theta/2, theta/2; -q)/2 (worst measured
+        # 2.1e-14; with +q the two sides differ by up to a factor 10)
+        p, q = pq
+        rho = rho_limit(theta, EnsembleParams(2, 8, p, q))
+        K = k_limit(2, theta / 2, theta / 2, EnsembleParams(2, 8, p, -q))
+        assert abs(rho - 0.5 * K) < 1e-12 * abs(rho)
 
     def test_integral_path(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)

@@ -8,9 +8,9 @@ from scipy.integrate import quad
 
 from specsing import (EnsembleParams, correlation_det, k_limit, kernel_s1,
                       kernel_s1_scaled, kernel_s2, kernel_s2_scaled, kernel_s4,
-                      kernel_s4_scaled, rr_norm, rr_poly, skew_constants,
-                      tail_integral)
-from specsing.kernels import (_h_sub, _s_tilde, _w1_full_line_even, eta_constants,
+                      kernel_s4_scaled, kernel_scaled, rr_norm, rr_poly,
+                      skew_constants, tail_integral)
+from specsing.kernels import (_h_sub, _s_tilde, _w1_full_line, eta_constants,
                               w1_integral_closed)
 from specsing.polynomials import CauchyWeightParams, weight_cauchy
 
@@ -77,6 +77,19 @@ class TestBeta2:
         assert abs(val - K) < 1e-3
 
 
+@pytest.mark.parametrize("beta, N", [(1, 20), (1, 11), (2, 100), (4, 10), (4, 25)])
+@pytest.mark.parametrize("X", [0.6, 2.0])
+def test_diagonal_is_offdiagonal_limit(beta, N, X):
+    # the exact-derivative diagonal against the symmetric +-d average of the
+    # off-diagonal formula, whose own error is O(d^2) (worst measured 6.5e-7)
+    pr = EnsembleParams(beta, N, 1.5, 0.7)
+    d = 1e-4
+    diag = kernel_scaled(beta, X, X, pr)
+    avg = 0.5 * (kernel_scaled(beta, X + d, X - d, pr)
+                 + kernel_scaled(beta, X - d, X + d, pr))
+    assert abs(diag - avg) < 1e-5 * abs(diag)
+
+
 class TestCorrelationDet:
     def test_single_point(self):
         pr = EnsembleParams(2, 6, 1.5, 0.7)
@@ -106,7 +119,7 @@ class TestBeta1:
         # full-line integrals of I_{N-shift} w1 (twice the odd-N s~ constants)
         # against their gamma closed form; odd degrees integrate to exactly 0
         p, q = 1.5, 0.3
-        closed = _w1_full_line_even(6, p, q)
+        closed = _w1_full_line(6 - 2, 6 + p, 2 * q)
         qd = tail_integral(4, 6 * math.pi * (1 - 1e-12), EnsembleParams(1, 6, p, q))
         assert abs(qd.real - closed) < 1e-8 * abs(closed)
         for N in (6, 7):
@@ -231,5 +244,5 @@ class TestEtaConstants:
         eta1, _ = eta_constants(p, q)
         for N in (40, 80):
             approx = eta1 * N ** (-p - 2) * (1 - p * (p + 2) / N)
-            exact = _w1_full_line_even(N, p, q)
+            exact = _w1_full_line(N - 2, N + p, 2 * q)
             assert abs(approx - exact) < 30.0 / N ** 2 * exact
