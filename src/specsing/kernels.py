@@ -81,11 +81,13 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
         raise ValueError("X/N and Y/N must lie in (0, pi)")
     h = _h_sub(N - k - 1, P, Q)
     if abs(X - Y) < _DIAG_SWITCH * (1 + abs(X)):
-        # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips
+        # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips.
+        # S(z(X), z(Y)) is symmetric, so its midpoint value is second-order;
+        # dz/dX is not, and is taken at X
         M = 0.5 * (X + Y)
         f0, d0 = _phi_and_deriv(N, k, P, Q, M)
         f1, d1 = _phi_and_deriv(N, k + 1, P, Q, M)
-        return -(f0 * d1 - d0 * f1) / h
+        return -(f0 * d1 - d0 * f1) / h * (math.sin(M / N) / math.sin(uX)) ** 2
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)
            - _phi(N, k, P, Q, Y) * _phi(N, k + 1, P, Q, X))
     dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
-from .quadrature import complex_quad
+from .quadrature import gauss_jacobi_integrate
 from .series import hyp1f1, log_gamma, pochhammer
 
 _DIAG_EPS = 1e-5
@@ -79,7 +79,21 @@ def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
     return _A(block.p + block.k, block.q_eff, j, X)
 
 
-def _A(pk: float, q: float, j: int, X: float) -> complex:
+def _A(pk: float, q: float, j: int, X):
+    """A^{(pk, q)}(j; X); X may be an ndarray (quadrature nodes)."""
+    if isinstance(X, np.ndarray):
+        return _a_block(pk, q, j, X)
+    return _a_point(pk, q, j, X)
+
+
+@functools.lru_cache(maxsize=1024)
+def _a_point(pk: float, q: float, j: int, X: float) -> complex:
+    # c_tilde orders 0..2 share A_0..A_4, and the blocks of K, L1, L2 and
+    # the identity stencil share points, so each is evaluated once
+    return _a_block(pk, q, j, X)
+
+
+def _a_block(pk: float, q: float, j: int, X):
     a = complex(pk, -q)
     if pk == 0 and q == 0 and j >= 1:
         # (a)_j/(2a)_j -> (1/2) (1)_{j-1}/(1)_{j-1} = 1/2 as a -> 0
@@ -89,7 +103,7 @@ def _A(pk: float, q: float, j: int, X: float) -> complex:
 
 
 def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
-    """C_order^{(p, q, k)}(X) for order in {0, 1, 2}."""
+    """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray."""
     pk = p + k
     q = q_eff
     if order == 0:
@@ -150,9 +164,12 @@ def _pref2(p: float, q: float, k: int, X: float, Y: float) -> complex:
 
 def _k2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
     if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-        return _k2_diag(p, q, 0.5 * (X + Y), k)
-    b = j_blocks(k, p, q, X, Y)
-    return _pref2(p, q, k, X, Y) * b["J0"]
+        # X^2 K is symmetric in (X, Y), so its midpoint value is second-order
+        M = 0.5 * (X + Y)
+        return (M / X) ** 2 * _k2_diag(p, q, M, k)
+    c0X, c0Y = c_tilde(0, k, p, q, X), c_tilde(0, k, p, q, Y)
+    d0X, d0Y = c_tilde(0, k + 1, p, q, X), c_tilde(0, k + 1, p, q, Y)
+    return _pref2(p, q, k, X, Y) * (X * d0X * c0Y - Y * d0Y * c0X)
 
 
 def _k2_diag(p: float, q: float, X: float, k: int = 0) -> complex:
@@ -199,29 +216,29 @@ def _l2_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
 
 # --- integral operators ------------------------------------------------------
 
+# The integrands are s^(p+1) or s^(2p) times an entire function of s, so a
+# Gauss-Jacobi rule with that power as its weight integrates them; f
+# receives the whole node array at once.
+
 def j_odd(f, X: float, p: float, q: float) -> complex:
-    """J_o[f](X) = int_0^X e^{-is - q pi} s^(p+1) f(s) ds."""
+    """J_o[f](X) = int_0^X e^{-is - q pi} s^(p+1) f(s) ds, f vectorized."""
     damp = math.exp(-q * math.pi)
-
-    def g(s):
-        return damp * np.exp(-1j * s) * s ** (p + 1) * f(s)
-
-    return complex_quad(g, 0.0, X)
+    return gauss_jacobi_integrate(lambda s: damp * np.exp(-1j * s) * f(s), X, p + 1)
 
 
 def j_symp_raw(f, X: float, p: float) -> complex:
-    """int_0^X e^{-2is} s^(2p) f(s) ds (bare beta=4 tail integral)."""
-    def g(s):
-        return np.exp(-2j * s) * s ** (2 * p) * f(s)
-
-    return complex_quad(g, 0.0, X)
+    """int_0^X e^{-2is} s^(2p) f(s) ds (bare beta=4 tail integral), f vectorized."""
+    return gauss_jacobi_integrate(lambda s: np.exp(-2j * s) * f(s), X, 2 * p)
 
 
+# memoised like _a_point: the identity stencil's K(X, Y + h) calls share X
+@functools.lru_cache(maxsize=256)
 def _jo(j: int, p: float, q: float, X: float) -> complex:
     """J_o[C_j^{(p, 2q, 2)}](X), the beta = 1 integral."""
     return j_odd(lambda s: c_tilde(j, 2, p, 2 * q, s), X, p, q)
 
 
+@functools.lru_cache(maxsize=256)
 def _js(j: int, p: float, q: float, X: float) -> complex:
     """int_0^X e^{-2is} s^(2p) C_j^{(2p, q, 1)}(2s) ds, the beta = 4 integral."""
     return j_symp_raw(lambda s: c_tilde(j, 1, 2 * p, q, 2 * s), X, p)

@@ -117,15 +117,21 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z: complex,
     return total
 
 
-def hyp1f1(a: complex, c: complex, z: complex,
-           ctrl: SeriesControl | None = None) -> complex:
-    """Kummer 1F1(a; c; z) by its power series with Kahan summation."""
+def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
+    """Kummer 1F1(a; c; z) by its power series with Kahan summation.
+
+    z may be an ndarray: the same recurrence then runs elementwise until
+    the terms of every element meet rel_tol.
+    """
     if c == 0 and a == 0:
         # joint limit a, c -> 0 with a/c -> 1/2: 1 + (e^z - 1)/2
-        return complex(1 + (np.exp(z) - 1) / 2)
+        out = 1 + (np.exp(z) - 1) / 2
+        return out if isinstance(z, np.ndarray) else complex(out)
     if _is_nonpositive_integer(c):
         raise PoleError(f"1F1 lower parameter pole at c={c}")
     ctrl = ctrl or DEFAULT_CONTROL
+    if isinstance(z, np.ndarray):
+        return _hyp1f1_array(a, c, z.astype(complex), ctrl)
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j
     term = 1.0 + 0.0j
@@ -140,6 +146,25 @@ def hyp1f1(a: complex, c: complex, z: complex,
     raise NonConvergenceError(
         f"1F1 series did not converge in {ctrl.max_terms} terms "
         f"(last |term|={abs(term):.3e})")
+
+
+def _hyp1f1_array(a: complex, c: complex, z: np.ndarray,
+                  ctrl: SeriesControl) -> np.ndarray:
+    total = np.ones_like(z)
+    comp = np.zeros_like(z)
+    term = np.ones_like(z)
+    for k in range(ctrl.max_terms):
+        term = term * (a + k) / ((c + k) * (k + 1)) * z
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        small = np.abs(term) < ctrl.rel_tol * np.maximum(np.abs(total), 1e-300)
+        if small.all():
+            return total
+    raise NonConvergenceError(
+        f"1F1 series did not converge in {ctrl.max_terms} terms "
+        f"(largest last |term|={np.max(np.abs(term)):.3e})")
 
 
 def gamma_ratio_expansion(z: complex, a: complex, b: complex, order: int) -> complex:

@@ -90,6 +90,22 @@ def test_diagonal_is_offdiagonal_limit(beta, N, X):
     assert abs(diag - avg) < 1e-5 * abs(diag)
 
 
+@pytest.mark.parametrize("beta", [2, 4])
+@pytest.mark.parametrize("N", [20, 200])
+@pytest.mark.parametrize("X", [0.6, 2.0])
+def test_near_diagonal_branch(beta, N, X):
+    # inside the midpoint window |X - Y| < 1e-6 (1 + X), against the exact
+    # diagonal plus the central slope over +-1e-4; a first-order branch
+    # misses by ~1e-6 (measured worst after the fix 5e-11)
+    pr = EnsembleParams(beta, N, 1.5, 0.7)
+    diag = kernel_scaled(beta, X, X, pr)
+    slope = (kernel_scaled(beta, X, X + 1e-4, pr)
+             - kernel_scaled(beta, X, X - 1e-4, pr)) / 2e-4
+    for d in (1e-7, 5e-7 * (1 + X), -5e-7 * (1 + X)):
+        val = kernel_scaled(beta, X, X + d, pr)
+        assert abs(val - (diag + d * slope)) < 1e-9 * abs(diag)
+
+
 class TestCorrelationDet:
     def test_single_point(self):
         pr = EnsembleParams(2, 6, 1.5, 0.7)

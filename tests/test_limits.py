@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import jv
 
-from specsing import (ConfluentBlock, EnsembleParams, a_confluent, c_tilde,
-                      derivative_identity_residual, j_blocks, k_limit,
-                      kernel_expansion, kernel_s1_scaled, kernel_s2_scaled,
-                      kernel_s4_scaled, kernel_scaled, l1, l2)
-from specsing.limits import _A
+from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
+                      a_confluent, c_tilde, derivative_identity_residual,
+                      j_blocks, k_limit, kernel_expansion, kernel_s1_scaled,
+                      kernel_s2_scaled, kernel_s4_scaled, kernel_scaled, l1, l2)
+from specsing.limits import _A, _jo, _js, j_symp_raw
 from specsing.polynomials import rr_scaled_raw
 
 
@@ -148,6 +149,87 @@ def test_identity_stencil_order():
     rs = {h: derivative_identity_residual(2, 2.0, 0.9, pr, h=h)
           for h in (2e-2, 1e-2)}
     assert rs[1e-2] < rs[2e-2] / 8
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("X", [0.6, 2.0])
+def test_k_limit_near_diagonal(beta, X):
+    # inside the window |X - Y| < 1e-5 (1 + X) (for beta = 4 at 2X), against
+    # the exact diagonal plus slope and curvature from +-1e-3; a first-order
+    # branch misses by up to 5.5e-5 (measured worst after the fix 2e-9)
+    pr = EnsembleParams(beta, 10, 1.5, 0.7)
+    h = 1e-3
+    f0 = k_limit(beta, X, X, pr)
+    fp, fm = k_limit(beta, X, X + h, pr), k_limit(beta, X, X - h, pr)
+    slope, curv = (fp - fm) / (2 * h), (fp + fm - 2 * f0) / (2 * h * h)
+    for d in (1e-6, 5e-6 * (1 + X), -9e-6 * (1 + X)):
+        val = k_limit(beta, X, X + d, pr)
+        assert abs(val - (f0 + d * slope + d * d * curv)) < 1e-8 * abs(f0)
+
+
+def _oracle(g, X):
+    """(int_0^X g, int_0^X |g|) by adaptive quadrature of a scalar g; the
+    second sets the absolute tolerance (J_o is real: its imaginary part is
+    rounding noise)."""
+    def q(f, atol, rtol):
+        return quad(f, 0.0, X, epsabs=atol, epsrel=rtol, limit=200)[0]
+
+    mass = q(lambda s: abs(g(s)), 0.0, 1e-6)
+    return (complex(q(lambda s: g(s).real, 1e-12 * mass, 1e-12),
+                    q(lambda s: g(s).imag, 1e-12 * mass, 1e-12)), mass)
+
+
+_PQ = [(0.5, 0.7), (1.5, -0.4), (2.5, 0.7), (0.0, 0.0)]
+
+
+def _orders(p, top):
+    # C_j = 0 for j >= 1 at p = 0, where both sides are rounding noise
+    return range(top + 1) if p else (0,)
+
+
+class TestLimitIntegrals:
+    """J_o, J_s and the Ix moment against scalar adaptive quadrature."""
+
+    @pytest.mark.parametrize("pq", _PQ)
+    @pytest.mark.parametrize("X", [0.4, 1.7, 3.2])
+    def test_j_odd(self, pq, X):
+        p, q = pq
+        for j in _orders(p, 1):
+            ref, mass = _oracle(lambda s: math.exp(-q * math.pi) * np.exp(-1j * s)
+                                * s ** (p + 1) * c_tilde(j, 2, p, 2 * q, s), X)
+            assert abs(_jo(j, p, q, X) - ref) < 1e-10 * mass
+
+    @pytest.mark.parametrize("pq", _PQ)
+    @pytest.mark.parametrize("X", [0.4, 1.1, 1.8])
+    def test_j_symp(self, pq, X):
+        p, q = pq
+        for j in _orders(p, 2):
+            ref, mass = _oracle(lambda s: np.exp(-2j * s) * s ** (2 * p)
+                                * c_tilde(j, 1, 2 * p, q, 2 * s), X)
+            assert abs(_js(j, p, q, X) - ref) < 1e-10 * mass
+
+        def moment(s):
+            return (2 * s * s / 3) * c_tilde(0, 1, 2 * p, q, 2 * s)
+
+        ref, mass = _oracle(lambda s: np.exp(-2j * s) * s ** (2 * p) * moment(s), X)
+        assert abs(j_symp_raw(moment, X, p) - ref) < 1e-10 * mass
+
+
+class TestLargeX:
+    # 30-digit mpmath values (p, q) = (1.5, 0.7), Y = 1; the beta = 4 bounds
+    # are set by the cancellation in the 1F1 series at |z| = 4X
+    @pytest.mark.parametrize("fn,beta,X,ref,tol", [
+        (k_limit, 4, 6.0, -1.495604504541130e-03, 1e-7),
+        (l1, 4, 6.0, -4.711814923237600e-03, 1e-6),
+        (k_limit, 1, 8.0, -1.976570128463446e-05, 1e-9),
+        (l1, 1, 8.0, -4.408311731052578e-04, 1e-9)])
+    def test_against_mpmath(self, fn, beta, X, ref, tol):
+        val = fn(beta, X, 1.0, EnsembleParams(beta, 100, 1.5, 0.7))
+        assert abs(val - ref) < tol * abs(ref)
+
+    def test_beta4_x8_raises(self):
+        with pytest.raises(NonConvergenceError):
+            k_limit(4, 8.0, 1.9, EnsembleParams(4, 100, 1.5, 0.7))
 
 
 class TestFiniteNConsistency:

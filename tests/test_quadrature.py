@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (complex_quad, complex_quad_segments,
+from specsing.quadrature import (complex_quad_segments, gauss_jacobi_integrate,
                                  sector_integrate, sector_integrate_adaptive,
                                  tanh_sinh_integrate)
+from specsing.series import NonConvergenceError
 
 
 class TestTanhSinh:
@@ -45,13 +46,33 @@ class TestTanhSinh:
 
 class TestComplexQuad:
     def test_oscillatory(self):
-        val = complex_quad(lambda t: np.exp(1j * t), 0.0, math.pi)
+        val = complex_quad_segments(lambda t: np.exp(1j * t), [0.0, math.pi])
         assert abs(val - 2j) < 1e-10
 
     def test_segments(self):
         val = complex_quad_segments(lambda t: np.exp(1j * t) + 0j,
                                     [0, math.pi, 2 * math.pi])
         assert abs(val) < 1e-10
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("expo", [0.0, 0.5, 2.5])
+    def test_power_times_exponential(self, expo):
+        # int_0^X s^expo e^{is} ds against adaptive quadrature
+        X = 3.0
+        val = gauss_jacobi_integrate(lambda s: np.exp(1j * s), X, expo)
+        ref = complex_quad_segments(lambda s: s ** expo * np.exp(1j * s), [0.0, X])
+        assert abs(val - ref) < 1e-12 * abs(ref)
+
+    def test_polynomial_exact(self):
+        # int_0^2 s^1.5 (1 + s^3) ds = 2^2.5/2.5 + 2^5.5/5.5
+        val = gauss_jacobi_integrate(lambda s: 1 + s ** 3 + 0j, 2.0, 1.5)
+        assert abs(val - (2 ** 2.5 / 2.5 + 2 ** 5.5 / 5.5)) < 1e-13
+
+    def test_unresolved_raises(self):
+        # e^{40is} has ~13 periods on [0, 2], too many for 12 or 20 nodes
+        with pytest.raises(NonConvergenceError):
+            gauss_jacobi_integrate(lambda s: np.exp(40j * s), 2.0, 1.0)
 
 
 class TestSector:

@@ -113,6 +113,42 @@ class TestHyp1f1:
         assert abs(hyp1f1(0.0, 0.0, z) - (1 + (np.exp(z) - 1) / 2)) < 1e-15
 
 
+class TestHyp1f1Array:
+    """An ndarray z runs the scalar recurrence elementwise."""
+
+    @staticmethod
+    def _abs_term_sum(a, c, z):
+        # sum_k |t_k|, the scale of the rounding in either summation
+        t = total = 1.0
+        for k in range(400):
+            t *= abs(a + k) / abs((c + k) * (k + 1)) * abs(z)
+            total += t
+        return total
+
+    @pytest.mark.parametrize("a,c", [(1.5 - 0.7j, 3.0), (3.5 - 1.4j, 8.0),
+                                     (2.0 + 0.3j, 5.5), (0.5 + 1.0j, 1.0)])
+    def test_matches_scalar(self, a, c):
+        # the arithmetic differs in the last bit (numpy may fuse multiply-
+        # adds), and the series cancels at large |z|: measured worst
+        # 1.2e-16 of sum |t_k|, up to 1e-10 of the value
+        z = np.concatenate([2j * np.linspace(0.0, 7.2, 33), np.linspace(0.0, 3.0, 4)])
+        vals = hyp1f1(a, c, z)
+        assert vals.shape == z.shape
+        for x, v in zip(z, vals):
+            ref = hyp1f1(a, c, complex(x))
+            assert abs(v - ref) <= 4e-15 * self._abs_term_sum(a, c, x)
+
+    def test_circular_limit(self):
+        z = 1j * np.linspace(0.0, 3.0, 5)
+        ref = np.array([hyp1f1(0.0, 0.0, complex(x)) for x in z])
+        assert np.all(np.abs(hyp1f1(0.0, 0.0, z) - ref) <= 4e-15 * np.abs(ref))
+
+    def test_non_convergence(self):
+        with pytest.raises(NonConvergenceError):
+            hyp1f1(1.0, 2.0, np.array([0.1, 60.0]),
+                   SeriesControl(rel_tol=1e-15, max_terms=12))
+
+
 class TestGammaRatioExpansion:
     def test_equal_parameters(self):
         for order in (0, 1, 2):
