@@ -67,16 +67,21 @@ class DensityTilde:
                    b_tilde=complex(-p - 1, 2 * q / beta))
 
 
-def morris_closed(m: MorrisParams) -> complex:
-    """M_N(a, b, lam) = prod_{j<N} G(lam j+a+b+1) G(lam(j+1)+1)
-    / (G(lam j+a+1) G(lam j+b+1) G(1+lam)), via log-gamma."""
+def _log_morris(m: MorrisParams) -> complex:
+    """log M_N(a, b, lam), summed term by term (see morris_closed)."""
     a, b, lam, N = m.a, m.b, m.lam, m.N
     total = 0.0 + 0.0j
     for j in range(N):
         total += (log_gamma(lam * j + a + b + 1) + log_gamma(lam * (j + 1) + 1)
                   - log_gamma(lam * j + a + 1) - log_gamma(lam * j + b + 1)
                   - log_gamma(1 + lam))
-    return complex(np.exp(total))
+    return total
+
+
+def morris_closed(m: MorrisParams) -> complex:
+    """M_N(a, b, lam) = prod_{j<N} G(lam j+a+b+1) G(lam(j+1)+1)
+    / (G(lam j+a+1) G(lam j+b+1) G(1+lam)), via log-gamma."""
+    return complex(np.exp(_log_morris(m)))
 
 
 def morris_quadrature(m: MorrisParams, level: int = 3, max_level: int = 5) -> complex:
@@ -217,14 +222,15 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
 # --- densities ----------------------------------------------------------------
 
 def _morris_ratio(params: EnsembleParams) -> complex:
-    """M_n((p-1)b/2+iq, (p+1)b/2-iq, b/2) / M_{n+1}(p b/2+iq, p b/2-iq, b/2)."""
+    """M_n((p-1)b/2+iq, (p+1)b/2-iq, b/2) / M_{n+1}(p b/2+iq, p b/2-iq, b/2),
+    as one exponential: at large N both overflow on their own."""
     beta, p, q, n = params.beta, params.p, params.q, params.size - 1
     lam = beta / 2
-    num = morris_closed(MorrisParams(complex((p - 1) * lam, q),
-                                     complex((p + 1) * lam, -q), lam, n)) if n else 1.0
-    den = morris_closed(MorrisParams(complex(p * lam, q),
-                                     complex(p * lam, -q), lam, n + 1))
-    return num / den
+    log_num = _log_morris(MorrisParams(complex((p - 1) * lam, q),
+                                       complex((p + 1) * lam, -q), lam, n)) if n else 0.0
+    log_den = _log_morris(MorrisParams(complex(p * lam, q),
+                                       complex(p * lam, -q), lam, n + 1))
+    return complex(np.exp(log_num - log_den))
 
 
 def _rho_prefactor(theta: float, params: EnsembleParams) -> complex:
@@ -259,6 +265,8 @@ def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> floa
     else:
         raise ValueError("path must be 'jack' or 'integral'")
     val = _rho_prefactor(theta, params) * F
+    if not np.isfinite(val):
+        raise ArithmeticError(f"density is not finite at theta={theta}: {val}")
     scale = max(abs(val), 1e-300)
     tol = _reality_tol(beta, path)
     if abs(val.imag) > tol * scale or val.real < -tol * scale:
@@ -300,6 +308,8 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
         raise ValueError("path must be 'jack' or 'integral'")
     val = c_beta_limit(params) * np.exp(1j * beta * theta / 2) \
         * theta ** (p * beta) * F
+    if not np.isfinite(val):
+        raise ArithmeticError(f"rho_inf is not finite at theta={theta}: {val}")
     scale = max(abs(val), 1e-300)
     if abs(val.imag) > _reality_tol(beta, path) * scale:
         raise ArithmeticError(f"rho_inf reality violated: {val}")

@@ -185,29 +185,34 @@ def _k2_diag(p: float, q: float, X: float, k: int = 0) -> complex:
     return -pref * dJ
 
 
-def _pm_diagonal(f):
+def _pm_diagonal(x2_symmetric: bool):
     """Near the diagonal, average f over (M + d, M - d) and (M - d, M + d).
 
     For L1 and L2, which have no closed-form diagonal derivative (K does:
-    `_k2_diag`).
+    `_k2_diag`).  Where X^2 f is symmetric in (X, Y), as for L1, the average
+    times (M/X)^2 is second order in X - Y; L2's X (X - Y)/3 J0 term is not
+    symmetric, so its plain average stays first order.
     """
-    @functools.wraps(f)
-    def g(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
-        if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-            d = _DIAG_EPS * (1 + abs(X))
-            M = 0.5 * (X + Y)
-            return 0.5 * (f(p, q, M + d, M - d, k) + f(p, q, M - d, M + d, k))
-        return f(p, q, X, Y, k)
-    return g
+    def wrap(f):
+        @functools.wraps(f)
+        def g(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
+            if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
+                d = _DIAG_EPS * (1 + abs(X))
+                M = 0.5 * (X + Y)
+                avg = 0.5 * (f(p, q, M + d, M - d, k) + f(p, q, M - d, M + d, k))
+                return (M / X) ** 2 * avg if x2_symmetric else avg
+            return f(p, q, X, Y, k)
+        return g
+    return wrap
 
 
-@_pm_diagonal
+@_pm_diagonal(x2_symmetric=True)
 def _l1_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
     b = j_blocks(k, p, q, X, Y)
     return _pref2(p, q, k, X, Y) * (b["J1"] + b["Q1"] * b["J0"])
 
 
-@_pm_diagonal
+@_pm_diagonal(x2_symmetric=False)
 def _l2_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
     b = j_blocks(k, p, q, X, Y)
     return _pref2(p, q, k, X, Y) * (

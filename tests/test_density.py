@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from specsing import (DensityTilde, EnsembleParams, MorrisParams, i_integral,
                       k_limit, kernel_s2, morris_closed, morris_quadrature,
-                      rho_finite, rho_limit)
+                      rho_finite, rho_limit, tanh_sinh_rule)
 from specsing.density import _b_integral, c_beta_limit
 from specsing.series import gammaf
 
@@ -126,6 +126,28 @@ class TestRhoFinite:
         rj = rho_finite(0.9, pr, "jack")
         ri = rho_finite(0.9, pr, "integral")
         assert abs(rj - ri) < 2e-2 * rj
+
+    @pytest.mark.parametrize("beta,N", [(2, 64), (4, 28)])
+    def test_normalization_large_N(self, beta, N):
+        # both raised NonConvergenceError while the Jack terms were built from
+        # scratch (inf/inf shells); measured 3e-14 and 1e-12
+        pr = EnsembleParams(beta, N, 1.3, 0.4)
+        rule = tanh_sinh_rule(0, 2 * math.pi, 8)
+        val = sum(w * rho_finite(float(t), pr)
+                  for t, w in zip(rule.nodes, rule.weights))
+        assert abs(val - N) < 1e-10 * N
+
+    @pytest.mark.parametrize("beta,N,ref", [(2, 64, 10.499363034951399),
+                                            (4, 40, 6.459495742570329)])
+    def test_large_N_reference(self, beta, N, ref):
+        # 30-digit kernel-diagonal values at theta = 1, (p, q) = (1.3, 0.4)
+        val = rho_finite(1.0, EnsembleParams(beta, N, 1.3, 0.4))
+        assert abs(val - ref) < 1e-9 * ref
+
+    def test_morris_ratio_does_not_overflow(self):
+        # each Morris integral overflows alone at N = 200; their ratio does not
+        val = rho_finite(0.3, EnsembleParams(2, 200, 1.3, 0.4))
+        assert abs(val - 32.44943873430255) < 1e-10 * 32.44943873430255
 
     def test_cue_uniform(self):
         pr = EnsembleParams(2, 8, 0.0, 0.0)

@@ -113,6 +113,68 @@ class TestHyperPfq:
         with pytest.raises(ZeroDivisionError):
             hyper_pfq_alpha([1.5], [-1.0], 1.0, 2, 0.3, max_weight=6)
 
+    @pytest.mark.parametrize("a_list,b_list,alpha,m", [
+        ([-1.0], [-2.0], 1.0, 1), ([-1.0, 0.5], [-2.0], 2.0, 2)])
+    def test_zero_numerator_shields_pole(self, a_list, b_list, alpha, m):
+        # [-2]_k vanishes from k_1 = 3 on, where [-1]_k already does (from
+        # k_1 = 2 on); [0.5]_(1,1) = 0 at alpha = 2, so only k = (1) is left:
+        # 1 + (prod a / prod b) m x = 1.15
+        val = hyper_pfq_alpha(a_list, b_list, alpha, m, 0.3, max_weight=6)
+        assert abs(val - 1.15) < 1e-15
+
+    @pytest.mark.parametrize("n", [30, 80])
+    def test_m1_long_terminating(self, n):
+        # k_1 > 64 takes pochhammer's log-gamma branch in the reference; at
+        # z < 0 the terms barely cancel, so both sides keep full precision
+        b, c, z = 1.3 - 0.1j, 2.6 + 0.2j, -0.3 + 0.05j
+        val = hyper_pfq_alpha([complex(-n), b], [c], 0.7, 1, z, max_weight=n + 3)
+        ref = hyp2f1_terminating(n, b, c, z)
+        assert abs(val - ref) < 1e-12 * abs(ref)
+
+    def test_nonfinite_shell_raises(self):
+        # the terms grow like x^w: shell 2 overflows
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            hyper_pfq_alpha([1.5], [2.5], 1.0, 2, 1e300, max_weight=8)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equal_argument_closed_forms(self, alpha, m):
+        # 0F0(x 1_m) = e^{m x} and 1F0(a; x 1_m) = (1 - x)^{-m a}
+        x, a = 0.3 - 0.2j, 0.7 + 0.4j
+        val0 = hyper_pfq_alpha([], [], alpha, m, x, max_weight=60)
+        assert abs(val0 - np.exp(m * x)) < 1e-14 * abs(np.exp(m * x))
+        val1 = hyper_pfq_alpha([a], [], alpha, m, x, max_weight=60)
+        ref1 = (1 - x) ** (-m * a)
+        assert abs(val1 - ref1) < 1e-13 * abs(ref1)
+
+    @given(st.integers(1, 4), st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.0]),
+           st.integers(0, 8), st.complex_numbers(max_magnitude=0.5),
+           st.sampled_from(["terminating", "confluent"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_term_by_term_reference(self, m, alpha, n, x, kind):
+        # the series from scratch, one term per partition (measured worst
+        # 6.4e-16 of sum |t_k|)
+        if kind == "terminating":
+            a_list, b_list, w = [complex(-n), 1.3 - 0.4j], [-0.7 + 0.3j], m * n + 3
+        else:
+            a_list, b_list, w = [1.3 - 0.4j], [2.2], 30
+        val = hyper_pfq_alpha(a_list, b_list, alpha, m, x, max_weight=w)
+        ref, mass = _reference_pfq(a_list, b_list, alpha, m, x, w)
+        assert abs(val - ref) < 1e-14 * mass
+
+
+def _reference_pfq(a_list, b_list, alpha, m, x, max_weight):
+    """(sum, sum of |terms|) of pFq^(alpha), each term built from scratch."""
+    total, mass = 0j, 0.0
+    for k in partitions_up_to(m, max_weight):
+        t = jack_principal(k, alpha, m, x) / math.factorial(k.weight)
+        for a in a_list:
+            t *= gen_pochhammer(a, k, alpha)
+        for b in b_list:
+            t /= gen_pochhammer(b, k, alpha)
+        total, mass = total + t, mass + abs(t)
+    return total, mass
+
 
 class TestDualityRatio:
     def test_t_one(self):

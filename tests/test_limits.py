@@ -151,20 +151,32 @@ def test_identity_stencil_order():
     assert rs[1e-2] < rs[2e-2] / 8
 
 
+def _near_diagonal_misses(f, beta, X):
+    """|f(X, X + d) - (f0 + d slope + d^2 curv)| / |f0| for d inside the
+    window |X - Y| < 1e-5 (1 + X) (for beta = 4 at 2X), slope and curvature
+    from +-1e-3 about the exact diagonal."""
+    pr = EnsembleParams(beta, 10, 1.5, 0.7)
+    h = 1e-3
+    f0 = f(beta, X, X, pr)
+    fp, fm = f(beta, X, X + h, pr), f(beta, X, X - h, pr)
+    slope, curv = (fp - fm) / (2 * h), (fp + fm - 2 * f0) / (2 * h * h)
+    return [abs(f(beta, X, X + d, pr) - (f0 + d * slope + d * d * curv)) / abs(f0)
+            for d in (1e-6, 5e-6 * (1 + X), -9e-6 * (1 + X))]
+
+
 @pytest.mark.parametrize("beta", [1, 2, 4])
 @pytest.mark.parametrize("X", [0.6, 2.0])
 def test_k_limit_near_diagonal(beta, X):
-    # inside the window |X - Y| < 1e-5 (1 + X) (for beta = 4 at 2X), against
-    # the exact diagonal plus slope and curvature from +-1e-3; a first-order
-    # branch misses by up to 5.5e-5 (measured worst after the fix 2e-9)
-    pr = EnsembleParams(beta, 10, 1.5, 0.7)
-    h = 1e-3
-    f0 = k_limit(beta, X, X, pr)
-    fp, fm = k_limit(beta, X, X + h, pr), k_limit(beta, X, X - h, pr)
-    slope, curv = (fp - fm) / (2 * h), (fp + fm - 2 * f0) / (2 * h * h)
-    for d in (1e-6, 5e-6 * (1 + X), -9e-6 * (1 + X)):
-        val = k_limit(beta, X, X + d, pr)
-        assert abs(val - (f0 + d * slope + d * d * curv)) < 1e-8 * abs(f0)
+    # a first-order branch misses by up to 5.5e-5 (measured worst after the
+    # fix 2e-9)
+    assert max(_near_diagonal_misses(k_limit, beta, X)) < 1e-8
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("X", [0.6, 2.0])
+def test_l1_near_diagonal(beta, X):
+    # the plain +-d average missed by up to 5.5e-5
+    assert max(_near_diagonal_misses(l1, beta, X)) < 1e-8
 
 
 def _oracle(g, X):
