@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .jack import hyper_pfq_alpha
 from .polynomials import EnsembleParams
-from .quadrature import sector_integrate_adaptive
-from .series import log_gamma
+from .quadrature import sector_integrate_adaptive, tanh_sinh_rule
+from .series import NonConvergenceError, log_gamma
 
 _REALITY_TOL = 1e-8
 
@@ -120,6 +121,11 @@ _MOMENTS = {"one": None, "exp1": lambda t: np.exp(1j * t),
             "exp2": lambda t: np.exp(2j * t),
             "inv1p": lambda t: 1.0 / (1 + np.exp(1j * t))}
 
+# the beta = 2 moments stop when two successive tanh-sinh levels agree to
+# this fraction of sum |terms|; past the last level they raise
+_ANDREIEF_TOL = 1e-13
+_ANDREIEF_LEVELS = range(4, 13)
+
 
 def _ensure_integrable(params: EnsembleParams):
     beta, p = params.beta, params.p
@@ -131,6 +137,34 @@ def _ensure_integrable(params: EnsembleParams):
             "(integrable endpoint weight)")
 
 
+def _andreief_moments(g, h) -> np.ndarray:
+    """[G_0, G_1, G_-1] and, when h is given, [H_0, H_1, H_-1], where
+    G_m = int_{-pi}^{pi} g(t) e^{imt} dt and H_m the same with g h.
+
+    One tanh-sinh rule in s = pi - |t| on (0, pi) covers both signs
+    t = +-(pi - s); g and h receive t and |2 cos(t/2)| = 2 sin(s/2), which
+    keeps its relative precision at the endpoint singularity s = 0.
+    """
+    prev = None
+    for level in _ANDREIEF_LEVELS:
+        rule = tanh_sinh_rule(0.0, math.pi, level)
+        s = rule.nodes
+        t = np.concatenate([math.pi - s, s - math.pi])
+        two_cos = np.tile(2 * np.sin(s / 2), 2)
+        gw = g(t, two_cos) * np.tile(rule.weights, 2)
+        rows = [gw] if h is None else [gw, gw * h(t, two_cos)]
+        e1 = np.exp(1j * t)
+        terms = np.array([r * e for r in rows for e in (1.0, e1, e1.conj())])
+        cur = terms.sum(axis=1)
+        mass = np.abs(terms).sum(axis=1)
+        if prev is not None and np.all(np.abs(cur - prev) <= _ANDREIEF_TOL * mass):
+            return cur
+        prev = cur
+    raise NonConvergenceError(
+        f"beta = 2 moments did not converge by tanh-sinh level {level} "
+        f"({s.size} nodes per sign)")
+
+
 def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
                 start_level: int = 4, max_level: int = 6):
     """Raw beta-dimensional integral over (-pi, pi)^beta:
@@ -139,8 +173,14 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
         g(t) = e^{i t (a~-b~)/2} |1 + e^{i t}|^{a~+b~} power_factor(t),
 
     where [moment] is sum_j h(t_j) with h = e^{it}, e^{2it} or 1/(1+e^{it}).
+    The inv1p moment carries |1 + e^{it}|^{a~+b~-1} and needs
+    p + 2/beta - 2 > 0; otherwise ValueError is raised.
 
-    beta = 2: the ordered-sector rule on (-pi, pi)^2, level-doubled.
+    beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
+    2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
+    2 (2 G_0 H_0 - G_1 H_-1 - G_-1 H_1) with a moment, where G_m and H_m are
+    the 1-D moments of g and g h (_andreief_moments; start_level and
+    max_level do not apply).
     beta = 4: on the ordered sector |Delta| = -prod_j e^{-3i t_j/2} det[e^{i m t_j}],
     so the integral is -24 Pf(A) by de Bruijn's identity, with
     A_lm = int int_{x<y} (phi_l(x) phi_m(y) - phi_m(x) phi_l(y)) and
@@ -154,11 +194,29 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     d = td.a_tilde - td.b_tilde
     if moment not in _MOMENTS:
         raise ValueError(f"unknown moment {moment!r}")
+    if moment == "inv1p" and ab.real <= 0:
+        raise ValueError(
+            f"the inv1p moment needs p > {2 - 2 / beta} at beta={beta} "
+            "(integrable endpoint weight)")
     h = _MOMENTS[moment]
 
-    def g(t):
-        return np.exp(1j * d / 2 * t + ab * np.log(2 * np.abs(np.cos(t / 2)))) \
-            * power_factor(t)
+    def g(t, two_cos):
+        # two_cos = |2 cos(t/2)| = |1 + e^{it}|
+        return np.exp(1j * d / 2 * t + ab * np.log(two_cos)) * power_factor(t)
+
+    if beta == 2:
+        if moment == "inv1p":
+            def h2(t, two_cos):
+                # 1/(1 + e^{it}) = e^{-it/2} / (2 cos(t/2)), cos(t/2) >= 0 on (-pi, pi)
+                return np.exp(-0.5j * t) / two_cos
+        else:
+            h2 = None if h is None else (lambda t, _two_cos: h(t))
+        mom = _andreief_moments(g, h2)
+        G0, G1, Gm1 = mom[:3]
+        if h is None:
+            return 2 * (G0 * G0 - G1 * Gm1)
+        H0, H1, Hm1 = mom[3:]
+        return 2 * (2 * G0 * H0 - G1 * Hm1 - Gm1 * H1)
 
     def sector(integrand, with_moment):
         def f(ts):
@@ -170,15 +228,14 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
                                               max_level=max_level)
         return val
 
-    if beta == 2:
-        return sector(lambda x, y: g(x) * g(y)
-                      * np.abs(np.exp(1j * y) - np.exp(1j * x)) ** 2, h is not None)
+    def g4(t):
+        return g(t, 2 * np.abs(np.cos(t / 2)))
 
     def entries(with_moment):
         # sector_integrate covers both orderings: halve for the x < y sector
         return {(l, m): 0.5 * sector(
-            lambda x, y: g(x) * g(y) * (np.exp(1j * ((l - 1.5) * x + (m - 1.5) * y))
-                                        - np.exp(1j * ((m - 1.5) * x + (l - 1.5) * y))),
+            lambda x, y: g4(x) * g4(y) * (np.exp(1j * ((l - 1.5) * x + (m - 1.5) * y))
+                                          - np.exp(1j * ((m - 1.5) * x + (l - 1.5) * y))),
             with_moment) for l in range(4) for m in range(l + 1, 4)}
 
     a = entries(False)
@@ -221,9 +278,11 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
 
 # --- densities ----------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _morris_ratio(params: EnsembleParams) -> complex:
     """M_n((p-1)b/2+iq, (p+1)b/2-iq, b/2) / M_{n+1}(p b/2+iq, p b/2-iq, b/2),
-    as one exponential: at large N both overflow on their own."""
+    as one exponential: at large N both overflow on their own.  It does not
+    depend on theta, so it is cached per parameter set."""
     beta, p, q, n = params.beta, params.p, params.q, params.size - 1
     lam = beta / 2
     log_num = _log_morris(MorrisParams(complex((p - 1) * lam, q),

@@ -2,7 +2,8 @@
 algebraic singularities, a Gauss-Jacobi rule for s^expo times a smooth
 function, a segmented complex adaptive Gauss-Kronrod wrapper, and an
 ordered-sector iterated scheme for symmetric multidimensional
-integrands with |diff|-type interior kinks.
+integrands with |diff|-type interior kinks, evaluated in chunks of a
+fixed number of grid points.
 """
 from __future__ import annotations
 
@@ -128,8 +129,12 @@ def complex_quad_segments(f, breakpoints, epsabs: float = 1e-12,
     return total
 
 
-def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5,
-                     symmetrize: bool = True, chunk: int | None = None) -> complex:
+# grid points evaluated at once by sector_integrate; a 2-D rule up to level 6
+# fits in one chunk
+_CHUNK_POINTS = 2 ** 18
+
+
+def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5) -> complex:
     """Integrate a permutation-symmetric integrand over (a, b)^ndim.
 
     Works on the ordered sector a < t_1 < ... < t_ndim < b (where |diff|-type
@@ -138,23 +143,23 @@ def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5,
 
     fvec receives a list of ndim arrays that broadcast against one another
     (axis j varies along dimension j) and must return the integrand
-    evaluated elementwise.  Accumulation order is fixed, so results are
-    independent of chunking.
+    evaluated elementwise.  The outer axis is split into chunks of at most
+    2^18 grid points; the result depends on the chunking only through
+    rounding.
     """
     x, w, dist = _tanh_sinh_raw(level)
     n = x.size
     # unit-interval nodes in (0, 1) with stable clustering at both ends
     u = np.where(x >= 0, 1.0 - 0.5 * dist, 0.5 * dist)
     uw = 0.5 * w
-    fact = math.factorial(ndim) if symmetrize else 1
+    fact = math.factorial(ndim)
 
     t1_all = a + (b - a) * u
     w1_all = uw * (b - a)
     if ndim == 1:
         return fact * complex(np.sum(np.asarray(fvec([t1_all])) * w1_all))
 
-    if chunk is None:
-        chunk = max(1, int(4e6 / n ** (ndim - 1)))
+    chunk = max(1, _CHUNK_POINTS // n ** (ndim - 1))
     total = 0.0 + 0.0j
     for start in range(0, n, chunk):
         ts = [t1_all[start:start + chunk]]

@@ -10,6 +10,7 @@ from specsing import (DensityTilde, EnsembleParams, MorrisParams, i_integral,
                       k_limit, kernel_s2, morris_closed, morris_quadrature,
                       rho_finite, rho_limit, tanh_sinh_rule)
 from specsing.density import _b_integral, c_beta_limit
+from specsing.quadrature import sector_integrate
 from specsing.series import gammaf
 
 
@@ -57,26 +58,63 @@ class TestIIntegral:
         assert abs(i_integral("finite_N", 0.0, pr) - 1.0) < 1e-10
 
     def test_infinity_at_zero_is_morris(self):
-        # beta = 2: sector rule; beta = 4: Pfaffian of 2-D integrals
-        for beta in (2, 4):
-            pr = EnsembleParams(beta, 4, 1.5, 0.7)
+        # beta = 2: 1-D moments by Andreief's identity (measured <= 6e-14);
+        # beta = 4: Pfaffian of 2-D integrals
+        cases = [(2, pq, 1e-12) for pq in ((1.5, 0.7), (0.6, -0.4), (2.4, 0.9))]
+        cases.append((4, (1.5, 0.7), 1e-6))
+        for beta, pq, tol in cases:
+            pr = EnsembleParams(beta, 4, *pq)
             td = DensityTilde.from_ensemble(pr)
             closed = (2 * math.pi) ** beta * morris_closed(
                 MorrisParams(td.a_tilde, td.b_tilde, 2 / beta, beta))
             val = i_integral("infinity", 0.0, pr)
-            assert abs(val - closed) < 1e-6 * abs(closed)
+            assert abs(val - closed) < tol * abs(closed), (beta, pq)
 
     def test_integration_by_parts_identity(self):
         # I[-theta sum e^{i t_j}] = -i a~ beta I_inf + i (a~+b~) I[sum 1/(1+e^{i t_p})]
-        # (the displayed a~-b~ fails numerically; the derivation gives a~+b~)
-        pr = EnsembleParams(2, 4, 1.5, 0.7)
-        td = DensityTilde.from_ensemble(pr)
+        # (the displayed a~-b~ fails numerically; the derivation gives a~+b~).
+        # The inv1p moment has endpoint exponent p - 2, so p near 1 is the
+        # hard case (measured <= 6e-14)
         theta = 1.0
-        lhs = -theta * i_integral("weighted", theta, pr, "exp1")
-        rhs = (-1j * td.a_tilde * 2 * i_integral("infinity", theta, pr)
-               + 1j * (td.a_tilde + td.b_tilde)
-               * i_integral("weighted", theta, pr, "inv1p"))
-        assert abs(lhs - rhs) < 1e-6 * abs(lhs)
+        for p in (1.15, 1.3, 1.5):
+            pr = EnsembleParams(2, 4, p, 0.7)
+            td = DensityTilde.from_ensemble(pr)
+            lhs = -theta * i_integral("weighted", theta, pr, "exp1")
+            rhs = (-1j * td.a_tilde * 2 * i_integral("infinity", theta, pr)
+                   + 1j * (td.a_tilde + td.b_tilde)
+                   * i_integral("weighted", theta, pr, "inv1p"))
+            assert abs(lhs - rhs) < 1e-12 * abs(lhs), p
+
+    def test_inv1p_needs_integrable_endpoint(self):
+        # the inv1p moment carries |1 + e^{it}|^{p + 2/beta - 3}
+        with pytest.raises(ValueError):
+            i_integral("weighted", 1.0, EnsembleParams(2, 4, 0.95, 0.7), "inv1p")
+        with pytest.raises(ValueError):
+            i_integral("weighted", 1.0, EnsembleParams(4, 4, 1.4, 0.7), "inv1p")
+
+    @pytest.mark.parametrize("moment", ["one", "exp1", "exp2"])
+    def test_beta2_moments_match_sector_rule(self, moment):
+        # the 1-D Andreief moments against a level-8 2-D sector rule of the
+        # original integrand (measured <= 1.1e-13)
+        pr = EnsembleParams(2, 4, 1.7, 0.4)
+        theta = 1.2
+        td = DensityTilde.from_ensemble(pr)
+        ab, d = td.a_tilde + td.b_tilde, td.a_tilde - td.b_tilde
+        h = {"one": lambda t: 0.5, "exp1": lambda t: np.exp(1j * t),
+             "exp2": lambda t: np.exp(2j * t)}[moment]
+
+        def g(t):
+            return np.exp(1j * d / 2 * t + ab * np.log(2 * np.abs(np.cos(t / 2)))
+                          + 1j * theta * np.exp(1j * t))
+
+        def f(ts):
+            x, y = ts
+            return (g(x) * g(y) * np.abs(np.exp(1j * y) - np.exp(1j * x)) ** 2
+                    * (h(x) + h(y)))
+
+        ref = sector_integrate(f, 2, -math.pi, math.pi, level=8)
+        val = i_integral("weighted", theta, pr, moment)
+        assert abs(val - ref) < 1e-11 * abs(ref)
 
     def test_iinf_derivative_relation(self):
         # i theta I_inf'(theta) = -theta I[sum e^{i t_p}]; at beta = 4 the
