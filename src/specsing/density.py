@@ -24,8 +24,8 @@ import numpy as np
 
 from .jack import hyper_pfq_alpha
 from .polynomials import EnsembleParams
-from .quadrature import sector_integrate_adaptive, tanh_sinh_rule
-from .series import NonConvergenceError, log_gamma
+from .quadrature import sector_integrate_adaptive, tanh_sinh_adaptive
+from .series import log_gamma
 
 _REALITY_TOL = 1e-8
 
@@ -121,12 +121,6 @@ _MOMENTS = {"one": None, "exp1": lambda t: np.exp(1j * t),
             "exp2": lambda t: np.exp(2j * t),
             "inv1p": lambda t: 1.0 / (1 + np.exp(1j * t))}
 
-# the beta = 2 moments stop when two successive tanh-sinh levels agree to
-# this fraction of sum |terms|; past the last level they raise
-_ANDREIEF_TOL = 1e-13
-_ANDREIEF_LEVELS = range(4, 13)
-
-
 def _ensure_integrable(params: EnsembleParams):
     beta, p = params.beta, params.p
     if beta not in (2, 4):
@@ -143,26 +137,19 @@ def _andreief_moments(g, h) -> np.ndarray:
 
     One tanh-sinh rule in s = pi - |t| on (0, pi) covers both signs
     t = +-(pi - s); g and h receive t and |2 cos(t/2)| = 2 sin(s/2), which
-    keeps its relative precision at the endpoint singularity s = 0.
+    keeps its relative precision at the endpoint singularity s = 0.  The
+    level rises until every moment converges (tanh_sinh_adaptive).
     """
-    prev = None
-    for level in _ANDREIEF_LEVELS:
-        rule = tanh_sinh_rule(0.0, math.pi, level)
+    def terms(rule):
         s = rule.nodes
         t = np.concatenate([math.pi - s, s - math.pi])
         two_cos = np.tile(2 * np.sin(s / 2), 2)
         gw = g(t, two_cos) * np.tile(rule.weights, 2)
         rows = [gw] if h is None else [gw, gw * h(t, two_cos)]
         e1 = np.exp(1j * t)
-        terms = np.array([r * e for r in rows for e in (1.0, e1, e1.conj())])
-        cur = terms.sum(axis=1)
-        mass = np.abs(terms).sum(axis=1)
-        if prev is not None and np.all(np.abs(cur - prev) <= _ANDREIEF_TOL * mass):
-            return cur
-        prev = cur
-    raise NonConvergenceError(
-        f"beta = 2 moments did not converge by tanh-sinh level {level} "
-        f"({s.size} nodes per sign)")
+        return np.array([r * e for r in rows for e in (1.0, e1, e1.conj())])
+
+    return tanh_sinh_adaptive(terms, 0.0, math.pi)
 
 
 def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",

@@ -181,17 +181,18 @@ def rr_poly_deriv(n: int, c: complex, x) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def rr_scaled_raw(N: int, k: int, X: float, P: float, Q: float,
-                  ctrl: SeriesControl | None = None) -> complex:
+def rr_scaled_raw(N: int, k: int, X, P: float, Q: float,
+                  ctrl: SeriesControl | None = None):
     """Prefactored scaled polynomial ((1-e^{2iX/N})/(2i))^{N-k} I_{N-k}(z(X))
-    = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}) with p = P - N.
+    = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}) with p = P - N; X may be an
+    ndarray.  p + k = 0 is admitted at Q = 0 (the circular limit).
 
     The confluent limit of this quantity (N -> infinity) is C0^{(p,Q,k)}(X).
     """
     p = P - N
-    if p + k <= 0:
-        raise ValueError("need p + k > 0")
-    z = 1 - np.exp(2j * X / N)
+    if p + k <= 0 and not (p + k == 0 and Q == 0):
+        raise ValueError("need p + k > 0 (or the circular limit p + k = Q = 0)")
+    z = 1 - np.exp(2j * (X / N))
     return hyp2f1_terminating(N - k, complex(p + k, -Q), complex(2 * p + 2 * k), z,
                               ctrl or default_control(N))
 

@@ -1,9 +1,9 @@
 """Quadrature utilities: tanh-sinh (double exponential) rules for endpoint
-algebraic singularities, a Gauss-Jacobi rule for s^expo times a smooth
-function, a segmented complex adaptive Gauss-Kronrod wrapper, and an
-ordered-sector iterated scheme for symmetric multidimensional
-integrands with |diff|-type interior kinks, evaluated in chunks of a
-fixed number of grid points.
+algebraic singularities and the library's one adaptive 1-D integrator on
+them (levels rise until two agree), a Gauss-Jacobi rule for s^expo times a
+smooth function, and an ordered-sector iterated scheme for symmetric
+multidimensional integrands with |diff|-type interior kinks, evaluated in
+chunks of a fixed number of grid points.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.special import roots_jacobi
 
 from .series import NonConvergenceError
@@ -60,19 +59,29 @@ def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
     return QuadratureRule(nodes=nodes[keep], weights=w[keep] * half, domain=(a, b))
 
 
-def tanh_sinh_integrate(fvec, a: float, b: float, level: int = 8) -> complex:
-    """Integrate a vectorized callable over (a, b) with a tanh-sinh rule."""
-    rule = tanh_sinh_rule(a, b, level)
-    return complex(np.sum(np.asarray(fvec(rule.nodes)) * rule.weights))
+def tanh_sinh_adaptive(terms, a: float, b: float, noise_floor=None):
+    """Integrals over (a, b) on tanh-sinh levels 4, 5, ..., 12.
 
-
-def _quad_raw(f, a: float, b: float, epsabs: float, epsrel: float,
-              limit: int) -> tuple[complex, float]:
-    re = _quad(lambda t: f(t).real, a, b, epsabs=epsabs, epsrel=epsrel,
-               limit=limit, full_output=1)
-    im = _quad(lambda t: f(t).imag, a, b, epsabs=epsabs, epsrel=epsrel,
-               limit=limit, full_output=1)
-    return complex(re[0], im[0]), max(re[1], im[1])
+    terms(rule) returns f(rule.nodes) * rule.weights, or a stack of such
+    rows (nodes on the last axis).  The sums are returned once two successive
+    levels agree to 1e-13 of sum |terms| in every row.  Otherwise, with
+    noise_floor = (rtol, atol), the last level is returned if it is within
+    rtol |sum| + atol of the one before; else NonConvergenceError is raised.
+    """
+    prev = None
+    for level in range(4, 13):
+        vals = np.asarray(terms(tanh_sinh_rule(a, b, level)))
+        cur = vals.sum(axis=-1)
+        diff = np.abs(cur - prev) if prev is not None else np.inf
+        if np.all(diff <= 1e-13 * np.abs(vals).sum(axis=-1)):
+            return cur
+        prev = cur
+    if noise_floor is not None and np.all(diff <= noise_floor[0] * np.abs(cur)
+                                          + noise_floor[1]):
+        return cur
+    raise NonConvergenceError(
+        f"tanh-sinh levels {level - 1} and {level} differ by up to "
+        f"{np.max(diff):.2e} on ({a}, {b}) ({vals.shape[-1]} nodes)")
 
 
 @lru_cache(maxsize=64)
@@ -108,25 +117,6 @@ def gauss_jacobi_integrate(h, X: float, expo: float) -> complex:
             f"Gauss-Jacobi rules differ by {err:.2e} on [0, {X}] "
             f"(integral of |integrand| {mass:.2e})")
     return val
-
-
-def complex_quad_segments(f, breakpoints, epsabs: float = 1e-12,
-                          epsrel: float = 1e-12) -> complex:
-    """Adaptive quadrature summed over consecutive segments (deterministic
-    order); the error budget is checked against the aggregate value."""
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    pts = list(breakpoints)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _quad_raw(f, lo, hi, epsabs, epsrel, 200)
-        total += val
-        err_total += err
-    scale = max(abs(total), 1e-30)
-    if err_total > 1e-6 * scale + 1e-8:
-        raise NonConvergenceError(
-            f"segmented quadrature error {err_total:.2e} too large "
-            f"(value scale {scale:.2e})")
-    return total
 
 
 # grid points evaluated at once by sector_integrate; a 2-D rule up to level 6

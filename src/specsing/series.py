@@ -85,29 +85,40 @@ def pochhammer(a: complex, n: int) -> complex:
     return complex(np.exp(_loggamma(complex(a + n)) - _loggamma(complex(a))))
 
 
-def hyp2f1_terminating(n: int, b: complex, c: complex, z: complex,
-                       ctrl: SeriesControl | None = None) -> complex:
+def hyp2f1_terminating(n: int, b: complex, c: complex, z,
+                       ctrl: SeriesControl | None = None):
     """2F1(-n, b; c; z) as the finite sum over alpha = 0..n.
 
     Truncates early once terms drop below ctrl.rel_tol relative to the
     running sum (safe when |n z| stays O(1), as in the scaled-kernel use).
+    z may be an ndarray: the recurrence then runs elementwise (as for
+    hyp1f1) until the terms of every element meet rel_tol, or to the end.
     """
     if n < 0:
         raise ValueError("terminating order n must be nonnegative")
     ctrl = ctrl or default_control(n)
+
+    def ratio(alpha):
+        # t_{alpha+1} = t_alpha num / den z; alpha = n gives 0, which ends the sum
+        if alpha == 0 and b == 0 and c == 0:
+            # joint limit b, c -> 0 with b/c -> 1/2 (weight p -> 0 at q = 0)
+            return -0.5 * n, 1.0
+        denom = (c + alpha) * (alpha + 1) if alpha < n else 1.0
+        if denom == 0:
+            raise PoleError(f"2F1 parameter pole: (c)_alpha vanished at alpha={alpha + 1}")
+        return (-n + alpha) * (b + alpha), denom
+
+    if isinstance(z, np.ndarray):
+        return _kahan_series(ratio, z.astype(complex), ctrl.rel_tol, n + 1)
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j
     term = 1.0 + 0.0j
     for alpha in range(n):
-        if alpha == 0 and b == 0 and c == 0:
-            # joint limit b, c -> 0 with b/c -> 1/2 (weight p -> 0 at q = 0)
-            term = (-n) * 0.5 * z
+        num, den = ratio(alpha)
+        term = term * (num / den) * z
+        if alpha == 0 and b == 0 and c == 0:  # the joint limit's first term
             total += term
             continue
-        denom = (c + alpha) * (alpha + 1)
-        if denom == 0:
-            raise PoleError(f"2F1 parameter pole: (c)_alpha vanished at alpha={alpha + 1}")
-        term = term * ((-n + alpha) * (b + alpha) / denom) * z
         y = term - comp  # Kahan summation
         t = total + y
         comp = (t - total) - y
@@ -131,7 +142,8 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
         raise PoleError(f"1F1 lower parameter pole at c={c}")
     ctrl = ctrl or DEFAULT_CONTROL
     if isinstance(z, np.ndarray):
-        return _hyp1f1_array(a, c, z.astype(complex), ctrl)
+        return _kahan_series(lambda k: (a + k, (c + k) * (k + 1)), z.astype(complex),
+                             ctrl.rel_tol, ctrl.max_terms)
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j
     term = 1.0 + 0.0j
@@ -148,22 +160,24 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
         f"(last |term|={abs(term):.3e})")
 
 
-def _hyp1f1_array(a: complex, c: complex, z: np.ndarray,
-                  ctrl: SeriesControl) -> np.ndarray:
+def _kahan_series(ratio, z: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
+    """Elementwise Kahan sum of the series t_0 = 1, t_{k+1} = t_k num / den z
+    with (num, den) = ratio(k), until the terms of every element are below
+    rel_tol of its running sum."""
     total = np.ones_like(z)
     comp = np.zeros_like(z)
     term = np.ones_like(z)
-    for k in range(ctrl.max_terms):
-        term = term * (a + k) / ((c + k) * (k + 1)) * z
+    for k in range(max_terms):
+        num, den = ratio(k)
+        term = term * num / den * z
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        small = np.abs(term) < ctrl.rel_tol * np.maximum(np.abs(total), 1e-300)
-        if small.all():
+        if (np.abs(term) < rel_tol * np.maximum(np.abs(total), 1e-300)).all():
             return total
     raise NonConvergenceError(
-        f"1F1 series did not converge in {ctrl.max_terms} terms "
+        f"series did not converge in {max_terms} terms "
         f"(largest last |term|={np.max(np.abs(term)):.3e})")
 
 

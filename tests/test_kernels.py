@@ -10,8 +10,8 @@ from specsing import (EnsembleParams, correlation_det, k_limit, kernel_s1,
                       kernel_s1_scaled, kernel_s2, kernel_s2_scaled, kernel_s4,
                       kernel_s4_scaled, kernel_scaled, rr_norm, rr_poly,
                       skew_constants, tail_integral)
-from specsing.kernels import (_h_sub, _s_tilde, _w1_full_line, eta_constants,
-                              w1_integral_closed)
+from specsing.kernels import (_h_sub, _phi, _s_tilde, _w1_full_line,
+                              eta_constants, w1_integral_closed)
 from specsing.polynomials import CauchyWeightParams, weight_cauchy
 
 
@@ -262,3 +262,37 @@ class TestEtaConstants:
             approx = eta1 * N ** (-p - 2) * (1 - p * (p + 2) / N)
             exact = _w1_full_line(N - 2, N + p, 2 * q)
             assert abs(approx - exact) < 30.0 / N ** 2 * exact
+
+
+class TestTailIntegral:
+    """The tail integrals against 30-digit mpmath: the terminating 2F1 and the
+    integrand built from their definitions, integrated by mpmath.quad."""
+
+    @pytest.mark.parametrize("degree, X, params, ref", [
+        (48, 0.3, EnsembleParams(1, 50, 0.5068, 0.3559), 3.718539970792485873537291e-7),
+        (99, 3.5, EnsembleParams(4, 50, 1.3, -0.4), -2.128308816307349652181563e-6)])
+    def test_small_X_matches_mpmath(self, degree, X, params, ref):
+        val = tail_integral(degree, X, params)
+        assert abs(val - ref) < 1e-11 * abs(ref)
+
+    def test_bulk_returns_value(self):
+        # in the bulk the 2F1 cancels to ~1e-9 of sum |terms|: the value is
+        # accepted at the quadrature noise floor instead of raising
+        val = tail_integral(15, 0.95 * 17 * math.pi, EnsembleParams(1, 17, 1.0786, 0.923))
+        ref = -3.503813198305242696623714e-3
+        assert abs(val - ref) < 1e-7 * abs(ref)
+
+    @pytest.mark.parametrize("N, k, p, q", [(12, 0, 1.5, 0.7), (30, 2, 0.4, -0.3),
+                                            (9, 0, 0.0, 0.0)])
+    def test_phi_array_matches_scalar(self, N, k, p, q):
+        # the two 2F1 loops round differently where the series cancels (sum
+        # |t_k| / |F| reaches 1e4 at N = 30, X = 6: measured 7e-13); a wrong
+        # sign, phase or power in the prefactor would be off by O(1)
+        X = np.linspace(0.05, 6.0, 17)
+        vals = _phi(N, k, N + p, q, X)
+        ref = np.array([_phi(N, k, N + p, q, float(x)) for x in X])
+        assert np.all(np.abs(vals - ref) <= 1e-11 * np.abs(ref))
+
+    def test_upper_limit_validated(self):
+        with pytest.raises(ValueError):
+            tail_integral(4, 6 * math.pi * 1.01, EnsembleParams(1, 6, 1.5, 0.3))

@@ -183,6 +183,15 @@ class TestScaledPolynomial:
         assert errs[400] < 1.5 * abs(target) / 400 * 10
         assert 0.35 < errs[400] / errs[200] < 0.65
 
+    def test_circular_limit(self):
+        # p + k = 0 is admitted at Q = 0 (b = c = 0 joint limit) and is the
+        # p -> 0 limit; with Q != 0 it has no limit
+        for X in (0.4, 2.0):
+            v0 = rr_scaled_raw(8, 0, X, 8.0, 0.0)
+            assert abs(v0 - rr_scaled_raw(8, 0, X, 8.0 + 1e-9, 0.0)) < 1e-8
+        with pytest.raises(ValueError):
+            rr_scaled_raw(8, 0, 1.0, 8.0, 0.3)
+
     def test_degree_zero_polynomial(self):
         # k = N: prefactor alone (I_0 = 1): the 2F1 factor is 1
         assert rr_scaled_raw(6, 6, 1.0, 7.5, 0.7) == 1

@@ -1,15 +1,21 @@
-"""Quadrature utilities: tanh-sinh rules, complex adaptive wrappers, and
-the ordered-sector multidimensional scheme."""
+"""Quadrature utilities: tanh-sinh rules and the level-escalating
+tanh-sinh integrator, the Gauss-Jacobi rule, and the ordered-sector
+multidimensional scheme."""
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (complex_quad_segments, gauss_jacobi_integrate,
-                                 sector_integrate, sector_integrate_adaptive,
-                                 tanh_sinh_integrate)
+from specsing.quadrature import (gauss_jacobi_integrate, sector_integrate,
+                                 sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
+
+
+def weighted(f):
+    """The terms of f for tanh_sinh_adaptive."""
+    return lambda rule: f(rule.nodes) * rule.weights
 
 
 class TestTanhSinh:
@@ -19,21 +25,50 @@ class TestTanhSinh:
         assert np.all((rule.nodes > 0) & (rule.nodes < 1))
 
     def test_smooth(self):
-        val = tanh_sinh_integrate(np.sin, 0.0, math.pi, 6)
+        val = tanh_sinh_adaptive(weighted(np.sin), 0.0, math.pi)
         assert abs(val - 2.0) < 1e-13
 
     def test_endpoint_singularity(self):
         # int_0^1 x^(-1/2) dx = 2
-        val = tanh_sinh_integrate(lambda x: x ** -0.5, 0.0, 1.0, 7)
+        val = tanh_sinh_adaptive(weighted(lambda x: x ** -0.5), 0.0, 1.0)
         assert abs(val - 2.0) < 1e-12
 
     def test_both_endpoints(self):
         # int_-1^1 (1-x^2)^(-1/2) = pi.  An integrand that sees only x cannot
         # be sampled closer to +-1 than the float spacing there (<= eps), and
         # the mass within delta of an end is sqrt(2 delta): with delta = eps
-        # the error cannot go below 2 sqrt(2 eps) = 4.2e-8 in double precision
-        val = tanh_sinh_integrate(lambda x: (1 - x * x) ** -0.5, -1.0, 1.0, 7)
+        # the error cannot go below 2 sqrt(2 eps) = 4.2e-8 in double precision,
+        # so one fixed level is summed instead of asking for 1e-13
+        rule = tanh_sinh_rule(-1.0, 1.0, 7)
+        val = np.sum((1 - rule.nodes ** 2) ** -0.5 * rule.weights)
         assert abs(val - math.pi) < 2 * math.sqrt(2 * np.finfo(float).eps)
+
+    def test_several_integrals_at_once(self):
+        # rows converge together: int_0^pi sin = 2, int_0^pi cos^2 = pi/2
+        vals = tanh_sinh_adaptive(
+            lambda r: np.array([np.sin(r.nodes), np.cos(r.nodes) ** 2]) * r.weights,
+            0.0, math.pi)
+        assert vals.shape == (2,)
+        assert np.all(np.abs(vals - [2.0, math.pi / 2]) < 1e-13)
+
+    def test_unresolved_raises(self):
+        # ~1.6e5 periods on (0, 1): no level up to 12 resolves them
+        with pytest.raises(NonConvergenceError):
+            tanh_sinh_adaptive(weighted(lambda x: np.sin(1e6 * x)), 0.0, 1.0)
+
+    def test_noise_floor_accepts_last_level(self):
+        # rounding-sized noise keeps the levels apart at 1e-13 of sum |terms|;
+        # the last level is accepted only within the stated floor
+        def noisy(rule):
+            jitter = 1e-9 * np.cos(1e4 * rule.nodes * rule.nodes.size)
+            return (np.sin(rule.nodes) + jitter) * rule.weights
+
+        with pytest.raises(NonConvergenceError):
+            tanh_sinh_adaptive(noisy, 0.0, math.pi)
+        val = tanh_sinh_adaptive(noisy, 0.0, math.pi, noise_floor=(1e-6, 1e-8))
+        assert abs(val - 2.0) < 1e-7
+        with pytest.raises(NonConvergenceError):
+            tanh_sinh_adaptive(noisy, 0.0, math.pi, noise_floor=(1e-12, 0.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,24 +79,14 @@ class TestTanhSinh:
                            domain=(0, 1))
 
 
-class TestComplexQuad:
-    def test_oscillatory(self):
-        val = complex_quad_segments(lambda t: np.exp(1j * t), [0.0, math.pi])
-        assert abs(val - 2j) < 1e-10
-
-    def test_segments(self):
-        val = complex_quad_segments(lambda t: np.exp(1j * t) + 0j,
-                                    [0, math.pi, 2 * math.pi])
-        assert abs(val) < 1e-10
-
-
 class TestGaussJacobi:
     @pytest.mark.parametrize("expo", [0.0, 0.5, 2.5])
     def test_power_times_exponential(self, expo):
-        # int_0^X s^expo e^{is} ds against adaptive quadrature
+        # int_0^X s^expo e^{is} ds against QUADPACK on each part
         X = 3.0
         val = gauss_jacobi_integrate(lambda s: np.exp(1j * s), X, expo)
-        ref = complex_quad_segments(lambda s: s ** expo * np.exp(1j * s), [0.0, X])
+        ref = complex(*(quad(lambda s: s ** expo * part(s), 0.0, X, epsabs=1e-12,
+                             epsrel=1e-12, limit=200)[0] for part in (np.cos, np.sin)))
         assert abs(val - ref) < 1e-12 * abs(ref)
 
     def test_polynomial_exact(self):

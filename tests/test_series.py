@@ -84,6 +84,40 @@ class TestHyp2f1Terminating:
                                SeriesControl(rel_tol=1e-30, max_terms=10))
 
 
+class TestHyp2f1Array:
+    """An ndarray z runs the terminating recurrence elementwise."""
+
+    @staticmethod
+    def _abs_term_sum(n, b, c, z):
+        # sum_k |t_k|, the scale of the rounding in either summation
+        t = total = 1.0
+        for k in range(n):
+            if k == 0 and b == 0 and c == 0:
+                t = 0.5 * n * abs(z)
+            else:
+                t *= abs((k - n) * (b + k)) / abs((c + k) * (k + 1)) * abs(z)
+            total += t
+        return total
+
+    @pytest.mark.parametrize("n,b,c", [(7, 2 + 1j, 3.0), (12, 3.5 - 1.4j, 7.0),
+                                       (40, 1.3 + 0.4j, 2.6), (50, 0.5 - 0.7j, 1.0),
+                                       (9, 0.0, 0.0)])
+    def test_matches_scalar(self, n, b, c):
+        # z = 1 - e^{2iu} as in the scaled kernels, plus real points; (9, 0, 0)
+        # is the joint limit b, c -> 0
+        z = np.concatenate([1 - np.exp(2j * np.linspace(0.0, 3.1, 33)),
+                            np.linspace(-0.5, 0.9, 4)])
+        vals = hyp2f1_terminating(n, b, c, z)
+        assert vals.shape == z.shape
+        for x, v in zip(z, vals):
+            ref = hyp2f1_terminating(n, b, c, complex(x))
+            assert abs(v - ref) <= 4e-15 * self._abs_term_sum(n, b, c, x)
+
+    def test_parameter_pole(self):
+        with pytest.raises(PoleError):
+            hyp2f1_terminating(5, 1.0, -2.0, np.array([0.5, 0.1]))
+
+
 class TestHyp1f1:
     def test_at_zero(self):
         assert hyp1f1(1.5 - 0.7j, 3.0, 0.0) == 1
