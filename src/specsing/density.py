@@ -137,8 +137,7 @@ def _andreief_moments(g, h) -> np.ndarray:
 
     One tanh-sinh rule in s = pi - |t| on (0, pi) covers both signs
     t = +-(pi - s); g and h receive t and |2 cos(t/2)| = 2 sin(s/2), which
-    keeps its relative precision at the endpoint singularity s = 0.  The
-    level rises until every moment converges (tanh_sinh_adaptive).
+    keeps its relative precision at the endpoint singularity s = 0.
     """
     def terms(rule):
         s = rule.nodes

@@ -52,13 +52,11 @@ def _phi_and_deriv(N: int, k: int, P: float, Q: float,
     u = X / N
     e = np.exp(2j * u)
     b, c = complex(p + k, -Q), complex(2 * p + 2 * k)
-    F = hyp2f1_terminating(N - k, b, c, 1 - e, default_control(N))
-    dF_dz = 0.0 + 0.0j
-    if N - k >= 1:
-        dF_dz = -(N - k) * b / c * hyp2f1_terminating(N - k - 1, b + 1, c + 1, 1 - e,
-                                                       default_control(N))
+    # d/dz 2F1(-n, b; c; z) = -n b/c 2F1(-n+1, b+1; c+1; z), zero at n = 0
+    dF_dz = -(N - k) * b / c * hyp2f1_terminating(max(N - k - 1, 0), b + 1, c + 1, 1 - e,
+                                                   default_control(N))
     pref = _prefactor(N, k, P, Q, X)
-    phi = pref * F
+    phi = pref * rr_scaled_raw(N, k, X, P, Q)
     logamp_prime = (p + k) / (N * math.tan(u)) + complex(0, -1 + k / N) + Q / N
     return phi, logamp_prime * phi + pref * dF_dz * (-2j / N * e)
 
@@ -90,8 +88,7 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)
            - _phi(N, k, P, Q, Y) * _phi(N, k + 1, P, Q, X))
     dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)
-    dz = 1.0 / (N * math.sin(uX) ** 2)
-    return num / dx / h * dz
+    return num / dx / h * _dz_dX(X, N)
 
 
 def _to_scaled(x: float, N: int) -> float:
@@ -190,9 +187,6 @@ def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> comple
 
     w1 is the beta-specific square-root weight; degrees are taken in the
     polynomial system of the params (size N for beta=1, 2N for beta=4).
-    In the bulk the rounding of the 2F1's coefficients gives the integrand
-    an error shared by neighbouring nodes, which no comparison of levels
-    sees: a value there can be off by more than 1e-6 |value| + 1e-8.
     """
     N = params.size
     P, Q = params.weight_params()
@@ -202,17 +196,22 @@ def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> comple
         raise ValueError("degree exceeds the polynomial system size")
     if upper_X <= 0:
         return 0.0 + 0.0j
-    if upper_X > N * math.pi:
-        raise ValueError("upper_X/N must lie in (0, pi]")
+    if upper_X >= N * math.pi:
+        raise ValueError("upper_X/N must lie in (0, pi)")
     scale = 2.0 if params.beta == 4 else 1.0
 
     def terms(rule):
         s = rule.nodes
         return _phi(M, shift, P, Q, scale * s) / (N * np.sin(s / N)) * rule.weights
 
-    # in the bulk the 2F1 cancels to ~1e-9 of sum |terms|, which the strict
-    # level test cannot meet: accept the last level within 1e-6 |value| + 1e-8
-    return complex(tanh_sinh_adaptive(terms, 0.0, upper_X, noise_floor=(1e-6, 1e-8)))
+    def noise(rule):
+        # 2F1 rounding: about eps sum |t_k| <= eps 2F1(-degree, |b|; c; -2 sin(s/N))
+        s, pk = rule.nodes, P - M + shift
+        mass = hyp2f1_terminating(degree, abs(complex(pk, -Q)), 2 * pk, -2 * np.sin(s / N))
+        return (np.finfo(float).eps * mass.real / (N * np.sin(s / N)) * rule.weights
+                * np.abs(_prefactor(M, shift, P, Q, scale * s)))
+
+    return complex(tanh_sinh_adaptive(terms, 0.0, upper_X, noise))
 
 
 def _w1_full_line(n: int, P: float, Q: float) -> float:

@@ -59,29 +59,31 @@ def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
     return QuadratureRule(nodes=nodes[keep], weights=w[keep] * half, domain=(a, b))
 
 
-def tanh_sinh_adaptive(terms, a: float, b: float, noise_floor=None):
+def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     """Integrals over (a, b) on tanh-sinh levels 4, 5, ..., 12.
 
     terms(rule) returns f(rule.nodes) * rule.weights, or a stack of such
     rows (nodes on the last axis).  The sums are returned once two successive
-    levels agree to 1e-13 of sum |terms| in every row.  Otherwise, with
-    noise_floor = (rtol, atol), the last level is returned if it is within
-    rtol |sum| + atol of the one before; else NonConvergenceError is raised.
+    levels agree to 1e-13 of sum |terms| in every row.  Otherwise, given
+    noise(rule), a bound on the rounding error of each term, the last level
+    is returned if its change from level 11 and the summed bound are within
+    1e-6 |sum| + 1e-8; else NonConvergenceError is raised.
     """
-    prev = None
+    prev = np.inf
     for level in range(4, 13):
-        vals = np.asarray(terms(tanh_sinh_rule(a, b, level)))
+        rule = tanh_sinh_rule(a, b, level)
+        vals = np.asarray(terms(rule))
         cur = vals.sum(axis=-1)
-        diff = np.abs(cur - prev) if prev is not None else np.inf
-        if np.all(diff <= 1e-13 * np.abs(vals).sum(axis=-1)):
+        err = np.abs(cur - prev)
+        if np.all(err <= 1e-13 * np.abs(vals).sum(axis=-1)):
             return cur
         prev = cur
-    if noise_floor is not None and np.all(diff <= noise_floor[0] * np.abs(cur)
-                                          + noise_floor[1]):
-        return cur
+    if noise is not None:
+        err = np.maximum(err, np.sum(noise(rule), axis=-1))
+        if np.all(err <= 1e-6 * np.abs(cur) + 1e-8):
+            return cur
     raise NonConvergenceError(
-        f"tanh-sinh levels {level - 1} and {level} differ by up to "
-        f"{np.max(diff):.2e} on ({a}, {b}) ({vals.shape[-1]} nodes)")
+        f"tanh-sinh level {level} error estimate {np.max(err):.2e} on ({a}, {b})")
 
 
 @lru_cache(maxsize=64)

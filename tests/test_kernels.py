@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from specsing import (EnsembleParams, correlation_det, k_limit, kernel_s1,
+from specsing import (EnsembleParams, NonConvergenceError, correlation_det, k_limit, kernel_s1,
                       kernel_s1_scaled, kernel_s2, kernel_s2_scaled, kernel_s4,
                       kernel_s4_scaled, kernel_scaled, rr_norm, rr_poly,
                       skew_constants, tail_integral)
@@ -276,11 +276,19 @@ class TestTailIntegral:
         assert abs(val - ref) < 1e-11 * abs(ref)
 
     def test_bulk_returns_value(self):
-        # in the bulk the 2F1 cancels to ~1e-9 of sum |terms|: the value is
-        # accepted at the quadrature noise floor instead of raising
+        # in the bulk the 2F1 cancels to ~1e-9 of sum |terms|; the bound on
+        # its rounding, integrated, is ~1e-2 of 1e-6 |value| + 1e-8 here
         val = tail_integral(15, 0.95 * 17 * math.pi, EnsembleParams(1, 17, 1.0786, 0.923))
         ref = -3.503813198305242696623714e-3
         assert abs(val - ref) < 1e-7 * abs(ref)
+
+    def test_bulk_rounding_beyond_bound_raises(self):
+        # levels 11 and 12 agree to 0.87 of 1e-6 |value| + 1e-8, yet level 12
+        # is 28 times that bound off 40-digit mpmath; the rounding bound is
+        # 7.7e-6, 710 times it, so NonConvergenceError is raised
+        params = EnsembleParams(4, 17, 0.7715110427241669, -0.6607615005859033)
+        with pytest.raises(NonConvergenceError):
+            tail_integral(33, 0.3 * 17 * math.pi, params)
 
     @pytest.mark.parametrize("N, k, p, q", [(12, 0, 1.5, 0.7), (30, 2, 0.4, -0.3),
                                             (9, 0, 0.0, 0.0)])

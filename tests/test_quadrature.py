@@ -56,19 +56,20 @@ class TestTanhSinh:
         with pytest.raises(NonConvergenceError):
             tanh_sinh_adaptive(weighted(lambda x: np.sin(1e6 * x)), 0.0, 1.0)
 
-    def test_noise_floor_accepts_last_level(self):
-        # rounding-sized noise keeps the levels apart at 1e-13 of sum |terms|;
-        # the last level is accepted only within the stated floor
+    def test_noise_bound_decides_last_level(self):
+        # rounding-sized jitter keeps the levels apart at 1e-13 of sum |terms|;
+        # the last level counts only if the caller's rounding bound fits too
         def noisy(rule):
             jitter = 1e-9 * np.cos(1e4 * rule.nodes * rule.nodes.size)
             return (np.sin(rule.nodes) + jitter) * rule.weights
 
         with pytest.raises(NonConvergenceError):
             tanh_sinh_adaptive(noisy, 0.0, math.pi)
-        val = tanh_sinh_adaptive(noisy, 0.0, math.pi, noise_floor=(1e-6, 1e-8))
+        val = tanh_sinh_adaptive(noisy, 0.0, math.pi, lambda r: 1e-9 * r.weights)
         assert abs(val - 2.0) < 1e-7
+        # levels 11 and 12 agree within 1e-6 |value|, but the bound does not
         with pytest.raises(NonConvergenceError):
-            tanh_sinh_adaptive(noisy, 0.0, math.pi, noise_floor=(1e-12, 0.0))
+            tanh_sinh_adaptive(noisy, 0.0, math.pi, lambda r: 1e-5 * r.weights)
 
     def test_validation(self):
         with pytest.raises(ValueError):
