@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jack import hyper_pfq_alpha
+from .jack import _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
 from .quadrature import sector_integrate_adaptive, tanh_sinh_adaptive
 from .series import log_gamma
@@ -331,6 +331,15 @@ def c_beta_limit(params: EnsembleParams) -> float:
                     + lg.real + q * math.pi)
 
 
+def _limit_shells(theta: float, params: EnsembleParams,
+                  max_weight: int = 40) -> np.ndarray:
+    """Shells of rho_inf's Jack series 1F1^(beta/2)(p+1-2iq/beta; 2p+2;
+    -i theta 1_beta); shell w is homogeneous of degree w in theta."""
+    beta, p, q = params.beta, params.p, params.q
+    return _pfq_shells([complex(p + 1, -2 * q / beta)], [complex(2 * p + 2)],
+                       beta / 2, beta, -1j * theta, max_weight, 1e-14)
+
+
 def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
               max_weight: int = 40) -> float:
     """Scaled-limit density rho_inf(theta) = lim (1/N) rho_N(theta/N)."""
@@ -342,8 +351,7 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
     if p == 0:
         return 1 / (2 * math.pi)  # circular ensemble limit, uniform
     if path == "jack":
-        F = hyper_pfq_alpha([complex(p + 1, -2 * q / beta)], [complex(2 * p + 2)],
-                            beta / 2, beta, -1j * theta, max_weight=max_weight)
+        F = np.sum(_limit_shells(theta, params, max_weight))
     elif path == "integral":
         _ensure_integrable(params)
         raw = i_integral("infinity", theta, params)
@@ -361,8 +369,7 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
     return float(val.real)
 
 
-def density_expansion_check(theta: float, params: EnsembleParams, N_list,
-                            h: float = 1e-4) -> dict:
+def density_expansion_check(theta: float, params: EnsembleParams, N_list) -> dict:
     """Verify the large-N density expansion and the tuned scaling.
 
     Returns {l1_predicted, l1_measured (per N), slope_after_l1, slope_tuned}.
@@ -374,15 +381,13 @@ def density_expansion_check(theta: float, params: EnsembleParams, N_list,
     if len(N_list) < 2:
         raise ValueError("need at least two N values")
 
-    def rinf(t):
-        return rho_limit(t, params)
-
-    # l1_predicted = p d/dtheta [ theta rho_inf ], five-point stencil
-    hh = h * theta
-    vals = [(theta + k * hh) * rinf(theta + k * hh) for k in (-2, -1, 1, 2)]
-    l1_pred = p * (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * hh)
-
-    r0 = rinf(theta)
+    # l1_predicted = p d/dtheta [theta rho_inf].  rho_inf = c theta^(p beta)
+    # e^{i beta theta/2} F is real, so theta rho_inf'/rho_inf is the real part
+    # of p beta + i beta theta/2 + theta F'/F, and theta F' = sum_w w shell_w
+    r0 = rho_limit(theta, params)
+    shells = _limit_shells(theta, params)
+    theta_dlogF = np.sum(np.arange(len(shells)) * shells) / np.sum(shells)
+    l1_pred = p * r0 * (1 + p * beta + theta_dlogF.real)
     l1_meas = []
     resid_after = []
     resid_tuned = []

@@ -193,6 +193,13 @@ def hyper_pfq_alpha(a_list, b_list, alpha: float, m: int, x: complex,
     Terminating series (a nonpositive-integer numerator parameter) are summed
     exactly when max_weight covers the termination range.
     """
+    return complex(np.sum(_pfq_shells(a_list, b_list, alpha, m, x, max_weight, rel_tol)))
+
+
+def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex, max_weight: int,
+                rel_tol: float) -> np.ndarray:
+    """hyper_pfq_alpha's series by shells: entry w sums the terms of weight w,
+    which is homogeneous of degree w in x.  Raises as hyper_pfq_alpha does."""
     alpha, m = float(alpha), int(m)
     max_part = max_weight
     for a in map(complex, a_list):
@@ -219,11 +226,10 @@ def hyper_pfq_alpha(a_list, b_list, alpha: float, m: int, x: complex,
     if len(bad):
         raise NonConvergenceError(
             f"pFq^(alpha) shell {bad[0]} is not finite (its terms overflow)")
-    total = np.sum(shells)
-    scale = max(abs(total), 1e-300)
+    scale = max(abs(np.sum(shells)), 1e-300)
     tail = np.abs(shells[-3:])
     if np.all(tail < rel_tol * scale):
-        return complex(total)
+        return shells
     raise NonConvergenceError(
         f"pFq^(alpha) truncation at weight {max_weight} not converged "
         f"(last shells {tail / scale})")

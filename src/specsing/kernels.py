@@ -21,7 +21,7 @@ import numpy as np
 
 from .polynomials import EnsembleParams, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
-from .series import default_control, hyp2f1_terminating, log_gamma
+from .series import _Jet, hyp2f1_terminating, log_gamma
 
 _DIAG_SWITCH = 1e-6
 
@@ -40,25 +40,9 @@ def _phi(N: int, k: int, P: float, Q: float, X):
 
     F_k(X) = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}),   p = P - N,
 
-    which is rr_scaled_raw; X may be an ndarray.
+    which is rr_scaled_raw; X may be an ndarray or a jet.
     """
     return _prefactor(N, k, P, Q, X) * rr_scaled_raw(N, k, X, P, Q)
-
-
-def _phi_and_deriv(N: int, k: int, P: float, Q: float,
-                   X: float) -> tuple[complex, complex]:
-    """(_phi, d/dX _phi), with the 2F1 differentiated in closed form."""
-    p = P - N
-    u = X / N
-    e = np.exp(2j * u)
-    b, c = complex(p + k, -Q), complex(2 * p + 2 * k)
-    # d/dz 2F1(-n, b; c; z) = -n b/c 2F1(-n+1, b+1; c+1; z), zero at n = 0
-    dF_dz = -(N - k) * b / c * hyp2f1_terminating(max(N - k - 1, 0), b + 1, c + 1, 1 - e,
-                                                   default_control(N))
-    pref = _prefactor(N, k, P, Q, X)
-    phi = pref * rr_scaled_raw(N, k, X, P, Q)
-    logamp_prime = (p + k) / (N * math.tan(u)) + complex(0, -1 + k / N) + Q / N
-    return phi, logamp_prime * phi + pref * dF_dz * (-2j / N * e)
 
 
 @lru_cache(maxsize=4096)
@@ -81,10 +65,10 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
         # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips.
         # S(z(X), z(Y)) is symmetric, so its midpoint value is second-order;
         # dz/dX is not, and is taken at X
-        M = 0.5 * (X + Y)
-        f0, d0 = _phi_and_deriv(N, k, P, Q, M)
-        f1, d1 = _phi_and_deriv(N, k + 1, P, Q, M)
-        return -(f0 * d1 - d0 * f1) / h * (math.sin(M / N) / math.sin(uX)) ** 2
+        M = _Jet.seed(0.5 * (X + Y))
+        f0, f1 = _phi(N, k, P, Q, M), _phi(N, k + 1, P, Q, M)
+        return (-(f0.v * f1.d - f0.d * f1.v) / h
+                * (math.sin(M.v / N) / math.sin(uX)) ** 2)
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)
            - _phi(N, k, P, Q, Y) * _phi(N, k + 1, P, Q, X))
     dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)

@@ -30,7 +30,10 @@ suite):
              with Js prefactor p 2^(8p) |G(2p+1-iq)|^2 / (pi G(4p+1) G(4p+2)).
 
 The derivative identity L1 = p (X d/dX + Y d/dY + 1) K holds with the same
-constant p for all three beta (checked numerically to full precision).
+constant p for all three beta (checked to full precision with forward-mode
+jets).  Near the diagonal each beta = 2 term is G(X, Y)/(X - Y) times a
+prefactor, G antisymmetric, taken as -dG/dY at the midpoint; L2 is split into
+such a term plus (X^2/3) K_inf.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ import numpy as np
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
 from .quadrature import gauss_jacobi_integrate
-from .series import hyp1f1, log_gamma, pochhammer
+from .series import _Jet, hyp1f1, log_gamma, pochhammer
 
 _DIAG_EPS = 1e-5
 
@@ -79,21 +82,24 @@ def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
     return _A(block.p + block.k, block.q_eff, j, X)
 
 
+def _cached_at_points(maxsize: int):
+    """lru_cache over scalar points X (the last argument); node arrays and
+    jets bypass it."""
+    def wrap(f):
+        cached = functools.lru_cache(maxsize=maxsize)(f)
+
+        @functools.wraps(f)
+        def g(*args):
+            return (f if isinstance(args[-1], (np.ndarray, _Jet)) else cached)(*args)
+        return g
+    return wrap
+
+
+# c_tilde orders 0..2 share A_0..A_4, and the blocks of K, L1 and L2 share
+# points, so each is evaluated once
+@_cached_at_points(1024)
 def _A(pk: float, q: float, j: int, X):
-    """A^{(pk, q)}(j; X); X may be an ndarray (quadrature nodes)."""
-    if isinstance(X, np.ndarray):
-        return _a_block(pk, q, j, X)
-    return _a_point(pk, q, j, X)
-
-
-@functools.lru_cache(maxsize=1024)
-def _a_point(pk: float, q: float, j: int, X: float) -> complex:
-    # c_tilde orders 0..2 share A_0..A_4, and the blocks of K, L1, L2 and
-    # the identity stencil share points, so each is evaluated once
-    return _a_block(pk, q, j, X)
-
-
-def _a_block(pk: float, q: float, j: int, X):
+    """A^{(pk, q)}(j; X); X may be an ndarray (quadrature nodes) or a jet."""
     a = complex(pk, -q)
     if pk == 0 and q == 0 and j >= 1:
         # (a)_j/(2a)_j -> (1/2) (1)_{j-1}/(1)_{j-1} = 1/2 as a -> 0
@@ -103,7 +109,7 @@ def _a_block(pk: float, q: float, j: int, X):
 
 
 def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
-    """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray."""
+    """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray or a jet."""
     pk = p + k
     q = q_eff
     if order == 0:
@@ -122,11 +128,6 @@ def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
              + u ** 2 * (-2 * k * A1 + 2 * k * (k + 1) * A2) / 4)
     w = 1j * k + q
     return lines + w * X * C1 - (w * w / 2 + pk / 6) * X * X * C0
-
-
-def c_tilde_deriv0(k: int, p: float, q_eff: float, X: float) -> complex:
-    """d/dX of C0^{(p,q,k)}(X) = 2i A(1; X)."""
-    return 2j * _A(p + k, q_eff, 1, X)
 
 
 def j_blocks(k: int, p: float, q_eff: float, X: float, Y: float) -> dict:
@@ -156,74 +157,57 @@ def h_const(pk: float, q: float) -> float:
     return math.exp((2 * pk - 2) * math.log(2) + lg - math.log(math.pi))
 
 
-def _pref2(p: float, q: float, k: int, X: float, Y: float) -> complex:
-    """Common beta=2 prefactor h^{(p+k+1)} e^{-i(X+Y)-q pi} (XY)^(p+k+1)/(X^2 (X-Y))."""
-    return (h_const(p + k + 1, q) * np.exp(complex(-q * math.pi, -(X + Y)))
-            * (X * Y) ** (p + k + 1) / (X * X * (X - Y)))
+def _pref2(p: float, q: float, k: int, X, Y):
+    """h^{(p+k+1)} e^{-i(X+Y)-q pi} (XY)^(p+k+1)/X^2: the beta = 2 prefactor
+    of G(X, Y)/(X - Y)."""
+    return (h_const(p + k + 1, q) * np.exp(-q * math.pi - 1j * (X + Y))
+            * (X * Y) ** (p + k + 1) / (X * X))
 
 
-def _k2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
+def _over_diff(G, p: float, q: float, X, Y, k: int = 0) -> complex:
+    """_pref2 G(X, Y)/(X - Y) for G antisymmetric in (X, Y).
+
+    X^2 times it is symmetric, so near the diagonal (M/X)^2 times its value
+    at the midpoint M is second order in X - Y; there G(M, Y)/(M - Y) is
+    -dG/dY, taken along a jet in Y."""
     if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-        # X^2 K is symmetric in (X, Y), so its midpoint value is second-order
         M = 0.5 * (X + Y)
-        return (M / X) ** 2 * _k2_diag(p, q, M, k)
+        dG = G(p, q, M, _Jet.seed(M), k).d
+        return -(M / X) ** 2 * _pref2(p, q, k, M, M) * dG
+    return _pref2(p, q, k, X, Y) * G(p, q, X, Y, k) / (X - Y)
+
+
+def _j0(p: float, q: float, X, Y, k: int):
+    """J0 alone, from the four C0 values it needs."""
     c0X, c0Y = c_tilde(0, k, p, q, X), c_tilde(0, k, p, q, Y)
     d0X, d0Y = c_tilde(0, k + 1, p, q, X), c_tilde(0, k + 1, p, q, Y)
-    return _pref2(p, q, k, X, Y) * (X * d0X * c0Y - Y * d0Y * c0X)
+    return X * d0X * c0Y - Y * d0Y * c0X
 
 
-def _k2_diag(p: float, q: float, X: float, k: int = 0) -> complex:
-    """Diagonal limit via the exact Y-derivative of J0 at Y = X."""
-    c0X = c_tilde(0, k, p, q, X)
-    d0X = c_tilde(0, k + 1, p, q, X)
-    dc0 = c_tilde_deriv0(k, p, q, X)
-    dd0 = c_tilde_deriv0(k + 1, p, q, X)
-    # J0(X, Y) ~ (Y - X) dJ at Y=X; J0/(X-Y) -> -dJ
-    dJ = X * d0X * dc0 - d0X * c0X - X * dd0 * c0X
-    pref = (h_const(p + k + 1, q) * np.exp(complex(-q * math.pi, -2 * X))
-            * X ** (2 * (p + k + 1)) / (X * X))
-    return -pref * dJ
-
-
-def _pm_diagonal(x2_symmetric: bool):
-    """Near the diagonal, average f over (M + d, M - d) and (M - d, M + d).
-
-    For L1 and L2, which have no closed-form diagonal derivative (K does:
-    `_k2_diag`).  Where X^2 f is symmetric in (X, Y), as for L1, the average
-    times (M/X)^2 is second order in X - Y; L2's X (X - Y)/3 J0 term is not
-    symmetric, so its plain average stays first order.
-    """
-    def wrap(f):
-        @functools.wraps(f)
-        def g(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
-            if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-                d = _DIAG_EPS * (1 + abs(X))
-                M = 0.5 * (X + Y)
-                avg = 0.5 * (f(p, q, M + d, M - d, k) + f(p, q, M - d, M + d, k))
-                return (M / X) ** 2 * avg if x2_symmetric else avg
-            return f(p, q, X, Y, k)
-        return g
-    return wrap
-
-
-@_pm_diagonal(x2_symmetric=True)
-def _l1_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
+def _l1_bracket(p: float, q: float, X, Y, k: int):
     b = j_blocks(k, p, q, X, Y)
-    return _pref2(p, q, k, X, Y) * (b["J1"] + b["Q1"] * b["J0"])
+    return b["J1"] + b["Q1"] * b["J0"]
 
 
-@_pm_diagonal(x2_symmetric=False)
-def _l2_2(p: float, q: float, X: float, Y: float, k: int = 0) -> complex:
+def _l2_bracket(p: float, q: float, X, Y, k: int):
+    # L2's bracket less its X^2/3 J0 term, which is not antisymmetric
     b = j_blocks(k, p, q, X, Y)
-    return _pref2(p, q, k, X, Y) * (
-        b["J2"] + b["Q1"] * b["J1"] + (b["Q2"] + X * X / 3) * b["J0"])
+    return b["J2"] + b["Q1"] * b["J1"] + b["Q2"] * b["J0"]
+
+
+_k2 = functools.partial(_over_diff, _j0)
+_l1_2 = functools.partial(_over_diff, _l1_bracket)
+
+
+def _l2_2(p: float, q: float, X, Y, k: int = 0) -> complex:
+    return _over_diff(_l2_bracket, p, q, X, Y, k) + X * X / 3 * _k2(p, q, X, Y, k)
 
 
 # --- integral operators ------------------------------------------------------
 
 # The integrands are s^(p+1) or s^(2p) times an entire function of s, so a
 # Gauss-Jacobi rule with that power as its weight integrates them; f
-# receives the whole node array at once.
+# receives the whole node array at once, or a scalar where X is a jet.
 
 def j_odd(f, X: float, p: float, q: float) -> complex:
     """J_o[f](X) = int_0^X e^{-is - q pi} s^(p+1) f(s) ds, f vectorized."""
@@ -236,14 +220,14 @@ def j_symp_raw(f, X: float, p: float) -> complex:
     return gauss_jacobi_integrate(lambda s: np.exp(-2j * s) * f(s), X, 2 * p)
 
 
-# memoised like _a_point: the identity stencil's K(X, Y + h) calls share X
-@functools.lru_cache(maxsize=256)
+# memoised like _A: K, L1 and L2 at one X share these integrals
+@_cached_at_points(256)
 def _jo(j: int, p: float, q: float, X: float) -> complex:
     """J_o[C_j^{(p, 2q, 2)}](X), the beta = 1 integral."""
     return j_odd(lambda s: c_tilde(j, 2, p, 2 * q, s), X, p, q)
 
 
-@functools.lru_cache(maxsize=256)
+@_cached_at_points(256)
 def _js(j: int, p: float, q: float, X: float) -> complex:
     """int_0^X e^{-2is} s^(2p) C_j^{(2p, q, 1)}(2s) ds, the beta = 4 integral."""
     return j_symp_raw(lambda s: c_tilde(j, 1, 2 * p, q, 2 * s), X, p)
@@ -334,21 +318,14 @@ def kernel_expansion(beta: int, X: float, Y: float,
 
 
 def derivative_identity_residual(beta: int, X: float, Y: float,
-                                 params: EnsembleParams, h: float = 1e-3) -> float:
-    """|L1 - c (X dX + Y dY + 1) K_inf| / (|L1| + eps), five-point stencils.
+                                 params: EnsembleParams) -> float:
+    """|L1 - c (X dX + Y dY + 1) K_inf| / (|L1| + eps).
 
-    The identity constant is c = p for beta = 1, 2 and 4 alike (the finite-N
-    oracle validates p, not 2p, for beta = 4)."""
-    c = params.p
-
-    def K(A, B):
-        return k_limit(beta, A, B, params)
-
-    hX, hY = h * X, h * Y
-    dX = (-K(X + 2 * hX, Y) + 8 * K(X + hX, Y) - 8 * K(X - hX, Y)
-          + K(X - 2 * hX, Y)) / (12 * hX)
-    dY = (-K(X, Y + 2 * hY) + 8 * K(X, Y + hY) - 8 * K(X, Y - hY)
-          + K(X, Y - 2 * hY)) / (12 * hY)
-    rhs = c * (X * dX + Y * dY + K(X, Y))
+    X dX + Y dY is d/dt at t = 1 along (tX, tY), taken exactly by running
+    k_limit on a jet in t.  The identity constant is c = p for beta = 1, 2
+    and 4 alike (the finite-N oracle validates p, not 2p, for beta = 4)."""
+    t = _Jet.seed(1.0)
+    K = k_limit(beta, t * X, t * Y, params)
+    rhs = params.p * (K.d + K.v)
     lhs = l1(beta, X, Y, params)
     return float(abs(lhs - rhs) / (abs(lhs) + 1e-300))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (PoleError, SeriesControl, default_control, hyp2f1_terminating,
-                     log_gamma, pochhammer)
+from .series import PoleError, hyp2f1_terminating, log_gamma, pochhammer
 
 _ALLOWED_BETA = (1, 2, 4)
 
@@ -160,32 +159,10 @@ def rr_poly(n: int, c: complex, x) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def rr_poly_deriv(n: int, c: complex, x) -> complex:
-    """d/dx of rr_poly, term-by-term from the hypergeometric series."""
-    if n == 0:
-        return 0.0 + 0.0j if np.isscalar(x) else np.zeros_like(np.asarray(x, complex))
-    cc = 2 * c.real
-    pref = (-2j) ** n * pochhammer(c + 1, n) / pochhammer(cc + n + 1, n)
-    x = np.asarray(x, dtype=complex)
-    z = (1 - 1j * x) / 2
-    a, b = -n, n + 1 + cc
-    # d/dx z^alpha = alpha z^(alpha-1) * (-i/2)
-    coeff = 1.0 + 0.0j
-    total = np.zeros_like(z)
-    zpow = np.ones_like(z)
-    for alpha in range(1, n + 1):
-        coeff = coeff * (a + alpha - 1) * (b + alpha - 1) / ((c + alpha) * alpha)
-        total = total + coeff * alpha * zpow
-        zpow = zpow * z
-    out = pref * total * (-0.5j)
-    return complex(out) if out.ndim == 0 else out
-
-
-def rr_scaled_raw(N: int, k: int, X, P: float, Q: float,
-                  ctrl: SeriesControl | None = None):
+def rr_scaled_raw(N: int, k: int, X, P: float, Q: float):
     """Prefactored scaled polynomial ((1-e^{2iX/N})/(2i))^{N-k} I_{N-k}(z(X))
     = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}) with p = P - N; X may be an
-    ndarray.  p + k = 0 is admitted at Q = 0 (the circular limit).
+    ndarray or a jet.  p + k = 0 is admitted at Q = 0 (the circular limit).
 
     The confluent limit of this quantity (N -> infinity) is C0^{(p,Q,k)}(X).
     """
@@ -193,8 +170,7 @@ def rr_scaled_raw(N: int, k: int, X, P: float, Q: float,
     if p + k <= 0 and not (p + k == 0 and Q == 0):
         raise ValueError("need p + k > 0 (or the circular limit p + k = Q = 0)")
     z = 1 - np.exp(2j * (X / N))
-    return hyp2f1_terminating(N - k, complex(p + k, -Q), complex(2 * p + 2 * k), z,
-                              ctrl or default_control(N))
+    return hyp2f1_terminating(N - k, complex(p + k, -Q), complex(2 * p + 2 * k), z)
 
 
 def rr_scaled(n_minus_k: int, k: int, X: float, params: EnsembleParams) -> complex:

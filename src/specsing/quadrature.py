@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .series import NonConvergenceError
+from .series import NonConvergenceError, _Jet
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,11 @@ def gauss_jacobi_integrate(h, X: float, expo: float) -> complex:
     share one call of h; the 20-node value is returned.  The difference of
     the two is the error estimate, held to 1e-6 of int_0^X s^expo |h| ds
     (plus 1e-9): rounding in h limits an oscillatory integral to that scale.
+    X may be a jet: d/dX int_0^X s^expo h(s) ds = X^expo h(X).
     """
+    if isinstance(X, _Jet):
+        return X.chain(lambda x: gauss_jacobi_integrate(h, x, expo),
+                       lambda x: x ** expo * h(x))
     t, w_coarse, w_fine = _gauss_jacobi_pair(float(expo))
     vals = np.asarray(h(X * t))
     n = w_coarse.size
@@ -148,9 +152,6 @@ def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5) -> com
 
     t1_all = a + (b - a) * u
     w1_all = uw * (b - a)
-    if ndim == 1:
-        return fact * complex(np.sum(np.asarray(fvec([t1_all])) * w1_all))
-
     chunk = max(1, _CHUNK_POINTS // n ** (ndim - 1))
     total = 0.0 + 0.0j
     for start in range(0, n, chunk):

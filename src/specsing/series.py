@@ -1,12 +1,14 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
-expansion.
+expansion; and the forward-mode jet that carries every derivative in the
+library (Griewank and Walther, Evaluating Derivatives, SIAM 2008).
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,8 @@ class SeriesControl:
     """Truncation policy for hypergeometric series.
 
     rel_tol: term magnitude cutoff relative to the running sum.
-    max_terms: hard cap on the number of summed terms.
+    max_terms: hard cap on the number of summed terms (a terminating 2F1
+        of degree n sums at most n + 1 terms and does not read it).
     """
     rel_tol: float = 1e-15
     max_terms: int = 2000
@@ -40,10 +43,88 @@ class SeriesControl:
 
 DEFAULT_CONTROL = SeriesControl()
 
+_TAGS = itertools.count(1)
 
-def default_control(n: int = 0) -> SeriesControl:
-    """Default truncation policy, sized for degree-n terminating sums."""
-    return SeriesControl(rel_tol=1e-15, max_terms=10 * int(n) + 200)
+
+def _binary(rule):
+    """A jet operation from its rule on (value, derivative) pairs, taken along
+    the newer direction of the two operands."""
+    def op(x, y):
+        tag = max(t.tag for t in (x, y) if isinstance(t, _Jet))
+        a, da = (x.v, x.d) if isinstance(x, _Jet) and x.tag == tag else (x, 0.0)
+        b, db = (y.v, y.d) if isinstance(y, _Jet) and y.tag == tag else (y, 0.0)
+        return _Jet(*rule(a, da, b, db), tag)
+    return op
+
+
+_add = _binary(lambda a, da, b, db: (a + b, da + db))
+_sub = _binary(lambda a, da, b, db: (a - b, da - db))
+_mul = _binary(lambda a, da, b, db: (a * b, da * b + a * db))
+_div = _binary(lambda a, da, b, db: (a / b, (da - a / b * db) / b))
+
+
+class _Jet:
+    """A forward-mode jet v + d eps (eps^2 = 0) along the direction `tag`.
+
+    Arithmetic, real powers and the numpy ufuncs in _UFUNCS act on the value
+    and carry the derivative; v and d may be numbers, arrays or jets of an
+    older direction.  A jet is a constant to every newer direction, so nested
+    directions do not mix (Siskind and Pearlmutter, Higher-Order Symb.
+    Comput. 21 (2008) 361-376).  Jets are unhashable: no cache takes them.
+    """
+    __slots__ = ("v", "d", "tag")
+    __hash__ = None
+    __add__ = __radd__ = _add
+    __mul__ = __rmul__ = _mul
+    __sub__, __truediv__ = _sub, _div
+
+    def __init__(self, v, d, tag: int):
+        self.v, self.d, self.tag = v, d, tag
+
+    @staticmethod
+    def seed(x) -> "_Jet":
+        """x + eps along a new direction."""
+        return _Jet(x, 1.0, next(_TAGS))
+
+    def chain(self, f, df) -> "_Jet":
+        """f(self), for f with derivative df, both applied to the value."""
+        return _Jet(f(self.v), df(self.v) * self.d, self.tag)
+
+    def __pow__(self, r):
+        # a constant real exponent
+        return self.chain(lambda v: v ** r, lambda v: r * v ** (r - 1))
+
+    def __rsub__(self, other):
+        return _sub(other, self)
+
+    def __rtruediv__(self, other):
+        return _div(other, self)
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d, self.tag)
+
+    def __abs__(self):
+        # real jets only
+        return -self if self.v < 0 else self
+
+    def __lt__(self, other):
+        return self.v < other
+
+    def __gt__(self, other):
+        return self.v > other
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        # numpy scalars and arrays defer here, so array * jet is a jet
+        if method != "__call__" or kwargs or ufunc not in _UFUNCS:
+            return NotImplemented
+        rule = _UFUNCS[ufunc]
+        return rule(*args) if ufunc.nin == 2 else self.chain(ufunc, rule)
+
+
+# binary ufuncs to their jet operations, unary ones to their derivatives
+_UFUNCS = {np.add: _add, np.subtract: _sub, np.multiply: _mul, np.true_divide: _div,
+           np.exp: np.exp, np.log: lambda v: 1 / v, np.sin: np.cos,
+           np.cos: lambda v: -np.sin(v)}
 
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
@@ -93,10 +174,17 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     running sum (safe when |n z| stays O(1), as in the scaled-kernel use).
     z may be an ndarray: the recurrence then runs elementwise (as for
     hyp1f1) until the terms of every element meet rel_tol, or to the end.
+    z may be a jet: d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z).
     """
     if n < 0:
         raise ValueError("terminating order n must be nonnegative")
-    ctrl = ctrl or default_control(n)
+    ctrl = ctrl or DEFAULT_CONTROL
+    if isinstance(z, _Jet):
+        value = hyp2f1_terminating(n, b, c, z.v, ctrl)  # raises at a pole first
+        # b/c -> 1/2 in the joint limit b, c -> 0; the n = 0 derivative is 0
+        ratio = 0.5 if b == 0 and c == 0 else b / c
+        slope = -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z.v, ctrl)
+        return _Jet(value, slope * z.d, z.tag)
 
     def ratio(alpha):
         # t_{alpha+1} = t_alpha num / den z; alpha = n gives 0, which ends the sum
@@ -132,8 +220,14 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
     """Kummer 1F1(a; c; z) by its power series with Kahan summation.
 
     z may be an ndarray: the same recurrence then runs elementwise until
-    the terms of every element meet rel_tol.
+    the terms of every element meet rel_tol.  z may be a jet:
+    d/dz 1F1(a; c; z) = (a/c) 1F1(a+1; c+1; z).
     """
+    if isinstance(z, _Jet):
+        value = hyp1f1(a, c, z.v, ctrl)  # raises at a pole first
+        # a/c -> 1/2 in the joint limit a, c -> 0
+        ratio = 0.5 if a == 0 and c == 0 else a / c
+        return _Jet(value, ratio * hyp1f1(a + 1, c + 1, z.v, ctrl) * z.d, z.tag)
     if c == 0 and a == 0:
         # joint limit a, c -> 0 with a/c -> 1/2: 1 + (e^z - 1)/2
         out = 1 + (np.exp(z) - 1) / 2

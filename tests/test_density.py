@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from specsing import (DensityTilde, EnsembleParams, MorrisParams, i_integral,
-                      k_limit, kernel_s2, morris_closed, morris_quadrature,
-                      rho_finite, rho_limit, tanh_sinh_rule)
+from specsing import (DensityTilde, EnsembleParams, MorrisParams,
+                      density_expansion_check, i_integral, k_limit, kernel_s2, l1,
+                      morris_closed, morris_quadrature, rho_finite, rho_limit,
+                      tanh_sinh_rule)
 from specsing.density import _b_integral, c_beta_limit
 from specsing.quadrature import sector_integrate
 from specsing.series import gammaf
@@ -242,11 +243,25 @@ class TestRhoLimit:
     def test_q_sign_matches_kernel_diagonal(self, pq, theta):
         # the density and kernel conventions carry opposite phases:
         # rho_inf(theta; q) = K_inf(theta/2, theta/2; -q)/2 (worst measured
-        # 2.1e-14; with +q the two sides differ by up to a factor 10)
+        # 2.6e-14; with +q the two sides differ by up to a factor 10); the
+        # beta = 4 kernel limit loses digits from X ~ 5 on
         p, q = pq
-        rho = rho_limit(theta, EnsembleParams(2, 8, p, q))
-        K = k_limit(2, theta / 2, theta / 2, EnsembleParams(2, 8, p, -q))
-        assert abs(rho - 0.5 * K) < 1e-12 * abs(rho)
+        for beta in (2, 4) if theta <= 2 else (2,):
+            rho = rho_limit(theta, EnsembleParams(beta, 8, p, q))
+            K = k_limit(beta, theta / 2, theta / 2, EnsembleParams(beta, 8, p, -q))
+            assert abs(rho - 0.5 * K) < 1e-12 * abs(rho)
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    @pytest.mark.parametrize("pq", [(1.5, 0.7), (0.8, -0.4), (2.3, 1.0)])
+    def test_l1_matches_kernel_diagonal(self, beta, pq):
+        # the 1/N terms of the density and of the kernel diagonal:
+        # p d/dtheta [theta rho_inf](theta; q) = L1(theta/2, theta/2; -q)/2
+        # (measured worst 1.1e-14; a five-point stencil of rho_inf, 2.4e-8)
+        p, q = pq
+        for theta in (0.3, 1.0, 2.0):
+            rec = density_expansion_check(theta, EnsembleParams(beta, 4, p, q), [4, 8])
+            L1 = l1(beta, theta / 2, theta / 2, EnsembleParams(beta, 8, p, -q))
+            assert abs(rec["l1_predicted"] - 0.5 * L1) < 1e-12 * abs(L1)
 
     def test_integral_path(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)

@@ -8,7 +8,7 @@ from specsing import (CauchyWeightParams, EnsembleParams, cayley_to_circle,
                       circle_to_cayley, orthogonality_check, rr_norm, rr_poly,
                       rr_scaled, scaled_point_map, weight_cauchy,
                       weight_circle_scaled)
-from specsing.polynomials import rr_poly_deriv, rr_scaled_raw
+from specsing.polynomials import rr_scaled_raw
 from specsing.quadrature import tanh_sinh_rule
 
 
@@ -93,13 +93,6 @@ class TestRRPoly:
 
     def test_degree_zero(self):
         assert rr_poly(0, complex(-8, 0.3), 1.7) == 1
-
-    def test_deriv_matches_finite_difference(self):
-        c = complex(-9.5, 0.7)
-        h = 1e-6
-        for n in (1, 3, 5):
-            fd = (rr_poly(n, c, 1.0 + h) - rr_poly(n, c, 1.0 - h)) / (2 * h)
-            assert abs(rr_poly_deriv(n, c, 1.0) - fd) < 1e-7 * (1 + abs(fd))
 
 
 class TestOrthogonality:

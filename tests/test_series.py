@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
                       log_gamma, pochhammer)
-from specsing.series import gammaf
+from specsing.series import _Jet, gammaf
 
 
 class TestLogGamma:
@@ -214,3 +214,25 @@ class TestConfluentLimit:
         res = {n: abs(hyp2f1_terminating(n, b, c, t / n) - target)
                for n in (100, 200)}
         assert 0.4 < res[200] / res[100] < 0.6
+
+
+class TestJet:
+    def test_nested_directions_do_not_mix(self):
+        # d/dx [x d/dy (x + y)] at x = 1 is 1; a jet type without tags
+        # confuses the two directions and gives 2 (Siskind and Pearlmutter)
+        x = _Jet.seed(1.0)
+        inner = x + _Jet.seed(1.0)
+        assert (x * inner.d).d == 1.0
+
+    def test_special_function_rules(self):
+        # the 2F1, 1F1 and ufunc derivative rules against central differences
+        def slope(f, z, h=1e-6):
+            return (f(z + h) - f(z - h)) / (2 * h)
+
+        z = 0.3 - 0.2j
+        for f in (lambda v: hyp2f1_terminating(7, 1.5 - 0.7j, 3.2, v),
+                  lambda v: hyp2f1_terminating(5, 0.0, 0.0, v),
+                  lambda v: hyp1f1(1.5 - 0.7j, 3.2, v),
+                  lambda v: hyp1f1(0.0, 0.0, v),
+                  lambda v: np.log(np.sin(v)) * np.exp(v) / v ** 1.5):
+            assert abs(f(_Jet.seed(z)).d - slope(f, z)) < 1e-8 * abs(slope(f, z))
