@@ -5,11 +5,10 @@ derivative-form correction.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from specsing import (EnsembleParams, density_expansion_check, kernel_s2,
                       morris_closed, morris_quadrature, MorrisParams,
-                      rho_finite, rho_limit)
+                      rho_finite, rho_limit, tanh_sinh_rule)
 
 print("=== Morris integral: closed gamma product vs direct quadrature ===")
 for N in (1, 2, 3):
@@ -28,8 +27,8 @@ for theta in (0.8, 2.0, 4.5):
 print("\n=== normalization: int rho = N ===")
 for beta, N in ((2, 6), (4, 3)):
     prn = EnsembleParams(beta, N, 1.5, 0.7)
-    val, _ = quad(lambda t: rho_finite(t, prn), 1e-9, 2 * math.pi - 1e-9,
-                  limit=120)
+    rule = tanh_sinh_rule(0, 2 * math.pi, 7)
+    val = sum(w * rho_finite(float(t), prn) for t, w in zip(rule.nodes, rule.weights))
     print(f"beta={beta}, N={N}: integral = {val:.8f}")
 
 print("\n=== scaled limit and the 1/N correction (beta = 2) ===")

@@ -135,8 +135,6 @@ def _cmd_verify_identity(cfg: RunConfig):
     pr = _params(cfg, max(cfg.n_list))
     for X in cfg.grid_x:
         for Y in cfg.grid_y:
-            if abs(X - Y) < 1e-9:
-                continue
             res = limits.derivative_identity_residual(cfg.beta, X, Y, pr)
             worst = max(worst, res)
             rows.append([cfg.beta, X, Y, res])

@@ -268,14 +268,27 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
 def _morris_ratio(params: EnsembleParams) -> complex:
     """M_n((p-1)b/2+iq, (p+1)b/2-iq, b/2) / M_{n+1}(p b/2+iq, p b/2-iq, b/2),
     as one exponential: at large N both overflow on their own.  It does not
-    depend on theta, so it is cached per parameter set."""
+    depend on theta, so it is cached per parameter set.
+
+    With lam = b/2 and A_j = log G(lam (j+p) + 1 + iq), the two products of
+    morris_closed telescope to
+        A_{n-1} + A_n + conj(A_0) + log G(1+lam) - A_{-1}
+            - log G(lam n + 2 p lam + 1) - log G(lam (n+1) + 1),
+    seven log-gamma values in place of 5 (2N - 1).
+    """
     beta, p, q, n = params.beta, params.p, params.q, params.size - 1
     lam = beta / 2
-    log_num = _log_morris(MorrisParams(complex((p - 1) * lam, q),
-                                       complex((p + 1) * lam, -q), lam, n)) if n else 0.0
-    log_den = _log_morris(MorrisParams(complex(p * lam, q),
-                                       complex(p * lam, -q), lam, n + 1))
-    return complex(np.exp(log_num - log_den))
+
+    def A(j):
+        return log_gamma(complex(lam * (j + p) + 1, q))
+
+    a0 = A(0)
+    log_ratio = (A(n) + a0.conjugate() + log_gamma(1 + lam)
+                 - log_gamma(lam * (n + 2 * p) + 1) - log_gamma(lam * (n + 1) + 1))
+    if n:
+        # at n = 0 the pair cancels
+        log_ratio += A(n - 1) - A(-1)
+    return complex(np.exp(log_ratio))
 
 
 def _rho_prefactor(theta: float, params: EnsembleParams) -> complex:

@@ -4,6 +4,10 @@ them (levels rise until two agree), a Gauss-Jacobi rule for s^expo times a
 smooth function, and an ordered-sector iterated scheme for symmetric
 multidimensional integrands with |diff|-type interior kinks, evaluated in
 chunks of a fixed number of grid points.
+
+The Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub and
+Welsch, Math. Comp. 23 (1969) 221-230), polished by one Newton step on the
+three-term recurrence, which also gives the Christoffel weights.
 """
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .series import NonConvergenceError, _Jet
 
@@ -86,13 +89,48 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
         f"tanh-sinh level {level} error estimate {np.max(err):.2e} on ({a}, {b})")
 
 
+# the step of the complex-step derivative in _gauss_jacobi_pair: a power of
+# two, so dividing by it is exact, and small enough that its square vanishes
+# next to every P_k(x)
+_H = 2.0 ** -100
+
+
 @lru_cache(maxsize=64)
 def _gauss_jacobi_pair(expo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 12- and 20-node rules for int_0^1 t^expo g(t) dt: their nodes in
-    (0, 1), concatenated, and the weights of each."""
-    rules = [roots_jacobi(n, 0.0, expo) for n in (12, 20)]
-    t = np.concatenate([0.5 * (1.0 + x) for x, _ in rules])
-    w_coarse, w_fine = (w / 2.0 ** (expo + 1) for _, w in rules)
+    (0, 1), concatenated, and the weights of each.
+
+    On (-1, 1) the weight is (1 + x)^expo, whose monic orthogonal polynomials
+    obey P_{k+1} = (x - a_k) P_k - b_k P_{k-1}.  The eigenvalues of the Jacobi
+    matrix are polished by one Newton step x -= P_n / P_n'.  The weights are
+    proportional to 1 / (P_{n-1} P_n'), with P_{n-1} carried to the polished
+    node to first order (the step is a few ulp), and scaled to sum to
+    int_0^1 t^expo dt.  One recurrence pass at x + i h serves the nodes of
+    both rules: its real part is P_k(x) and its imaginary part h P_k'(x)
+    (complex-step differentiation).
+    """
+    e = expo
+    a = [e / (e + 2)] + [e * e / ((2 * k + e) * (2 * k + e + 2)) for k in range(1, 20)]
+    b = [0.0] + [4 * k * k * (k + e) ** 2 / ((2 * k + e) ** 2 * ((2 * k + e) ** 2 - 1))
+                 for k in range(1, 20)]
+    x = np.concatenate([np.linalg.eigvalsh(np.diag(a[:n]) + np.diag(np.sqrt(b[1:n]), -1))
+                        for n in (12, 20)])
+    shifted = (x + 1j * _H) - np.array(a)[:, None]
+    prev, cur = np.zeros(x.size, complex), np.ones(x.size, complex)
+    values = [cur]
+    for k in range(20):
+        prev, cur = cur, shifted[k] * cur - b[k] * prev
+        values.append(cur)
+    # the degree n of each node's rule
+    n = np.repeat([12, 20], [12, 20])
+    values = np.array(values)
+    node = np.arange(x.size)
+    top, below = values[n, node], values[n - 1, node]
+    p_n, dp_n, p_below, dp_below = top.real, top.imag / _H, below.real, below.imag / _H
+    step = p_n / dp_n
+    t = 0.5 * (1.0 + (x - step))
+    w = 1.0 / ((p_below - step * dp_below) * dp_n)
+    w_coarse, w_fine = (part / ((e + 1) * np.sum(part)) for part in (w[:12], w[12:]))
     for arr in (t, w_coarse, w_fine):
         arr.flags.writeable = False
     return t, w_coarse, w_fine

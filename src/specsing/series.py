@@ -4,15 +4,19 @@ expansion; and the forward-mode jet that carries every derivative in the
 library (Griewank and Walther, Evaluating Derivatives, SIAM 2008).
 
 All gamma evaluations go through the principal-branch log-gamma so that
-ratios with large arguments can be formed as exp of log differences.
+ratios with large arguments can be formed as exp of log differences.  It is
+computed here in plain Python: math.lgamma on the real axis, and elsewhere
+the upward recurrence to Re z >= 10 followed by the Stirling series (DLMF
+5.11.1), with the branch of the recurrence's product tracked exactly.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 
 class PoleError(ValueError):
@@ -128,15 +132,63 @@ _UFUNCS = {np.add: _add, np.subtract: _sub, np.multiply: _mul, np.true_divide: _
 
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
-    zr, zi = np.real(z), np.imag(z)
-    return abs(zi) < tol and zr <= 0.5 and abs(zr - round(zr)) < tol
+    z = complex(z)
+    x = z.real
+    return abs(z.imag) < tol and x <= 0.5 and abs(x - round(x)) < tol
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma (DLMF 5.11.1);
+# at Re z >= 10 its remainder is below 3e-17
+_S1, _S2, _S3, _S4, _S5, _S6, _S7 = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+                                     -691 / 360360, 1 / 156)
+
+
+def _log_gamma_upper(z: complex) -> complex:
+    """log Gamma(z) for Im z > 0: log Gamma(z + m) - log(z (z+1) ... (z+m-1))
+    with Re(z + m) >= 10, where the Stirling series holds.
+
+    Every factor lies in the upper half-plane and turns the running product by
+    less than pi, so the product crosses the negative real axis exactly when
+    its imaginary part turns negative; the log of the product is one principal
+    log plus 2 pi i per crossing.  The product is folded into the log every 16
+    factors, so it cannot overflow.
+    """
+    total = 0.0 + 0.0j
+    m = math.ceil(10 - z.real)
+    while m > 0:
+        prod, turns = z, 0
+        for _ in range(min(m, 16) - 1):
+            z += 1
+            nxt = prod * z
+            if nxt.imag < 0 <= prod.imag:
+                turns += 1
+            prod = nxt
+        z += 1
+        m -= 16
+        total -= cmath.log(prod) + 2j * math.pi * turns
+    w = 1 / z
+    w2 = w * w
+    series = w * (_S1 + w2 * (_S2 + w2 * (_S3 + w2 * (_S4 + w2 * (_S5 + w2 * (
+        _S6 + w2 * _S7))))))
+    return total + (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series
 
 
 def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z)."""
+    """Principal branch of log Gamma(z), analytic off the negative real axis.
+
+    On that axis it is the limit from above, log|Gamma(x)| - i pi ceil(-x),
+    and for a negative zero imaginary part the limit from below.
+    """
+    z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z={z}")
-    return complex(_loggamma(complex(z)))
+    x, y = z.real, z.imag
+    if math.copysign(1.0, y) < 0:
+        return log_gamma(z.conjugate()).conjugate()
+    if y:
+        return _log_gamma_upper(z)
+    return complex(math.lgamma(x), -math.pi * math.ceil(-x) if x < 0 else 0.0)
 
 
 def gammaf(z: complex) -> complex:
@@ -159,11 +211,16 @@ def pochhammer(a: complex, n: int) -> complex:
         for k in range(n):
             out *= a + k
         return out
-    # large n: if the product passes through a nonpositive integer it is 0
-    ar, ai = np.real(a), np.imag(a)
-    if abs(ai) < 1e-14 and abs(ar - round(ar)) < 1e-14 and -round(ar) < n and ar <= 0:
-        return 0.0 + 0.0j
-    return complex(np.exp(_loggamma(complex(a + n)) - _loggamma(complex(a))))
+    a = complex(a)
+    ar = a.real
+    if abs(a.imag) < 1e-14 and abs(ar - round(ar)) < 1e-14 and ar <= 0:
+        # a = -m: the product is 0 once it passes through zero, and
+        # (-1)^n (m - n + 1)_n = (-1)^n Gamma(m + 1) / Gamma(m - n + 1) before
+        m = -round(ar)
+        if m < n:
+            return 0.0 + 0.0j
+        return (-1) ** n * cmath.exp(math.lgamma(m + 1) - math.lgamma(m - n + 1))
+    return cmath.exp(log_gamma(a + n) - log_gamma(a))
 
 
 def hyp2f1_terminating(n: int, b: complex, c: complex, z,

@@ -66,6 +66,14 @@ class TestCommands:
         rep = load_report(cfg.out)
         assert rep["max_residual"] <= 1e-6
 
+    def test_verify_identity_reports_diagonal(self, tmp_path):
+        cfg = _cfg(tmp_path, command="verify-identity", beta=4, n_list=[20],
+                   grid_x=[1.3, 2.0], grid_y=[1.3])
+        assert run(cfg) == 0
+        rep = load_report(cfg.out)
+        assert [row[1:3] for row in rep["rows"]] == [[1.3, 1.3], [2.0, 1.3]]
+        assert rep["max_residual"] <= 1e-6
+
     def test_converge_circular(self, tmp_path):
         # p = q = 0: order-0 slope is already near -2
         cfg = _cfg(tmp_path, command="converge", p=0.0, q=0.0,

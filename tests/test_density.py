@@ -10,7 +10,7 @@ from specsing import (DensityTilde, EnsembleParams, MorrisParams,
                       density_expansion_check, i_integral, k_limit, kernel_s2, l1,
                       morris_closed, morris_quadrature, rho_finite, rho_limit,
                       tanh_sinh_rule)
-from specsing.density import _b_integral, c_beta_limit
+from specsing.density import _b_integral, _morris_ratio, c_beta_limit
 from specsing.quadrature import sector_integrate
 from specsing.series import gammaf
 
@@ -187,6 +187,21 @@ class TestRhoFinite:
         # each Morris integral overflows alone at N = 200; their ratio does not
         val = rho_finite(0.3, EnsembleParams(2, 200, 1.3, 0.4))
         assert abs(val - 32.44943873430255) < 1e-10 * 32.44943873430255
+
+    @pytest.mark.parametrize("beta,N,ref", [
+        (2, 1, 0.335974429752262493951282494732),
+        (2, 2, 0.132056616138736508039184647235 + 0.0671948859504524987902564989464j),
+        (2, 45, -0.000616085043173681518746935752121 + 0.000176205519152473556848510523826j),
+        (4, 1, 0.07749846780601627038991655816),
+        (4, 2, 0.0086933466455279183117195527427 + 0.00588414292601234645553070163807j),
+        (4, 45, -1.23499290159048739019486082457e-7 + 6.6700643964389283697844472882e-9j),
+        (6, 1, 0.0156405121650629805920185837914),
+        (6, 2, 0.000497383604937261399042962421788 + 0.000381120298402218778691512402279j),
+        (6, 45, -2.02086717962399762622426166003e-11 - 8.22568733652489394137338392604e-13j)])
+    def test_morris_ratio_reference(self, beta, N, ref):
+        # 30-digit mpmath M_n / M_{n+1} summed over the Morris products, (p, q) = (1.3, 0.4)
+        val = _morris_ratio(EnsembleParams(beta, N, 1.3, 0.4))
+        assert abs(val - ref) < 1e-12 * abs(ref)
 
     def test_cue_uniform(self):
         pr = EnsembleParams(2, 8, 0.0, 0.0)

@@ -1,6 +1,10 @@
 """Source hygiene: every name a specsing module imports is used in it or
-re-exported through its __all__ (a stdlib-ast stand-in for a linter)."""
+re-exported through its __all__ (a stdlib-ast stand-in for a linter), and
+the package imports nothing beyond numpy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,12 @@ def test_detects_unused_import(tmp_path):
     src.write_text("import os\nimport math as m\nfrom json import dumps, loads\n"
                    "__all__ = ['loads']\nprint(m.pi)\n")
     assert unused_imports(src) == ["dumps (line 3)", "os (line 1)"]
+
+
+def test_imports_without_scipy():
+    # numpy is the one runtime dependency; scipy serves only as a test oracle
+    code = ("import sys, specsing, specsing.cli; "
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]"

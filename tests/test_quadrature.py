@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (gauss_jacobi_integrate, sector_integrate,
-                                 sector_integrate_adaptive, tanh_sinh_adaptive)
+from specsing.quadrature import (_gauss_jacobi_pair, gauss_jacobi_integrate,
+                                 sector_integrate, sector_integrate_adaptive,
+                                 tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
 
 
@@ -81,6 +83,17 @@ class TestTanhSinh:
 
 
 class TestGaussJacobi:
+    @pytest.mark.parametrize("expo", [0.0, 0.37, 1.37, 3.9, 6.2])
+    def test_rules_match_scipy(self, expo):
+        # the 12- and 20-node rules against scipy's roots_jacobi, mapped to (0, 1)
+        t, *weights = _gauss_jacobi_pair(expo)
+        start = 0
+        for n, w in zip((12, 20), weights):
+            x_ref, w_ref = roots_jacobi(n, 0.0, expo)
+            assert np.max(np.abs(t[start:start + n] - 0.5 * (1 + x_ref))) <= 1e-15
+            assert np.max(np.abs(w / (w_ref / 2 ** (expo + 1)) - 1)) <= 1e-12
+            start += n
+
     @pytest.mark.parametrize("expo", [0.0, 0.5, 2.5])
     def test_power_times_exponential(self, expo):
         # int_0^X s^expo e^{is} ds against QUADPACK on each part

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 
 from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
@@ -35,6 +36,29 @@ class TestLogGamma:
             rhs = z * np.exp(log_gamma(z))
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    def test_matches_scipy(self):
+        # scipy's loggamma shares no code with log_gamma: a seeded grid over
+        # the plane, the real axis (negative non-integers included) and a
+        # strip |Im z| <= 1e-3 along it
+        rng = np.random.default_rng(20261018)
+        re = rng.uniform(-30, 60, 2000)
+        zs = np.concatenate([re[:1000] + 1j * rng.uniform(-60, 60, 1000),
+                             re[1000:1500] + 0j,
+                             re[1500:] + 1j * rng.uniform(-1e-3, 1e-3, 500)])
+        for z in zs:
+            z = complex(z)
+            ref = complex(loggamma(z))
+            assert abs(log_gamma(z) - ref) <= 1e-14 * max(1.0, abs(ref)), z
+
+    @pytest.mark.parametrize("x,ref", [
+        (-2.5, -0.0562437164976740506725945300977 - 9.42477796076937971538793014984j),
+        (-3.5, -1.30900668499304204636071515208 - 12.5663706143591729538505735331j)])
+    def test_negative_axis_branch(self, x, ref):
+        # 30-digit mpmath: the limit from above, log|G(x)| - i pi ceil(-x);
+        # a negative zero imaginary part takes the limit from below
+        assert abs(log_gamma(x) - ref) < 1e-14 * abs(ref)
+        assert abs(log_gamma(complex(x, -0.0)) - ref.conjugate()) < 1e-14 * abs(ref)
+
 
 class TestPochhammer:
     def test_zero_order(self):
@@ -52,6 +76,17 @@ class TestPochhammer:
         for k in range(80):
             direct *= a + k
         assert abs(pochhammer(a, 80) - direct) < 1e-12 * abs(direct)
+
+    def test_large_order_reference(self):
+        # 30-digit mpmath rf(0.3 + 0.2i, 100)
+        ref = 4.55839543445083758426523319994e+154 + 1.52405627050374176636207173418e+156j
+        assert abs(pochhammer(0.3 + 0.2j, 100) - ref) < 1e-12 * abs(ref)
+
+    def test_large_order_nonpositive_integer(self):
+        # (-100)_80 = (-100)(-99)...(-21) does not pass through zero
+        ref = math.prod(range(-100, -20))
+        assert abs(pochhammer(-100.0, 80) - ref) < 1e-12 * abs(ref)
+        assert pochhammer(-50.0, 80) == 0
 
     @given(st.integers(0, 10), st.integers(0, 10),
            st.complex_numbers(min_magnitude=0.1, max_magnitude=5,
