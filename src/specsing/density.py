@@ -25,7 +25,7 @@ import numpy as np
 from .jack import _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
 from .quadrature import sector_integrate_adaptive, tanh_sinh_adaptive
-from .series import log_gamma
+from .series import NonConvergenceError, log_gamma
 
 _REALITY_TOL = 1e-8
 
@@ -172,7 +172,9 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     A_lm = int int_{x<y} (phi_l(x) phi_m(y) - phi_m(x) phi_l(y)) and
     phi_m(t) = g(t) e^{i(m-3/2)t}: six two-dimensional sector integrals.  A
     moment is the first-order term of the same Pfaffian with g -> g(1 + eps h),
-    whose entries carry the factor h(x) + h(y).
+    whose entries carry the factor h(x) + h(y).  NonConvergenceError is
+    raised when the last two levels of an entry differ by more than 1e-5
+    relative.
     """
     beta = params.beta
     td = DensityTilde.from_ensemble(params)
@@ -209,9 +211,13 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
             x, y = ts
             val = integrand(x, y)
             return val * (h(x) + h(y)) if with_moment else val
-        val, _err = sector_integrate_adaptive(f, 2, -math.pi, math.pi,
-                                              start_level=start_level,
-                                              max_level=max_level)
+        val, err = sector_integrate_adaptive(f, 2, -math.pi, math.pi,
+                                             start_level=start_level,
+                                             max_level=max_level)
+        if err > 1e-5:
+            raise NonConvergenceError(
+                f"sector levels {max_level - 1} and {max_level} differ by {err:.2e} "
+                "relative")
         return val
 
     def g4(t):

@@ -10,6 +10,11 @@ reduction to the beta = 2 Christoffel-Darboux kernel plus one-dimensional
 integral terms; the tail integrals are evaluated by adaptive tanh-sinh
 quadrature on the circle side (_phi on whole node arrays), the full-line
 integrals (the s~ constants) in closed form.
+
+Each finite-N quantity is computed once per parameter set: the tail
+integrals and the closed forms behind the s~ constants are memoised whole, and _phi at scalar points
+(node arrays and jets bypass its memo).  A kernel grid thus evaluates each
+tail integral once per X and each _phi once per point.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from .polynomials import EnsembleParams, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
-from .series import _Jet, hyp2f1_terminating, log_gamma
+from .series import _Jet, _cached_at_points, hyp2f1_terminating, log_gamma
 
 _DIAG_SWITCH = 1e-6
 
@@ -35,6 +40,8 @@ def _prefactor(N: int, k: int, P: float, Q: float, X):
                          + 1j * (k * u - X))
 
 
+# the CD, rank-one and sgn terms of a kernel grid share their points
+@_cached_at_points(4096)
 def _phi(N: int, k: int, P: float, Q: float, X):
     """omega2(z(X))^{1/2} I_{N-k}(z(X)) in stable pieces: the prefactor times
 
@@ -166,6 +173,8 @@ def skew_constants(params: EnsembleParams, parity: str = "even") -> SkewConstant
 
 # --- integral terms ----------------------------------------------------------
 
+# a kernel grid repeats each X for every Y
+@lru_cache(maxsize=1024)
 def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> complex:
     """int_{-inf}^{z(upper_X)} I_degree(t) w1(t) dt via the circle substitution.
 
@@ -198,6 +207,7 @@ def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> comple
     return complex(tanh_sinh_adaptive(terms, 0.0, upper_X, noise))
 
 
+@lru_cache(maxsize=1024)
 def _w1_full_line(n: int, P: float, Q: float) -> float:
     """int_{-inf}^{inf} I_n(t) w1(t) dt for the (P, Q) system, in closed form.
 

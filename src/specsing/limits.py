@@ -46,7 +46,7 @@ import numpy as np
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
 from .quadrature import gauss_jacobi_integrate
-from .series import _Jet, hyp1f1, log_gamma, pochhammer
+from .series import _Jet, _cached_at_points, hyp1f1, log_gamma, pochhammer
 
 _DIAG_EPS = 1e-5
 
@@ -80,19 +80,6 @@ class KernelExpansion:
 def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
     """A^{(p+k, q)}(j; X)."""
     return _A(block.p + block.k, block.q_eff, j, X)
-
-
-def _cached_at_points(maxsize: int):
-    """lru_cache over scalar points X (the last argument); node arrays and
-    jets bypass it."""
-    def wrap(f):
-        cached = functools.lru_cache(maxsize=maxsize)(f)
-
-        @functools.wraps(f)
-        def g(*args):
-            return (f if isinstance(args[-1], (np.ndarray, _Jet)) else cached)(*args)
-        return g
-    return wrap
 
 
 # c_tilde orders 0..2 share A_0..A_4, and the blocks of K, L1 and L2 share

@@ -1,9 +1,11 @@
 """Quadrature utilities: tanh-sinh (double exponential) rules for endpoint
 algebraic singularities and the library's one adaptive 1-D integrator on
-them (levels rise until two agree), a Gauss-Jacobi rule for s^expo times a
-smooth function, and an ordered-sector iterated scheme for symmetric
+them (levels rise until two agree; each level holds the one below, so only
+its new nodes are evaluated), a Gauss-Jacobi rule for s^expo times a smooth
+function, and an ordered-sector iterated scheme for symmetric
 multidimensional integrands with |diff|-type interior kinks, evaluated in
-chunks of a fixed number of grid points.
+chunks of a fixed number of grid points.  The tanh-sinh nodes and weights
+on (-1, 1) are built once per level and kept read-only.
 
 The Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub and
 Welsch, Math. Comp. 23 (1969) 221-230), polished by one Newton step on the
@@ -35,31 +37,48 @@ class QuadratureRule:
             raise ValueError("nodes must lie strictly inside the domain")
 
 
-def _tanh_sinh_raw(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes on (-1, 1): returns (x, w, dist) with dist = 1 - |x| computed stably."""
+@lru_cache(maxsize=32)
+def _tanh_sinh_raw(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes on (-1, 1), read-only: returns (x, w, dist) with dist = 1 - |x|
+    computed stably.  odd=True keeps the nodes t = k h of odd k only: those
+    that level - 1 lacks.
+
+    A node is kept while dist > 1e-290, a test on t alone, so each level
+    holds every node of the one below, whose weights are exactly twice its
+    own (h is a power of two).
+    """
     h = 2.0 ** (1 - level)
     tmax = 6.8
     k = np.arange(-int(tmax / h), int(tmax / h) + 1)
+    if odd:
+        k = k[k % 2 == 1]
     t = k * h
     u = 0.5 * math.pi * np.sinh(t)
     with np.errstate(over="ignore"):
         x = np.tanh(u)
         w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
         dist = 1.0 / (np.exp(2 * np.abs(u)) + 1.0) * 2.0  # 1 - |tanh(u)|
-    keep = np.isfinite(w) & (w > 1e-290) & (dist > 1e-290)
-    return x[keep], w[keep], dist[keep]
+    keep = dist > 1e-290
+    out = x[keep], w[keep], dist[keep]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
-def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
-    """Tanh-sinh rule on (a, b); handles integrable algebraic endpoint
-    singularities.  Node count roughly doubles per level."""
-    x, w, dist = _tanh_sinh_raw(level)
+def _on_interval(a: float, b: float, x, w, dist) -> QuadratureRule:
+    """The rule (x, w, dist) on (-1, 1) mapped onto (a, b)."""
     half = 0.5 * (b - a)
     # nodes are placed from the nearer endpoint, with the distance evaluated
     # stably; only those that round onto an endpoint are dropped
     nodes = np.where(x >= 0, b - half * dist, a + half * dist)
     keep = (nodes > a) & (nodes < b)
     return QuadratureRule(nodes=nodes[keep], weights=w[keep] * half, domain=(a, b))
+
+
+def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
+    """Tanh-sinh rule on (a, b); handles integrable algebraic endpoint
+    singularities.  Node count roughly doubles per level."""
+    return _on_interval(a, b, *_tanh_sinh_raw(level))
 
 
 def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
@@ -71,18 +90,24 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     noise(rule), a bound on the rounding error of each term, the last level
     is returned if its change from level 11 and the summed bound are within
     1e-6 |sum| + 1e-8; else NonConvergenceError is raised.
+
+    The levels are nested (Bailey, Jeyabalan and Li, Exp. Math. 14 (2005)
+    317-329): level L + 1 calls terms only on the nodes level L lacks, and
+    its sum is half the sum of level L plus theirs, so terms sees each node
+    once.  sum |terms| is carried the same way.
     """
-    prev = np.inf
-    for level in range(4, 13):
-        rule = tanh_sinh_rule(a, b, level)
-        vals = np.asarray(terms(rule))
-        cur = vals.sum(axis=-1)
-        err = np.abs(cur - prev)
-        if np.all(err <= 1e-13 * np.abs(vals).sum(axis=-1)):
-            return cur
+    vals = np.asarray(terms(tanh_sinh_rule(a, b, 4)))
+    cur, mass = vals.sum(axis=-1), np.abs(vals).sum(axis=-1)
+    for level in range(5, 13):
+        vals = np.asarray(terms(_on_interval(a, b, *_tanh_sinh_raw(level, odd=True))))
         prev = cur
+        cur = 0.5 * prev + vals.sum(axis=-1)
+        mass = 0.5 * mass + np.abs(vals).sum(axis=-1)
+        err = np.abs(cur - prev)
+        if np.all(err <= 1e-13 * mass):
+            return cur
     if noise is not None:
-        err = np.maximum(err, np.sum(noise(rule), axis=-1))
+        err = np.maximum(err, np.sum(noise(tanh_sinh_rule(a, b, level)), axis=-1))
         if np.all(err <= 1e-6 * np.abs(cur) + 1e-8):
             return cur
     raise NonConvergenceError(

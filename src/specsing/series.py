@@ -1,17 +1,20 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
-expansion; and the forward-mode jet that carries every derivative in the
-library (Griewank and Walther, Evaluating Derivatives, SIAM 2008).
+expansion; the forward-mode jet that carries every derivative in the
+library (Griewank and Walther, Evaluating Derivatives, SIAM 2008); and the
+memo over scalar points that jets and node arrays bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
 computed here in plain Python: math.lgamma on the real axis, and elsewhere
-the upward recurrence to Re z >= 10 followed by the Stirling series (DLMF
-5.11.1), with the branch of the recurrence's product tracked exactly.
+the upward recurrence to Re z >= 6 followed by 12 terms of the Stirling
+series (DLMF 5.11.1), with the branch of the recurrence's product tracked
+exactly.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -131,6 +134,20 @@ _UFUNCS = {np.add: _add, np.subtract: _sub, np.multiply: _mul, np.true_divide: _
            np.cos: lambda v: -np.sin(v)}
 
 
+def _cached_at_points(maxsize: int):
+    """lru_cache over scalar points (the last argument); node arrays and jets
+    bypass it.  The wrapper keeps cache_info and cache_clear."""
+    def wrap(f):
+        cached = functools.lru_cache(maxsize=maxsize)(f)
+
+        @functools.wraps(f)
+        def g(*args):
+            return (f if isinstance(args[-1], (np.ndarray, _Jet)) else cached)(*args)
+        g.cache_info, g.cache_clear = cached.cache_info, cached.cache_clear
+        return g
+    return wrap
+
+
 def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     z = complex(z)
     x = z.real
@@ -138,24 +155,27 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
-# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma (DLMF 5.11.1);
-# at Re z >= 10 its remainder is below 3e-17
-_S1, _S2, _S3, _S4, _S5, _S6, _S7 = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
-                                     -691 / 360360, 1 / 156)
+# B_2k / (2k (2k - 1)), k = 12..1: the Stirling series of log Gamma (DLMF
+# 5.11.1), highest order first; at |z| >= 6 its remainder is below 8e-17
+_STIRLING = (-236364091 / 1506960, 77683 / 5796, -174611 / 125400, 43867 / 244188,
+             -3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
+             -1 / 360, 1 / 12)
 
 
 def _log_gamma_upper(z: complex) -> complex:
     """log Gamma(z) for Im z > 0: log Gamma(z + m) - log(z (z+1) ... (z+m-1))
-    with Re(z + m) >= 10, where the Stirling series holds.
+    with Re(z + m) >= 6, where the Stirling series holds.
 
-    Every factor lies in the upper half-plane and turns the running product by
-    less than pi, so the product crosses the negative real axis exactly when
-    its imaginary part turns negative; the log of the product is one principal
-    log plus 2 pi i per crossing.  The product is folded into the log every 16
-    factors, so it cannot overflow.
+    The shift is kept low because the two terms cancel near |z| ~ 1: the
+    error is about eps times their size.  Every factor lies in the upper
+    half-plane and turns the running product by less than pi, so the product
+    crosses the negative real axis exactly when its imaginary part turns
+    negative; the log of the product is one principal log plus 2 pi i per
+    crossing.  The product is folded into the log every 16 factors, so it
+    cannot overflow.
     """
     total = 0.0 + 0.0j
-    m = math.ceil(10 - z.real)
+    m = math.ceil(6 - z.real)
     while m > 0:
         prod, turns = z, 0
         for _ in range(min(m, 16) - 1):
@@ -169,9 +189,10 @@ def _log_gamma_upper(z: complex) -> complex:
         total -= cmath.log(prod) + 2j * math.pi * turns
     w = 1 / z
     w2 = w * w
-    series = w * (_S1 + w2 * (_S2 + w2 * (_S3 + w2 * (_S4 + w2 * (_S5 + w2 * (
-        _S6 + w2 * _S7))))))
-    return total + (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series
+    s12, s11, s10, s9, s8, s7, s6, s5, s4, s3, s2, s1 = _STIRLING
+    series = s1 + w2 * (s2 + w2 * (s3 + w2 * (s4 + w2 * (s5 + w2 * (s6 + w2 * (
+        s7 + w2 * (s8 + w2 * (s9 + w2 * (s10 + w2 * (s11 + w2 * s12))))))))))
+    return total + (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + w * series
 
 
 def log_gamma(z: complex) -> complex:

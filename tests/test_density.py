@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from specsing import (DensityTilde, EnsembleParams, MorrisParams,
+from specsing import (DensityTilde, EnsembleParams, MorrisParams, NonConvergenceError,
                       density_expansion_check, i_integral, k_limit, kernel_s2, l1,
                       morris_closed, morris_quadrature, rho_finite, rho_limit,
                       tanh_sinh_rule)
@@ -283,6 +283,12 @@ class TestRhoLimit:
         rj = rho_limit(1.0, pr, "jack")
         ri = rho_limit(1.0, pr, "integral")
         assert abs(rj - ri) < 1e-6 * rj
+
+    def test_integral_path_beta4_unconverged_raises(self):
+        # near p = 1/2 the sector levels 5 and 6 of a Pfaffian entry differ by
+        # more than 1e-5 (the value would be 2.8e-4 off the Jack series)
+        with pytest.raises(NonConvergenceError):
+            rho_limit(2.0, EnsembleParams(4, 4, 0.8, 0.4), "integral")
 
     def test_cbeta_constant(self):
         # beta = 2, p = 1, q = 0: e^{q pi} C = (1/(2pi)) G(2)G(2)G(2)/(G(4)G(3))

@@ -345,3 +345,45 @@ class TestTailIntegral:
     def test_upper_limit_validated(self):
         with pytest.raises(ValueError):
             tail_integral(4, 6 * math.pi * 1.01, EnsembleParams(1, 6, 1.5, 0.3))
+
+
+class TestMemo:
+    """tail_integral, _phi and the s~ closed forms are memoised per point: a
+    repeated call returns the stored value, bit for bit what the uncached
+    function computes, and an error is never stored."""
+
+    def test_tail_integral_repeat_is_uncached_value(self):
+        params = EnsembleParams(1, 9, 1.3, 0.4)
+        first = tail_integral(7, 5.0, params)
+        again = tail_integral(7, 5.0, params)
+        assert tail_integral.cache_info().hits == 1
+        assert again == first == tail_integral.__wrapped__(7, 5.0, params)
+
+    def test_phi_scalar_memo_arrays_bypass(self):
+        args = (12, 1, 13.5, 0.7)
+        first = _phi(*args, 2.5)
+        assert _phi(*args, 2.5) == first == _phi.__wrapped__(*args, 2.5)
+        assert _phi.cache_info().hits == 1
+        _phi(*args, np.array([2.5, 3.0]))
+        assert _phi.cache_info().currsize == 1
+
+    def test_raising_tail_integral_raises_again(self):
+        params = EnsembleParams(4, 17, 0.7715110427241669, -0.6607615005859033)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError):
+                tail_integral(33, 0.3 * 17 * math.pi, params)
+        assert tail_integral.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("beta, N", [(1, 9), (1, 10), (4, 6)])
+    def test_grid_matches_cold_points(self, beta, N):
+        # a 3 x 3 grid shares X across rows and the tail integrals across Y;
+        # each value equals the one computed with every memo empty
+        params = EnsembleParams(beta, N, 1.2, 0.35)
+        pts = (0.7, 1.9, 3.4)
+        grid = [[kernel_scaled(beta, X, Y, params) for Y in pts] for X in pts]
+        assert tail_integral.cache_info().hits > 0
+        for i, X in enumerate(pts):
+            for j, Y in enumerate(pts):
+                for f in (tail_integral, _phi, _w1_full_line):
+                    f.cache_clear()
+                assert kernel_scaled(beta, X, Y, params) == grid[i][j]

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (_gauss_jacobi_pair, gauss_jacobi_integrate,
-                                 sector_integrate, sector_integrate_adaptive,
-                                 tanh_sinh_adaptive)
+from specsing.quadrature import (_gauss_jacobi_pair, _tanh_sinh_raw,
+                                 gauss_jacobi_integrate, sector_integrate,
+                                 sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
 
 
@@ -72,6 +72,32 @@ class TestTanhSinh:
         # levels 11 and 12 agree within 1e-6 |value|, but the bound does not
         with pytest.raises(NonConvergenceError):
             tanh_sinh_adaptive(noisy, 0.0, math.pi, lambda r: 1e-5 * r.weights)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: np.cos(3 * x) * x ** -0.3, 0.0, 2.0),
+        (lambda x: np.array([np.exp(1j * x), np.sqrt(x * (math.pi - x))]), 0.0, math.pi),
+        (lambda x: 1 / (1 + x * x), -1.0, 4.0)])
+    def test_nested_levels(self, f, a, b):
+        # terms sees each node of the returned level once, and the sum built
+        # level by level is the direct sum of that level's rule
+        seen = []
+
+        def terms(rule):
+            seen.append(rule.nodes.size)
+            return f(rule.nodes) * rule.weights
+
+        val = tanh_sinh_adaptive(terms, a, b)
+        rule = tanh_sinh_rule(a, b, 3 + len(seen))
+        assert sum(seen) == rule.nodes.size
+        direct = f(rule.nodes) * rule.weights
+        assert np.all(np.abs(val - direct.sum(axis=-1))
+                      <= 1e-15 * np.abs(direct).sum(axis=-1))
+
+    def test_cached_rules_read_only(self):
+        for arr in _tanh_sinh_raw(6) + _tanh_sinh_raw(6, odd=True):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

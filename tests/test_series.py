@@ -50,6 +50,20 @@ class TestLogGamma:
             ref = complex(loggamma(z))
             assert abs(log_gamma(z) - ref) <= 1e-14 * max(1.0, abs(ref)), z
 
+    def test_near_unit_scale_matches_mpmath(self):
+        # 40-digit mpmath at 300 seeded points with Re z in [0.2, 10], where
+        # the recurrence's log and the Stirling value cancel most (a shift to
+        # Re z >= 10 with 7 Stirling terms reached 6.4e-15 here)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261019)
+        zs = rng.uniform(0.2, 10, 300) + 1j * np.concatenate(
+            [rng.uniform(-1, 1, 150), rng.uniform(-10, 10, 150)])
+        with mpmath.workdps(40):
+            for z in zs:
+                z = complex(z)
+                ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+                assert abs(log_gamma(z) - ref) <= 4e-15 * max(1.0, abs(ref)), z
+
     @pytest.mark.parametrize("x,ref", [
         (-2.5, -0.0562437164976740506725945300977 - 9.42477796076937971538793014984j),
         (-3.5, -1.30900668499304204636071515208 - 12.5663706143591729538505735331j)])
