@@ -119,22 +119,29 @@ def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
 
 def j_blocks(k: int, p: float, q_eff: float, X: float, Y: float) -> dict:
     """J0, J1, J2 antisymmetrized products and the scalar Q1, Q2."""
-    def c(order, kk, T):
-        return c_tilde(order, kk, p, q_eff, T)
+    return _blocks(2, k, p, q_eff, X, Y)
+
+
+def _blocks(order: int, k: int, p: float, q_eff: float, X, Y) -> dict:
+    """J0 .. J_order (order 1 or 2), Q1 and Q2; order 1 evaluates no C2, so
+    no A_3 or A_4."""
+    def c(o, kk, T):
+        return c_tilde(o, kk, p, q_eff, T)
 
     c0X, c0Y = c(0, k, X), c(0, k, Y)
     d0X, d0Y = c(0, k + 1, X), c(0, k + 1, Y)
     c1X, c1Y = c(1, k, X), c(1, k, Y)
     d1X, d1Y = c(1, k + 1, X), c(1, k + 1, Y)
-    c2X, c2Y = c(2, k, X), c(2, k, Y)
-    d2X, d2Y = c(2, k + 1, X), c(2, k + 1, Y)
-    J0 = X * d0X * c0Y - Y * d0Y * c0X
-    J1 = X * (d0X * c1Y + d1X * c0Y) - Y * (d0Y * c1X + d1Y * c0X)
-    J2 = (X * (d2X * c0Y + d1X * c1Y + d0X * c2Y)
-          - Y * (d2Y * c0X + d1Y * c1X + d0Y * c2X))
-    Q1 = p * (2 * p + 2 * k + 1)
-    Q2 = -X * Y / 3 + (p + k) * (2 * p + 2 * k + 1) * (6 * p * p - p - k - 1) / 6
-    return {"J0": J0, "J1": J1, "J2": J2, "Q1": Q1, "Q2": Q2}
+    out = {"J0": X * d0X * c0Y - Y * d0Y * c0X,
+           "J1": X * (d0X * c1Y + d1X * c0Y) - Y * (d0Y * c1X + d1Y * c0X),
+           "Q1": p * (2 * p + 2 * k + 1),
+           "Q2": -X * Y / 3 + (p + k) * (2 * p + 2 * k + 1) * (6 * p * p - p - k - 1) / 6}
+    if order == 2:
+        c2X, c2Y = c(2, k, X), c(2, k, Y)
+        d2X, d2Y = c(2, k + 1, X), c(2, k + 1, Y)
+        out["J2"] = (X * (d2X * c0Y + d1X * c1Y + d0X * c2Y)
+                     - Y * (d2Y * c0X + d1Y * c1X + d0Y * c2X))
+    return out
 
 
 def h_const(pk: float, q: float) -> float:
@@ -172,7 +179,7 @@ def _j0(p: float, q: float, X, Y, k: int):
 
 
 def _l1_bracket(p: float, q: float, X, Y, k: int):
-    b = j_blocks(k, p, q, X, Y)
+    b = _blocks(1, k, p, q, X, Y)
     return b["J1"] + b["Q1"] * b["J0"]
 
 

@@ -11,14 +11,20 @@ weights, P and Q carry the beta-specific identifications:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PoleError, hyp2f1_terminating, log_gamma, pochhammer
+from .series import PoleError, SeriesControl, hyp2f1_terminating, log_gamma, pochhammer
 
 _ALLOWED_BETA = (1, 2, 4)
+# rr_poly's series stops only at a term below 1e-300 of its running sum: the
+# prefactor's pole test leaves no zero term before the last one, and the
+# nonzero terms of these polynomials are nowhere near that small, so all
+# n + 1 terms are summed
+_ALL_TERMS = SeriesControl(rel_tol=1e-300)
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,8 @@ def rr_poly(n: int, c: complex, x) -> complex:
     Pochhammer products (finite even when c + cbar hits integers):
 
         (-2i)^n (c+1)_n / (c+cbar+n+1)_n * 2F1(-n, n+1+c+cbar; c+1; (1-ix)/2)
+
+    The 2F1 sums all n + 1 terms (_ALL_TERMS), vectorized over x.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -142,21 +150,10 @@ def rr_poly(n: int, c: complex, x) -> complex:
     if denom == 0:
         raise PoleError("rr_poly prefactor pole: (c+cbar+n+1)_n vanished")
     pref = (-2j) ** n * pochhammer(c + 1, n) / denom
-    x = np.asarray(x, dtype=complex)
-    z = (1 - 1j * x) / 2
-    # terminating series, vectorized over x
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    a = -n
-    b = n + 1 + cc
-    for alpha in range(n):
-        low = (c + 1 + alpha) * (alpha + 1)
-        if low == 0:
-            raise PoleError("rr_poly series pole in (c+1)_alpha")
-        term = term * ((a + alpha) * (b + alpha) / low) * z
-        total = total + term
-    out = pref * total
-    return complex(out) if out.ndim == 0 else out
+    z = 0.5 - 0.5j * np.asarray(x)  # (1 - ix)/2
+    # a (c+1)_alpha pole raises PoleError in hyp2f1_terminating
+    out = pref * hyp2f1_terminating(n, n + 1 + cc, c + 1, z, _ALL_TERMS)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def rr_scaled_raw(N: int, k: int, X, P: float, Q: float):
@@ -198,6 +195,16 @@ def rr_norm(n: int, c: complex) -> float:
     return float(out.real)
 
 
+@functools.lru_cache(maxsize=1)
+def _circle_rule():
+    """The default rule of orthogonality_check, level-11 tanh-sinh on
+    (0, 2 pi): 9441 nodes, mapped once rather than on every call."""
+    from .quadrature import tanh_sinh_rule
+    rule = tanh_sinh_rule(0.0, 2 * math.pi, level=11)
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False  # shared
+    return rule
+
+
 def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> float:
     """Relative residual | int omega2 I_n I_m dx - h_n delta_nm | / h_n.
 
@@ -208,11 +215,9 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     sqrt(omega2 dx/dtheta) is applied to each polynomial factor so that
     neither product overflows; nodes where it underflows to 0 are skipped.
     """
-    from .quadrature import tanh_sinh_rule
-
     P, Q = params.weight_params()
     c = complex(-P, Q)
-    rule = rule or tanh_sinh_rule(0.0, 2 * math.pi, level=11)
+    rule = rule or _circle_rule()
     x = np.tan((rule.nodes - math.pi) / 2)
     root = np.exp(0.5 * ((1 - P) * np.log1p(x * x) + 2 * Q * np.arctan(x) - math.log(2)))
     live = root != 0  # where root underflows, the term is 0 * finite

@@ -1,8 +1,10 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
-expansion; the forward-mode jet that carries every derivative in the
-library (Griewank and Walther, Evaluating Derivatives, SIAM 2008); and the
-memo over scalar points that jets and node arrays bypass.
+expansion; the evaluator that sums a 2F1 or 1F1 series over a whole node
+array, a block of orders at a time; the forward-mode jet that carries every
+derivative in the library (Griewank and Walther, Evaluating Derivatives,
+SIAM 2008); and the memo over scalar points that jets and node arrays
+bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
@@ -17,6 +19,7 @@ import cmath
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,11 +251,12 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
                        ctrl: SeriesControl | None = None):
     """2F1(-n, b; c; z) as the finite sum over alpha = 0..n.
 
-    Truncates early once terms drop below ctrl.rel_tol relative to the
-    running sum (safe when |n z| stays O(1), as in the scaled-kernel use).
-    z may be an ndarray: the recurrence then runs elementwise (as for
-    hyp1f1) until the terms of every element meet rel_tol, or to the end.
+    Truncates early once a term drops below ctrl.rel_tol of the running sum
+    (safe when |n z| stays O(1), as in the scaled-kernel use).  z may be an
+    ndarray: _array_series then sums the series for every element at once,
+    to the first order at which every element meets rel_tol, or to the end.
     z may be a jet: d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z).
+    A non-finite z raises ValueError.
     """
     if n < 0:
         raise ValueError("terminating order n must be nonnegative")
@@ -263,43 +267,51 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
         ratio = 0.5 if b == 0 and c == 0 else b / c
         slope = -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z.v, ctrl)
         return _Jet(value, slope * z.d, z.tag)
-
-    def ratio(alpha):
-        # t_{alpha+1} = t_alpha num / den z; alpha = n gives 0, which ends the sum
-        if alpha == 0 and b == 0 and c == 0:
-            # joint limit b, c -> 0 with b/c -> 1/2 (weight p -> 0 at q = 0)
-            return -0.5 * n, 1.0
-        denom = (c + alpha) * (alpha + 1) if alpha < n else 1.0
-        if denom == 0:
-            raise PoleError(f"2F1 parameter pole: (c)_alpha vanished at alpha={alpha + 1}")
-        return (-n + alpha) * (b + alpha), denom
+    # joint limit b, c -> 0 with b/c -> 1/2 (weight p -> 0 at q = 0): the
+    # first ratio is -n/2 (the scalar loop adds that term without Kahan or test)
+    joint = b == 0 and c == 0
 
     if isinstance(z, np.ndarray):
-        return _kahan_series(ratio, z.astype(complex), ctrl.rel_tol, n + 1)
+        def ratios(alpha):
+            # t_{alpha+1} = t_alpha num / den z; alpha = n, the last order,
+            # gives num = 0, which ends the sum, whatever c + n is
+            num = (alpha - n) * (b + alpha)
+            den = (c + alpha) * (alpha + 1.0)
+            if alpha[-1] == n:
+                den[-1] = 1.0
+            if joint and alpha[0] == 0:
+                num[0], den[0] = -0.5 * n, 1.0
+            return num, den
+        return _array_series(ratios, np.asarray(z, dtype=complex), ctrl.rel_tol, n + 1)
+    _check_finite(z)
+    tol = ctrl.rel_tol
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j
     term = 1.0 + 0.0j
-    for alpha in range(n):
-        num, den = ratio(alpha)
-        term = term * (num / den) * z
-        if alpha == 0 and b == 0 and c == 0:  # the joint limit's first term
-            total += term
-            continue
+    if joint and n:
+        term = -0.5 * n * z
+        total += term
+    for alpha in range(1 if joint else 0, n):
+        den = (c + alpha) * (alpha + 1)
+        if den == 0:
+            raise PoleError(f"2F1 parameter pole: (c)_alpha vanished at alpha={alpha + 1}")
+        term = term * ((-n + alpha) * (b + alpha) / den) * z
         y = term - comp  # Kahan summation
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < ctrl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) < tol * abs(total) + _TINY:
             break
     return total
 
 
 def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
-    """Kummer 1F1(a; c; z) by its power series with Kahan summation.
+    """Kummer 1F1(a; c; z) by its power series (Kahan-summed for a scalar z).
 
-    z may be an ndarray: the same recurrence then runs elementwise until
-    the terms of every element meet rel_tol.  z may be a jet:
-    d/dz 1F1(a; c; z) = (a/c) 1F1(a+1; c+1; z).
+    z may be an ndarray: _array_series then sums the series for every
+    element at once, to the first order at which every element meets
+    rel_tol.  z may be a jet: d/dz 1F1(a; c; z) = (a/c) 1F1(a+1; c+1; z).
+    A non-finite z raises ValueError.
     """
     if isinstance(z, _Jet):
         value = hyp1f1(a, c, z.v, ctrl)  # raises at a pole first
@@ -308,14 +320,17 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
         return _Jet(value, ratio * hyp1f1(a + 1, c + 1, z.v, ctrl) * z.d, z.tag)
     if c == 0 and a == 0:
         # joint limit a, c -> 0 with a/c -> 1/2: 1 + (e^z - 1)/2
+        _check_finite(z)
         out = 1 + (np.exp(z) - 1) / 2
         return out if isinstance(z, np.ndarray) else complex(out)
     if _is_nonpositive_integer(c):
         raise PoleError(f"1F1 lower parameter pole at c={c}")
     ctrl = ctrl or DEFAULT_CONTROL
     if isinstance(z, np.ndarray):
-        return _kahan_series(lambda k: (a + k, (c + k) * (k + 1)), z.astype(complex),
-                             ctrl.rel_tol, ctrl.max_terms)
+        return _array_series(lambda k: (a + k, (c + k) * (k + 1)),
+                             np.asarray(z, dtype=complex), ctrl.rel_tol, ctrl.max_terms)
+    _check_finite(z)
+    tol = ctrl.rel_tol
     total = 1.0 + 0.0j
     comp = 0.0 + 0.0j
     term = 1.0 + 0.0j
@@ -325,32 +340,92 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < ctrl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) < tol * abs(total) + _TINY:
             return total
     raise NonConvergenceError(
         f"1F1 series did not converge in {ctrl.max_terms} terms "
         f"(last |term|={abs(term):.3e})")
 
 
-def _kahan_series(ratio, z: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """Elementwise Kahan sum of the series t_0 = 1, t_{k+1} = t_k num / den z
-    with (num, den) = ratio(k), until the terms of every element are below
-    rel_tol of its running sum."""
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
-    term = np.ones_like(z)
-    for k in range(max_terms):
-        num, den = ratio(k)
-        term = term * num / den * z
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if (np.abs(term) < rel_tol * np.maximum(np.abs(total), 1e-300)).all():
-            return total
+# the stopping rule of every series: |term| < rel_tol |running sum| + _TINY,
+# where _TINY (1e-15 of 1e-300) stops a series whose sum is 0 or nearly so
+_TINY = 1e-315
+# _array_series forms the ratios of 32 orders at a time (a typical series
+# needs one or two such blocks), and the steps of as many orders as fit in
+# 4096 complex values: 64 kB stay in cache and below the size from which the
+# allocator maps fresh pages for every array
+_BLOCK = 32
+_CHUNK = 4096
+
+
+def _check_finite(z) -> None:
+    if not (np.isfinite(z).all() if isinstance(z, np.ndarray) else cmath.isfinite(z)):
+        raise ValueError("series argument z must be finite")
+
+
+def _array_series(ratios, z: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
+    """Sum of the series t_0 = 1, t_{k+1} = t_k num_k / den_k z for every
+    element of z, to the first order k < max_terms at which every element has
+    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar loops' rule).
+
+    ratios(ks) gives (num, den) over an array of _BLOCK orders at a time.
+    The steps num/den z of up to _CHUNK // z.size orders form one array;
+    each order then costs two in-place array operations, the term times its
+    step and the sum plus the term, so no term past the stop is computed.
+    (numpy's complex cumprod and cumsum cost about six times an in-place
+    product per element.)  Every element meets the rule only where the probe
+    element does, so only there is the whole array tested; the worst
+    element of a failed test becomes the probe.  A zero num ends the sum,
+    as every later term is 0; a zero den reached first raises PoleError.  A
+    non-finite z raises ValueError, a non-finite sum NonConvergenceError.
+    """
+    if not z.size:
+        return np.ones_like(z)
+    flat = np.ascontiguousarray(z).reshape(-1)
+    parts = np.abs(flat.view(float))  # |Re z|, |Im z| of each element
+    top = int(np.argmax(parts))  # a NaN if there is one, else the largest part
+    if not math.isfinite(parts[top]):
+        raise ValueError("series argument z must be finite")
+    probe = top // 2  # |z| near the largest: its terms fall below rel_tol late
+    total = np.ones_like(flat)
+    term = total.copy()
+    rows = max(1, _CHUNK // flat.size)
+    # overflow and NaN up to the stop are reported by _finite; steps past the
+    # stop are never used
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, max_terms, _BLOCK):
+            num, den = ratios(np.arange(start, min(start + _BLOCK, max_terms), dtype=float))
+            cut = np.flatnonzero((den == 0) | (num == 0))
+            width = cut[0] if cut.size else len(num)
+            ratio = num[:width] / den[:width]
+            for lo in range(0, width, rows):
+                for step in ratio[lo:lo + rows, None] * flat:
+                    term *= step
+                    total += term
+                    if abs(term[probe]) < rel_tol * abs(total[probe]) + _TINY:
+                        excess = np.abs(term) - (rel_tol * np.abs(total) + _TINY)
+                        probe = int(np.argmax(excess))
+                        if excess[probe] < 0:
+                            return _finite(total).reshape(z.shape)
+            if cut.size and den[width] != 0:
+                return _finite(total).reshape(z.shape)
+            if cut.size:
+                raise PoleError(f"series parameter pole: a denominator vanished at "
+                                f"order {start + width + 1}")
+    _finite(total)
     raise NonConvergenceError(
         f"series did not converge in {max_terms} terms "
         f"(largest last |term|={np.max(np.abs(term)):.3e})")
+
+
+def _finite(total: np.ndarray) -> np.ndarray:
+    """total, unless a term or sum overflowed on the way: then the
+    RuntimeWarning that the series' errstate held back, and
+    NonConvergenceError, as a non-finite sum never meets the stopping rule."""
+    if not np.isfinite(total.view(float)).all():
+        warnings.warn("series terms or sums overflowed", RuntimeWarning)
+        raise NonConvergenceError("series terms or sums overflowed")
+    return total
 
 
 def gamma_ratio_expansion(z: complex, a: complex, b: complex, order: int) -> complex:

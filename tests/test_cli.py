@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from specsing.cli import RunConfig, emit, load_report, main, run
+from specsing import density
+from specsing.cli import RunConfig, _floats, _ints, emit, load_report, main, run
 
 
 def _cfg(tmp_path, **kw):
@@ -92,6 +93,22 @@ class TestCommands:
                    n_list=[100, 200], grid_x=[1.3])
         assert run(cfg) == 0
 
+    def test_morris_check(self, tmp_path, monkeypatch):
+        # a quadrature 1e-9 off the closed form stands in for the N = 3
+        # tensor rule (seconds per case): exit 0 under the default 1e-6
+        # tolerance, 3 under a 1e-10 one
+        monkeypatch.setattr(density, "morris_quadrature",
+                            lambda m: density.morris_closed(m) * (1 + 1e-9))
+        cfg = _cfg(tmp_path, command="morris-check")
+        assert run(cfg) == 0
+        rep = load_report(cfg.out)
+        assert rep["columns"] == ["N", "lambda", "a", "b", "closed_re", "closed_im",
+                                  "quad_re", "quad_im", "rel_err"]
+        assert len(rep["rows"]) == 27  # N in 1..3, 3 lambdas, 3 (a, b) pairs
+        assert rep["max_rel_err"] == pytest.approx(1e-9, rel=1e-6)
+        assert run(_cfg(tmp_path, command="morris-check",
+                        tolerances={"morris": 1e-10})) == 3
+
 
 class TestEmission:
     REPORT = {"command": "demo", "columns": ["a", "b_re", "b_im"],
@@ -138,6 +155,11 @@ class TestMain:
 
     def test_missing_command(self):
         assert main([]) == 1
+
+    def test_list_parsers_skip_blank_tokens(self):
+        assert _floats("1.5, ,2,  ") == [1.5, 2.0]
+        assert _ints(" 3 ,, 40,") == [3, 40]
+        assert _floats("") == [] and _ints(" , ") == []
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

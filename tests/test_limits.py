@@ -1,5 +1,6 @@
 """Scaled-limit kernels, confluent blocks, correction terms, and the
 derivative identity, validated against the finite-N machinery."""
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.special import jv
 from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       a_confluent, c_tilde, derivative_identity_residual,
                       j_blocks, k_limit, kernel_expansion, kernel_s1_scaled,
-                      kernel_s2_scaled, kernel_s4_scaled, kernel_scaled, l1, l2)
+                      kernel_s2_scaled, kernel_s4_scaled, kernel_scaled, l1, l2,
+                      limits)
 from specsing.limits import _A, _jo, _js, j_symp_raw
 from specsing.polynomials import rr_scaled_raw
 
@@ -96,6 +98,27 @@ class TestJBlocks:
         # (p,k) = (1,0) at X = Y = 0: (1*3*(6-1-0-1))/6 = 2
         b = j_blocks(0, 1.0, 0.0, 0.0, 0.0)
         assert b["Q2"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_l1_needs_orders_zero_and_one(self, beta, monkeypatch):
+        # l1 builds J0 and J1 without C2: it evaluates no A_j with j >= 3
+        # and gives the same bits as the bracket taken from j_blocks (the
+        # diagonal point runs the jet branch)
+        params = EnsembleParams(beta, 100, 1.5, 0.7)
+        points = [(2.0, 0.9), (0.7, 1.6), (1.3, 1.3)]
+        orders = []
+        A = limits._A
+        monkeypatch.setattr(limits, "_A",
+                            lambda pk, q, j, X: orders.append(j) or A(pk, q, j, X))
+        values = [l1(beta, X, Y, params) for X, Y in points]
+        assert max(orders) == 2
+
+        def full_bracket(p, q, X, Y, k):
+            b = j_blocks(k, p, q, X, Y)
+            return b["J1"] + b["Q1"] * b["J0"]
+        monkeypatch.setattr(limits, "_l1_2",
+                            functools.partial(limits._over_diff, full_bracket))
+        assert [l1(beta, X, Y, params) for X, Y in points] == values
 
 
 class TestLimitKernels:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from specsing import (CauchyWeightParams, EnsembleParams, cayley_to_circle,
+from specsing import (CauchyWeightParams, EnsembleParams, PoleError, cayley_to_circle,
                       circle_to_cayley, orthogonality_check, rr_norm, rr_poly,
                       rr_scaled, scaled_point_map, weight_cauchy,
                       weight_circle_scaled)
@@ -35,6 +35,12 @@ class TestEnsembleParams:
     def test_weight_params_integrable(self):
         with pytest.raises(ValueError):
             CauchyWeightParams(complex(-0.3, 1.0))
+
+    @pytest.mark.parametrize("beta,P", [(1, 7.3), (2, 7.3), (4, 14.6)])
+    def test_cauchy_weight_from_ensemble(self, beta, P):
+        # c = -P + iQ from the ensemble's (P, Q): N + p or 2N + 2p, and 2q at beta = 1
+        w = CauchyWeightParams.from_ensemble(EnsembleParams(beta, 6, 1.3, 0.4))
+        assert w.P == pytest.approx(P) and w.Q == pytest.approx(0.8 if beta == 1 else 0.4)
 
 
 class TestMaps:
@@ -93,6 +99,14 @@ class TestRRPoly:
 
     def test_degree_zero(self):
         assert rr_poly(0, complex(-8, 0.3), 1.7) == 1
+
+    @pytest.mark.parametrize("c", [complex(-3, 0), complex(-1, 0)])
+    def test_poles(self, c):
+        # c = -3: the prefactor's (c + cbar + n + 1)_n = (0)_5 vanishes;
+        # c = -1: the series' (c + 1)_alpha vanishes at alpha = 1
+        for x in (0.3, np.array([0.3, -2.0])):
+            with pytest.raises(PoleError):
+                rr_poly(5, c, x)
 
 
 class TestOrthogonality:

@@ -1,6 +1,7 @@
 """Special-function primitives: log-gamma, Pochhammer, 2F1/1F1 series,
 gamma-ratio expansion, and the confluent-limit rate."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,10 +151,10 @@ class TestHyp2f1Array:
 
     @pytest.mark.parametrize("n,b,c", [(7, 2 + 1j, 3.0), (12, 3.5 - 1.4j, 7.0),
                                        (40, 1.3 + 0.4j, 2.6), (50, 0.5 - 0.7j, 1.0),
-                                       (9, 0.0, 0.0)])
+                                       (9, 0.0, 0.0), (9, 0, 0)])
     def test_matches_scalar(self, n, b, c):
         # z = 1 - e^{2iu} as in the scaled kernels, plus real points; (9, 0, 0)
-        # is the joint limit b, c -> 0
+        # is the joint limit b, c -> 0, also with integer parameters
         z = np.concatenate([1 - np.exp(2j * np.linspace(0.0, 3.1, 33)),
                             np.linspace(-0.5, 0.9, 4)])
         vals = hyp2f1_terminating(n, b, c, z)
@@ -165,6 +166,25 @@ class TestHyp2f1Array:
     def test_parameter_pole(self):
         with pytest.raises(PoleError):
             hyp2f1_terminating(5, 1.0, -2.0, np.array([0.5, 0.1]))
+
+    def test_pole_past_the_stop(self):
+        # (c)_alpha vanishes at alpha = 3, but the sum stops at alpha = 1
+        # (|t_1| = 2.5e-20), as the scalar loop does, without raising
+        z = np.array([1e-20])
+        assert hyp2f1_terminating(5, 1.0, -2.0, z)[0] == hyp2f1_terminating(5, 1.0, -2.0, 1e-20)
+
+    def test_terms_that_dip_then_grow(self):
+        # b + 3 = 1e-56i makes t_4 fall below rel_tol of the sum; the later
+        # terms would grow by ~1e40 per order and overflow within the first
+        # 32 orders, past the stop: no RuntimeWarning
+        b, z = -3 + 1e-56j, np.array([1e40, -2e40, 3e40j])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vals = hyp2f1_terminating(40, b, 2.0, z)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        for x, v in zip(z, vals):
+            ref = hyp2f1_terminating(40, b, 2.0, complex(x))
+            assert abs(v - ref) <= 4e-15 * abs(ref)
 
 
 class TestHyp1f1:
@@ -221,6 +241,31 @@ class TestHyp1f1Array:
             ref = hyp1f1(a, c, complex(x))
             assert abs(v - ref) <= 4e-15 * self._abs_term_sum(a, c, x)
 
+    def test_whole_array_meets_the_rule(self):
+        # e^z at rel_tol 1e-6: z = 10, the largest |z|, meets the rule near
+        # order 30, but z = -9, whose sum cancels to 1.2e-4, only near order
+        # 42; stopping at 30 would leave it 40% off
+        ctrl = SeriesControl(rel_tol=1e-6)
+        val = hyp1f1(1.0, 1.0, np.array([10.0, -9.0]), ctrl)[1]
+        ref = hyp1f1(1.0, 1.0, -9.0, ctrl)
+        assert abs(val - ref) <= 1e-7 * abs(ref)
+
+    def test_overflow_raises(self):
+        # the terms at z = 800 overflow before any stop: a RuntimeWarning,
+        # then NonConvergenceError
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NonConvergenceError):
+                hyp1f1(1.0, 1.0, np.array([1.0, 800.0]))
+
+    def test_strided_two_dimensional(self):
+        # a non-contiguous view keeps its shape and gives the scalar values
+        z = (2j * np.linspace(0.0, 6.0, 24)).reshape(4, 6)[:, ::2]
+        vals = hyp1f1(1.5 - 0.7j, 3.0, z)
+        assert vals.shape == (4, 3)
+        for x, v in zip(z.ravel(), vals.ravel()):
+            ref = hyp1f1(1.5 - 0.7j, 3.0, complex(x))
+            assert abs(v - ref) <= 4e-15 * self._abs_term_sum(1.5 - 0.7j, 3.0, x)
+
     def test_circular_limit(self):
         z = 1j * np.linspace(0.0, 3.0, 5)
         ref = np.array([hyp1f1(0.0, 0.0, complex(x)) for x in z])
@@ -230,6 +275,36 @@ class TestHyp1f1Array:
         with pytest.raises(NonConvergenceError):
             hyp1f1(1.0, 2.0, np.array([0.1, 60.0]),
                    SeriesControl(rel_tol=1e-15, max_terms=12))
+
+    def test_term_budget_off_the_block_size(self):
+        # 1F1(1; 2; z) = (e^z - 1)/z needs 39 terms at z = 8, scalar or array;
+        # 38 and 39 are not multiples of the 32-order blocks
+        z = np.array([8.0, 3.0])
+        with pytest.raises(NonConvergenceError):
+            hyp1f1(1.0, 2.0, z, SeriesControl(max_terms=38))
+        with pytest.raises(NonConvergenceError):
+            hyp1f1(1.0, 2.0, 8.0, SeriesControl(max_terms=38))
+        vals = hyp1f1(1.0, 2.0, z, SeriesControl(max_terms=39))
+        assert np.all(np.abs(vals - np.expm1(z) / z) <= 1e-14 * np.expm1(z) / z)
+
+
+class TestNonFiniteArgument:
+    """A NaN or infinite z raises ValueError before any term is summed."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_hyp2f1(self, bad):
+        with pytest.raises(ValueError):
+            hyp2f1_terminating(5, 1.0, 2.0, bad)
+        with pytest.raises(ValueError):
+            hyp2f1_terminating(5, 1.0, 2.0, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_hyp1f1(self, bad):
+        for a, c in ((1.5 - 0.7j, 3.0), (0.0, 0.0)):
+            with pytest.raises(ValueError):
+                hyp1f1(a, c, bad)
+            with pytest.raises(ValueError):
+                hyp1f1(a, c, np.array([0.5j, bad]))
 
 
 class TestGammaRatioExpansion:
