@@ -24,21 +24,11 @@ import numpy as np
 
 from .jack import _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
-from .quadrature import sector_integrate_adaptive, tanh_sinh_adaptive
+from .quadrature import (_sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive,
+                         tanh_sinh_adaptive)
 from .series import NonConvergenceError, log_gamma
 
-_REALITY_TOL = 1e-8
-
-
-def _reality_tol(beta: int, path: str) -> float:
-    """Relative imaginary residue the densities accept.
-
-    The beta = 4 integral path's Pfaffian entries are 2-D integrals with
-    endpoint exponent p - 3/2: their error, and with it the residue, is ~1e-6
-    at p = 1 and grows toward p = 1/2 (1e-4..1e-3 at p = 0.8, which 1e-5
-    rejects); from p = 1.5 on it is below 1e-8.
-    """
-    return 1e-5 if (path == "integral" and beta == 4) else _REALITY_TOL
+_REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,7 @@ def morris_closed(m: MorrisParams) -> complex:
     return complex(np.exp(_log_morris(m)))
 
 
-def morris_quadrature(m: MorrisParams, level: int = 3, max_level: int = 5) -> complex:
+def morris_quadrature(m: MorrisParams) -> complex:
     """Direct N-fold quadrature of the Morris integral on [-1/2, 1/2]^N.
 
     Ordered-sector iterated tanh-sinh rule (the |diff|^{2 lam} interaction is
@@ -108,18 +98,17 @@ def morris_quadrature(m: MorrisParams, level: int = 3, max_level: int = 5) -> co
                 total = total * diff ** (2 * lam)
         return total
 
-    val, _err = sector_integrate_adaptive(integrand, m.N, -0.5, 0.5,
-                                          start_level=level, max_level=max_level,
-                                          rtol=1e-7)
-    return val
+    return sector_integrate_adaptive(integrand, m.N, -0.5, 0.5,
+                                     start_level=3, max_level=5, rtol=1e-7)[0]
 
 
 # --- beta-dimensional integral representations --------------------------------
 
-# h of the moment sum_j h(t_j) in _b_integral, by name (None: no moment)
-_MOMENTS = {"one": None, "exp1": lambda t: np.exp(1j * t),
-            "exp2": lambda t: np.exp(2j * t),
-            "inv1p": lambda t: 1.0 / (1 + np.exp(1j * t))}
+# h(t, |1 + e^{it}|) of the moment sum_j h(t_j) in _b_integral, by name
+# (None: no moment); 1/(1 + e^{it}) = e^{-it/2} / (2 cos(t/2))
+_MOMENTS = {"one": None, "exp1": lambda t, _two_cos: np.exp(1j * t),
+            "exp2": lambda t, _two_cos: np.exp(2j * t),
+            "inv1p": lambda t, two_cos: np.exp(-0.5j * t) / two_cos}
 
 def _ensure_integrable(params: EnsembleParams):
     beta, p = params.beta, params.p
@@ -151,8 +140,7 @@ def _andreief_moments(g, h) -> np.ndarray:
     return tanh_sinh_adaptive(terms, 0.0, math.pi)
 
 
-def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
-                start_level: int = 4, max_level: int = 6):
+def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
     """Raw beta-dimensional integral over (-pi, pi)^beta:
 
         int prod_j g(t_j) [moment] prod_{j<k} |e^{i t_k} - e^{i t_j}|^{4/beta} dt,
@@ -165,16 +153,19 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
     2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
     2 (2 G_0 H_0 - G_1 H_-1 - G_-1 H_1) with a moment, where G_m and H_m are
-    the 1-D moments of g and g h (_andreief_moments; start_level and
-    max_level do not apply).
+    the 1-D moments of g and g h (_andreief_moments).
     beta = 4: on the ordered sector |Delta| = -prod_j e^{-3i t_j/2} det[e^{i m t_j}],
     so the integral is -24 Pf(A) by de Bruijn's identity, with
     A_lm = int int_{x<y} (phi_l(x) phi_m(y) - phi_m(x) phi_l(y)) and
-    phi_m(t) = g(t) e^{i(m-3/2)t}: six two-dimensional sector integrals.  A
-    moment is the first-order term of the same Pfaffian with g -> g(1 + eps h),
-    whose entries carry the factor h(x) + h(y).  NonConvergenceError is
-    raised when the last two levels of an entry differ by more than 1e-5
-    relative.
+    phi_m(t) = g(t) e^{i(m-3/2)t}.  The phi_m are analytic for Re t in
+    (-pi, pi), Im t >= 0 (power_factor must be too) and smaller there, so the
+    entries, which cancel far less off the real axis, are taken along
+    t = s + i (1 + cos s).  On the tanh-sinh nodes of one level,
+    s = +-pi (1 - dist), 2 cos(t/2) = 2 sin((pi dist -+ i (1 + cos s))/2), and
+    with F the 4 x n matrix of the weighted phi_m(t) dt/ds, A = F S F^T
+    (_sinc_matrix).  A moment is the first-order term of the same Pfaffian
+    with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T, F_h = F h.  Levels 6
+    and 7 must agree to 1e-8 relative; otherwise NonConvergenceError is raised.
     """
     beta = params.beta
     td = DensityTilde.from_ensemble(params)
@@ -189,55 +180,41 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     h = _MOMENTS[moment]
 
     def g(t, two_cos):
-        # two_cos = |2 cos(t/2)| = |1 + e^{it}|
+        # two_cos = 2 cos(t/2), which is |1 + e^{it}| for real t
         return np.exp(1j * d / 2 * t + ab * np.log(two_cos)) * power_factor(t)
 
     if beta == 2:
-        if moment == "inv1p":
-            def h2(t, two_cos):
-                # 1/(1 + e^{it}) = e^{-it/2} / (2 cos(t/2)), cos(t/2) >= 0 on (-pi, pi)
-                return np.exp(-0.5j * t) / two_cos
-        else:
-            h2 = None if h is None else (lambda t, _two_cos: h(t))
-        mom = _andreief_moments(g, h2)
+        mom = _andreief_moments(g, h)
         G0, G1, Gm1 = mom[:3]
         if h is None:
             return 2 * (G0 * G0 - G1 * Gm1)
         H0, H1, Hm1 = mom[3:]
         return 2 * (2 * G0 * H0 - G1 * Hm1 - Gm1 * H1)
 
-    def sector(integrand, with_moment):
-        def f(ts):
-            x, y = ts
-            val = integrand(x, y)
-            return val * (h(x) + h(y)) if with_moment else val
-        val, err = sector_integrate_adaptive(f, 2, -math.pi, math.pi,
-                                             start_level=start_level,
-                                             max_level=max_level)
-        if err > 1e-5:
-            raise NonConvergenceError(
-                f"sector levels {max_level - 1} and {max_level} differ by {err:.2e} "
-                "relative")
-        return val
+    def pf(M, N):
+        # bilinear, with Pf(A) = pf(A, A) for an antisymmetric 4 x 4 A
+        return M[0, 1] * N[2, 3] - M[0, 2] * N[1, 3] + M[0, 3] * N[1, 2]
 
-    def g4(t):
-        return g(t, 2 * np.abs(np.cos(t / 2)))
+    def pfaffian(level):
+        x, w, dist = _tanh_sinh_raw(level)
+        s = np.copysign(math.pi * (1 - dist), x)
+        y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
+        t = s + 1j * y
+        two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
+        F = (g(t, two_cos) * (math.pi * w * (1 - 1j * np.sin(s)))
+             * np.exp(1j * np.outer(np.arange(4) - 1.5, t)))
+        rows = F if h is None else np.vstack([F, F * h(t, two_cos)])
+        # real S: no complex copy of it; antisymmetric S: F S F_h^T = -(F_h S F^T)^T
+        S = _sinc_matrix(t.size)
+        prod = (rows.real @ S + 1j * (rows.imag @ S)) @ F.T
+        A, X = prod[:4], prod[4:]
+        return pf(A, A) if h is None else pf(A, X - X.T) + pf(X - X.T, A)
 
-    def entries(with_moment):
-        # sector_integrate covers both orderings: halve for the x < y sector
-        return {(l, m): 0.5 * sector(
-            lambda x, y: g4(x) * g4(y) * (np.exp(1j * ((l - 1.5) * x + (m - 1.5) * y))
-                                          - np.exp(1j * ((m - 1.5) * x + (l - 1.5) * y))),
-            with_moment) for l in range(4) for m in range(l + 1, 4)}
-
-    a = entries(False)
-    if h is None:
-        pf = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
-    else:
-        b = entries(True)
-        pf = (b[0, 1] * a[2, 3] + a[0, 1] * b[2, 3] - b[0, 2] * a[1, 3]
-              - a[0, 2] * b[1, 3] + b[0, 3] * a[1, 2] + a[0, 3] * b[1, 2])
-    return -24 * pf
+    coarse, fine = pfaffian(6), pfaffian(7)
+    if not abs(fine - coarse) <= 1e-8 * abs(fine):
+        raise NonConvergenceError(f"Pfaffian levels 6 and 7 differ by "
+                                  f"{abs(fine - coarse):.2e} (value {abs(fine):.2e})")
+    return -24 * fine
 
 
 def i_integral(kind: str, theta: float, params: EnsembleParams,
@@ -332,8 +309,7 @@ def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> floa
     if not np.isfinite(val):
         raise ArithmeticError(f"density is not finite at theta={theta}: {val}")
     scale = max(abs(val), 1e-300)
-    tol = _reality_tol(beta, path)
-    if abs(val.imag) > tol * scale or val.real < -tol * scale:
+    if abs(val.imag) > _REALITY_TOL * scale or val.real < -_REALITY_TOL * scale:
         raise ArithmeticError(
             f"density reality/positivity violated at theta={theta}: {val}")
     return float(val.real)
@@ -383,7 +359,7 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
     if not np.isfinite(val):
         raise ArithmeticError(f"rho_inf is not finite at theta={theta}: {val}")
     scale = max(abs(val), 1e-300)
-    if abs(val.imag) > _reality_tol(beta, path) * scale:
+    if abs(val.imag) > _REALITY_TOL * scale:
         raise ArithmeticError(f"rho_inf reality violated: {val}")
     return float(val.real)
 

@@ -222,7 +222,8 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     root = np.exp(0.5 * ((1 - P) * np.log1p(x * x) + 2 * Q * np.arctan(x) - math.log(2)))
     live = root != 0  # where root underflows, the term is 0 * finite
     x, root = x[live], root[live]
-    vals = (rr_poly(n, c, x) * root) * (rr_poly(m, c, x) * root)
+    left = rr_poly(n, c, x) * root
+    vals = left * (left if n == m else rr_poly(m, c, x) * root)
     integral = np.sum(vals * rule.weights[live])
     hn = rr_norm(n, c)
     target = hn if n == m else 0.0

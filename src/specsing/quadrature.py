@@ -2,10 +2,11 @@
 algebraic singularities and the library's one adaptive 1-D integrator on
 them (levels rise until two agree; each level holds the one below, so only
 its new nodes are evaluated), a Gauss-Jacobi rule for s^expo times a smooth
-function, and an ordered-sector iterated scheme for symmetric
-multidimensional integrands with |diff|-type interior kinks, evaluated in
-chunks of a fixed number of grid points.  The tanh-sinh nodes and weights
-on (-1, 1) are built once per level and kept read-only.
+function, the sinc matrix that gives ordered double integrals on tanh-sinh
+nodes, and an ordered-sector iterated scheme for symmetric multidimensional
+integrands with |diff|-type interior kinks (the Morris oracle).  The
+tanh-sinh nodes and weights on (-1, 1) are built once per level and kept
+read-only, as is the sinc matrix once per size.
 
 The Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub and
 Welsch, Math. Comp. 23 (1969) 221-230), polished by one Newton step on the
@@ -186,6 +187,26 @@ def gauss_jacobi_integrate(h, X: float, expo: float) -> complex:
             f"Gauss-Jacobi rules differ by {err:.2e} on [0, {X}] "
             f"(integral of |integrand| {mass:.2e})")
     return val
+
+
+@lru_cache(maxsize=4)
+def _sinc_matrix(n: int) -> np.ndarray:
+    """S_ij = 2 Si(pi (j - i)) / pi, n x n, antisymmetric and read-only.  For
+    the weighted values u_i, v_i of a rule with a uniform step in its own
+    variable (a tanh-sinh level), int int_{x<y} (u(x) v(y) - v(x) u(y)) is
+    u S v^T by sinc indefinite integration (Stenger, Numerical Methods Based
+    on Sinc and Analytic Functions, 1993); its constant half weight cancels.
+    Si(pi k) sums int_j^{j+1} sin(pi s) / s ds, j < k, by the 20-node rule.
+    """
+    t, _, w = _gauss_jacobi_pair(0.0)
+    t = t[-w.size:]
+    j = np.arange(n - 1)
+    halves = (-1.0) ** j * ((np.sin(math.pi * t) / (j[:, None] + t)) @ w)
+    si = np.concatenate([[0.0], np.cumsum(halves)])  # Si(pi k), k = 0..n-1
+    row = (2 / math.pi) * np.concatenate([-si[:0:-1], si])  # k = 1-n..n-1
+    S = row[np.arange(n - 1, 2 * n - 1) - np.arange(n)[:, None]]  # row[j - i + n - 1]
+    S.flags.writeable = False
+    return S
 
 
 # grid points evaluated at once by sector_integrate; a 2-D rule up to level 6

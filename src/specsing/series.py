@@ -256,7 +256,7 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     ndarray: _array_series then sums the series for every element at once,
     to the first order at which every element meets rel_tol, or to the end.
     z may be a jet: d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z).
-    A non-finite z raises ValueError.
+    A non-finite z raises ValueError, a non-finite sum NonConvergenceError.
     """
     if n < 0:
         raise ValueError("terminating order n must be nonnegative")
@@ -302,6 +302,8 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
         total = t
         if abs(term) < tol * abs(total) + _TINY:
             break
+    if not cmath.isfinite(total):
+        raise NonConvergenceError("2F1 terms or sums overflowed")
     return total
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a specsing module imports is used in it or
-re-exported through its __all__ (a stdlib-ast stand-in for a linter), and
-the package imports nothing beyond numpy."""
+re-exported through its __all__ (a stdlib-ast stand-in for a linter), every
+module-level private name is used somewhere in the package, and the package
+imports nothing beyond numpy."""
 import ast
 import os
 import subprocess
@@ -42,6 +43,54 @@ def test_detects_unused_import(tmp_path):
     src.write_text("import os\nimport math as m\nfrom json import dumps, loads\n"
                    "__all__ = ['loads']\nprint(m.pi)\n")
     assert unused_imports(src) == ["dumps (line 3)", "os (line 1)"]
+
+
+def _defined(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def orphaned_privates(paths) -> list:
+    """Module-level _names (not dunders) that no statement of any of the
+    modules refers to, apart from the statement that defines them."""
+    statements = [(path, node) for path in paths
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    refs = [_referenced(node) for _path, node in statements]
+    out = []
+    for k, (path, node) in enumerate(statements):
+        for name in _defined(node):
+            if name.startswith("_") and not name.startswith("__") and not any(
+                    name in r for j, r in enumerate(refs) if j != k):
+                out.append(f"{path.name}: {name}")
+    return sorted(out)
+
+
+def test_no_orphaned_private_names():
+    assert orphaned_privates(sorted(SRC.glob("*.py"))) == []
+
+
+def test_detects_orphaned_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n_unused = 4\n\n\ndef _recurse(n):\n    return _recurse(n - 1)\n\n\n"
+        "def _helper():\n    return _LIMIT\n")
+    (tmp_path / "b.py").write_text("from a import _helper\n\nprint(_helper())\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert orphaned_privates(paths) == ["a.py: _recurse", "a.py: _unused"]
 
 
 def test_imports_without_scipy():

@@ -8,6 +8,7 @@ from specsing import (CauchyWeightParams, EnsembleParams, PoleError, cayley_to_c
                       circle_to_cayley, orthogonality_check, rr_norm, rr_poly,
                       rr_scaled, scaled_point_map, weight_cauchy,
                       weight_circle_scaled)
+from specsing import polynomials
 from specsing.polynomials import rr_scaled_raw
 from specsing.quadrature import tanh_sinh_rule
 
@@ -116,6 +117,22 @@ class TestOrthogonality:
         for n in range(7):
             for m in range(n, 7):
                 assert orthogonality_check(n, m, pr) < 1e-8
+
+    def test_diagonal_evaluates_once(self, monkeypatch):
+        # n == m needs one polynomial; the residual keeps its bits
+        pr = EnsembleParams(2, 12, 1.5, 0.7)
+        expected = orthogonality_check(4, 4, pr)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return rr_poly(*args)
+
+        monkeypatch.setattr(polynomials, "rr_poly", counted)
+        assert orthogonality_check(4, 4, pr) == expected
+        assert calls == [4]
+        orthogonality_check(3, 5, pr)
+        assert calls == [4, 3, 5]
 
     def test_node_doubling_stable(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)

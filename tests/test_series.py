@@ -133,6 +133,16 @@ class TestHyp2f1Terminating:
             hyp2f1_terminating(5, 1.0, -2.0, 0.5,
                                SeriesControl(rel_tol=1e-30, max_terms=10))
 
+    def test_overflow_raises(self):
+        # the terms pass 1e308 by the 30th order; Python's complex arithmetic
+        # then makes NaN without a warning, so the scalar loop tests its sum
+        # as the array form does
+        with pytest.raises(NonConvergenceError):
+            hyp2f1_terminating(60, 1.5, 2.0, 1e10)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NonConvergenceError):
+                hyp2f1_terminating(60, 1.5, 2.0, np.array([1e10]))
+
 
 class TestHyp2f1Array:
     """An ndarray z runs the terminating recurrence elementwise."""
