@@ -29,6 +29,11 @@ from .quadrature import (_sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive
 from .series import NonConvergenceError, log_gamma
 
 _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
+# the normalization integral counts as 0 below this share of the integral of
+# its modulus.  Where Gamma poles make it vanish (q = 0 with p an integer at
+# beta = 2, 2p at beta = 4) rounding leaves shares of 1e-37..1.3e-32, at
+# most about eps^2; accurate values reach 4e-18 (beta = 4, p = 4.5, q = 0.3)
+_NORM_TOL = 1e-24
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,10 @@ def _ensure_integrable(params: EnsembleParams):
             "(integrable endpoint weight)")
 
 
-def _andreief_moments(g, h) -> np.ndarray:
-    """[G_0, G_1, G_-1] and, when h is given, [H_0, H_1, H_-1], where
-    G_m = int_{-pi}^{pi} g(t) e^{imt} dt and H_m the same with g h.
+def _andreief_moments(g, h, modulus: bool = False) -> np.ndarray:
+    """[G_0, G_1, G_-1], then [H_0, H_1, H_-1] when h is given and the same
+    three of |g| when modulus is set, where G_m = int_{-pi}^{pi} g(t) e^{imt} dt
+    and H_m the same with g h.
 
     One tanh-sinh rule in s = pi - |t| on (0, pi) covers both signs
     t = +-(pi - s); g and h receive t and |2 cos(t/2)| = 2 sin(s/2), which
@@ -134,13 +140,15 @@ def _andreief_moments(g, h) -> np.ndarray:
         two_cos = np.tile(2 * np.sin(s / 2), 2)
         gw = g(t, two_cos) * np.tile(rule.weights, 2)
         rows = [gw] if h is None else [gw, gw * h(t, two_cos)]
+        if modulus:
+            rows.append(np.abs(gw))
         e1 = np.exp(1j * t)
         return np.array([r * e for r in rows for e in (1.0, e1, e1.conj())])
 
     return tanh_sinh_adaptive(terms, 0.0, math.pi)
 
 
-def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
+def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
     """Raw beta-dimensional integral over (-pi, pi)^beta:
 
         int prod_j g(t_j) [moment] prod_{j<k} |e^{i t_k} - e^{i t_j}|^{4/beta} dt,
@@ -149,6 +157,11 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
     where [moment] is sum_j h(t_j) with h = e^{it}, e^{2it} or 1/(1+e^{it}).
     The inv1p moment carries |1 + e^{it}|^{a~+b~-1} and needs
     p + 2/beta - 2 > 0; otherwise ValueError is raised.
+
+    power_factor None stands for 1: the normalization of both integral paths.
+    It is compared with the same integral of |g| (the integral of the modulus
+    of its integrand), and ZeroDivisionError is raised when it is below
+    _NORM_TOL of that: there it is 0 up to rounding.
 
     beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
     2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
@@ -166,6 +179,7 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
     (_sinc_matrix).  A moment is the first-order term of the same Pfaffian
     with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T, F_h = F h.  Levels 6
     and 7 must agree to 1e-8 relative; otherwise NonConvergenceError is raised.
+    |g| is not analytic, so its Pfaffian is taken on the real axis (level 7).
     """
     beta = params.beta
     td = DensityTilde.from_ensemble(params)
@@ -179,15 +193,28 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
             "(integrable endpoint weight)")
     h = _MOMENTS[moment]
 
+    norm = power_factor is None
+
     def g(t, two_cos):
         # two_cos = 2 cos(t/2), which is |1 + e^{it}| for real t
-        return np.exp(1j * d / 2 * t + ab * np.log(two_cos)) * power_factor(t)
+        out = np.exp(1j * d / 2 * t + ab * np.log(two_cos))
+        return out if norm else out * power_factor(t)
+
+    def check(value, modulus):
+        if not abs(value) > _NORM_TOL * abs(modulus):
+            raise ZeroDivisionError(
+                f"normalization integral {abs(value):.2e} is 0 next to the "
+                f"integral of its modulus {abs(modulus):.2e}")
 
     if beta == 2:
-        mom = _andreief_moments(g, h)
+        mom = _andreief_moments(g, h, modulus=norm)
         G0, G1, Gm1 = mom[:3]
         if h is None:
-            return 2 * (G0 * G0 - G1 * Gm1)
+            value = 2 * (G0 * G0 - G1 * Gm1)
+            if norm:
+                A0, A1, Am1 = mom[3:]
+                check(value, 2 * (A0 * A0 - A1 * Am1))
+            return value
         H0, H1, Hm1 = mom[3:]
         return 2 * (2 * G0 * H0 - G1 * Hm1 - Gm1 * H1)
 
@@ -195,14 +222,18 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
         # bilinear, with Pf(A) = pf(A, A) for an antisymmetric 4 x 4 A
         return M[0, 1] * N[2, 3] - M[0, 2] * N[1, 3] + M[0, 3] * N[1, 2]
 
-    def pfaffian(level):
+    def pfaffian(level, modulus=False):
         x, w, dist = _tanh_sinh_raw(level)
         s = np.copysign(math.pi * (1 - dist), x)
-        y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
-        t = s + 1j * y
-        two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
-        F = (g(t, two_cos) * (math.pi * w * (1 - 1j * np.sin(s)))
-             * np.exp(1j * np.outer(np.arange(4) - 1.5, t)))
+        if modulus:
+            t = s
+            F = np.abs(g(s, 2 * np.sin(0.5 * math.pi * dist))) * (math.pi * w)
+        else:
+            y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
+            t = s + 1j * y
+            two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
+            F = g(t, two_cos) * (math.pi * w * (1 - 1j * np.sin(s)))
+        F = F * np.exp(1j * np.outer(np.arange(4) - 1.5, t))
         rows = F if h is None else np.vstack([F, F * h(t, two_cos)])
         # real S: no complex copy of it; antisymmetric S: F S F_h^T = -(F_h S F^T)^T
         S = _sinc_matrix(t.size)
@@ -211,6 +242,8 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one"):
         return pf(A, A) if h is None else pf(A, X - X.T) + pf(X - X.T, A)
 
     coarse, fine = pfaffian(6), pfaffian(7)
+    if norm:
+        check(-24 * fine, -24 * pfaffian(7, modulus=True))
     if not abs(fine - coarse) <= 1e-8 * abs(fine):
         raise NonConvergenceError(f"Pfaffian levels 6 and 7 differ by "
                                   f"{abs(fine - coarse):.2e} (value {abs(fine):.2e})")
@@ -233,9 +266,8 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
             raise ValueError("theta must lie in [0, 2 pi)")
         n = params.size - 1
         w = 1 - np.exp(-1j * theta)
-        raw = _b_integral(params, lambda t: (1 + w * np.exp(1j * t)) ** n)
-        raw0 = _b_integral(params, lambda t: np.ones_like(t))
-        return raw / raw0
+        raw0 = _b_integral(params)
+        return _b_integral(params, lambda t: (1 + w * np.exp(1j * t)) ** n) / raw0
     if kind in ("weighted", "infinity"):
         moment = "one" if kind == "infinity" else f_moment
         if moment not in _MOMENTS:
@@ -292,6 +324,9 @@ def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> floa
     if p == 0:
         return N / (2 * math.pi)  # circular ensemble: exactly uniform
     n = N - 1
+    # weight beta n holds the whole beta x n box, so both series below are
+    # summed exactly; the 3 zero shells past it stay because np.sum groups
+    # by length, and dropping them moves the last bits of most values
     if path == "jack":
         cpar = complex(-n - p - 2 / beta + 2, -2 * q / beta)
         F = hyper_pfq_alpha([complex(-n), complex(p + 1, -2 * q / beta)], [cpar],
@@ -349,9 +384,8 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
         F = np.sum(_limit_shells(theta, params, max_weight))
     elif path == "integral":
         _ensure_integrable(params)
-        raw = i_integral("infinity", theta, params)
-        raw0 = _b_integral(params, lambda t: np.ones_like(t))
-        F = raw / raw0
+        raw0 = _b_integral(params)
+        F = i_integral("infinity", theta, params) / raw0
     else:
         raise ValueError("path must be 'jack' or 'integral'")
     val = c_beta_limit(params) * np.exp(1j * beta * theta / 2) \

@@ -9,6 +9,7 @@ which the principal-specialization product below satisfies identically.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +52,9 @@ class _PartitionTree:
     the slice starts[w]:starts[w + 1], and within a shell the order is
     reverse-lexicographic.  Row 0 is the empty partition.  Every other
     partition is its parent (itself less the last box of its last row) plus
-    the box (row, col), both 0-based."""
+    the box (row, col), both 0-based; row 0 has parent 0 and box (0, 0).
+    `parts`, `row` and `col` are int16 where the weights fit (int64
+    otherwise), `parent` is intp, and all are read-only."""
     parts: np.ndarray
     parent: np.ndarray
     row: np.ndarray
@@ -61,40 +64,64 @@ class _PartitionTree:
 
 @lru_cache(maxsize=16)
 def _partition_tree(m: int, max_weight: int, max_part: int) -> _PartitionTree:
-    """Shell w + 1 holds the children of shell w, parent by parent: first the
-    one with its last row grown by a box, then the one with a new row of one
-    box.  Every partition has exactly one parent, so it appears once, and
-    the children of a reverse-lexicographically larger parent come first."""
+    """Built in m vectorized passes, one per row (0-based).  Pass 0 lists
+    the first parts min(max_part, max_weight), ..., 1, 0; pass r lists below
+    each node k_0..k_{r-1} of pass r - 1 the nodes with k_r = min(k_{r-1},
+    max_weight - k_0 - ... - k_{r-1}), ..., 1, 0.  The nodes of the last pass
+    are the partitions, zero-padded and reverse-lexicographic overall, so a
+    stable sort on the weight alone makes them graded.  The partitions below
+    a node are contiguous and end with that node padded by zeros.  So a
+    partition whose last nonzero part is k_r is the last one below its node
+    of pass r, and its parent is the last one below the next node of that
+    pass (k_r one less): parents are located, not searched for."""
     if m < 1:
         raise ValueError("need m >= 1")
     if max_weight < 0:
         raise ValueError("need max_weight >= 0")
-    P = np.zeros((1, m), dtype=np.int64)
-    L = np.zeros(1, dtype=np.int64)
-    parts, parent, row, col, starts = [P], [np.zeros(1, np.int64)], [L], [L], [0, 1]
-    for _ in range(max_weight):
-        idx = np.arange(len(L))
-        last = P[idx, np.maximum(L - 1, 0)]
-        cap = np.where(L >= 2, P[idx, np.maximum(L - 2, 0)], max_part)
-        grow = (L >= 1) & (last < cap)
-        new = (L < m) & ((L >= 1) | (max_part >= 1))
-        keep = np.stack([grow, new], axis=1).ravel()
-        r = np.stack([L - 1, L], axis=1).ravel()[keep]
-        if not len(r):
-            break
-        P = np.repeat(P, 2, axis=0)[keep]
-        k = np.arange(len(r))
-        P[k, r] += 1
-        parts.append(P)
-        parent.append(np.repeat(idx + starts[-2], 2)[keep])
-        row.append(r)
-        col.append(P[k, r] - 1)
-        starts.append(starts[-1] + len(r))
-        L = r + 1
-    arrays = [np.concatenate(a) for a in (parts, parent, row, col)]
+    # int16 (radix-sorted by argsort) while every part, weight and count fits
+    small = np.int16 if max(m, max_weight) < 2 ** 15 - 1 else np.int64
+    vals = [np.arange(min(max_part, max_weight), -1, -1, dtype=small)]
+    weight, ends = vals[0], []
+    for _ in range(m - 1):
+        cnt = np.minimum(vals[-1], max_weight - weight) + 1
+        end = np.cumsum(cnt)
+        v = (np.repeat(end - 1, cnt) - np.arange(end[-1])).astype(small)
+        weight = np.repeat(weight, cnt) + v
+        vals.append(v)
+        ends.append(end)
+    n = len(weight)
+    # last[r][j]: the last partition below node j of pass r < m - 1
+    last = [None] * (m - 1)
+    for r in range(m - 2, -1, -1):
+        last[r] = ends[r] - 1 if r == m - 2 else last[r + 1][ends[r] - 1]
+    order = np.argsort(weight, kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    # columns: the parts, then the added box's row and col, gathered at once;
+    # padded to a power-of-two width, which np.take copies 4 times faster
+    rows = np.empty((n, 1 << (m + 1).bit_length()), dtype=small)
+    rows[:, m - 1] = vals[-1]
+    rows[:, m] = m - 1
+    rows[:, m + 1] = vals[-1] - 1
+    up = np.empty(n, dtype=np.intp)   # the parent's graded position
+    up[:-1] = pos[1:]
+    # a partition is the last below its nodes of passes r..m-1, r the row of
+    # its last nonzero part, so going down pass r writes it last
+    for r in range(m - 2, -1, -1):
+        j = last[r]
+        rows[:, r] = np.repeat(vals[r], np.diff(j, prepend=-1))
+        up[j[:-1]] = pos[j[1:]]
+        rows[j, m] = r
+        rows[j, m + 1] = vals[r] - 1
+    up[-1] = 0
+    rows[-1, m:] = 0                  # the empty partition
+    rows = np.take(rows, order, axis=0)
+    # row and col contiguous: _box_factors indexes with them at every box
+    arrays = rows[:, :m], up[order], rows[:, m].copy(), rows[:, m + 1].copy()
     for a in arrays:
         a.setflags(write=False)   # shared by every caller through the cache
-    return _PartitionTree(*arrays, tuple(starts))
+    starts = (0,) + tuple(np.cumsum(np.bincount(weight)).tolist())
+    return _PartitionTree(*arrays, starts)
 
 
 @lru_cache(maxsize=64)
@@ -188,10 +215,12 @@ def hyper_pfq_alpha(a_list, b_list, alpha: float, m: int, x: complex,
     NonConvergenceError.  A numerator parameter -n (n a nonnegative integer)
     makes every term with k_1 > n vanish, and those partitions are never
     enumerated.  A zero denominator factor raises ZeroDivisionError unless
-    the numerator of that term vanishes too.
+    the numerator of that term vanishes too.  alpha must be positive and
+    finite and x finite; otherwise ValueError is raised.
 
-    Terminating series (a nonpositive-integer numerator parameter) are summed
-    exactly when max_weight covers the termination range.
+    A terminating series (a numerator -n) whose whole m x n box of
+    partitions fits in max_weight (m n <= max_weight) is summed exactly and
+    returned without the tail test.
     """
     return complex(np.sum(_pfq_shells(a_list, b_list, alpha, m, x, max_weight, rel_tol)))
 
@@ -201,10 +230,13 @@ def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex, max_weight: in
     """hyper_pfq_alpha's series by shells: entry w sums the terms of weight w,
     which is homogeneous of degree w in x.  Raises as hyper_pfq_alpha does."""
     alpha, m = float(alpha), int(m)
-    max_part = max_weight
-    for a in map(complex, a_list):
-        if a.imag == 0 and a.real <= 0 and a.real.is_integer():
-            max_part = min(max_part, int(-a.real))
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be positive and finite")
+    if not cmath.isfinite(x):
+        raise ValueError("series argument x must be finite")
+    orders = [int(-a.real) for a in map(complex, a_list)
+              if a.imag == 0 and a.real <= 0 and a.real.is_integer()]
+    max_part = min([max_weight, *orders])
     tree, ratio = _jack_tree(m, max_weight, alpha, max_part)
     num = _box_factors(a_list, tree, alpha)
     den = _box_factors(b_list, tree, alpha)
@@ -226,6 +258,8 @@ def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex, max_weight: in
     if len(bad):
         raise NonConvergenceError(
             f"pFq^(alpha) shell {bad[0]} is not finite (its terms overflow)")
+    if orders and m * min(orders) <= max_weight:
+        return shells   # every term of the terminating series is summed
     scale = max(abs(np.sum(shells)), 1e-300)
     tail = np.abs(shells[-3:])
     if np.all(tail < rel_tol * scale):
@@ -258,13 +292,11 @@ def duality_ratio_2f1(n: int, b: complex, c: complex, alpha: float, m: int,
     series in t is summed instead; it terminates at weight m n.
     """
     cprime = -n + b + 1 + alpha * (m - 1) - c
-    inv = 1.0 / alpha
+    inv, top = 1.0 / alpha, [complex(-n), b]
+    w = max(max_weight, m * n)   # the whole m x n box: every sum is exact
     try:
-        num = hyper_pfq_alpha([complex(-n), b], [cprime], inv, m, 1 - t,
-                              max_weight=max(max_weight, m * (n + 1)))
-        den = hyper_pfq_alpha([complex(-n), b], [cprime], inv, m, 1.0 + 0.0j,
-                              max_weight=max(max_weight, m * (n + 1)))
+        num = hyper_pfq_alpha(top, [cprime], inv, m, 1 - t, max_weight=w)
+        den = hyper_pfq_alpha(top, [cprime], inv, m, 1.0 + 0.0j, max_weight=w)
     except ZeroDivisionError:
-        return hyper_pfq_alpha([complex(-n), b], [c], inv, m, t,
-                               max_weight=max(max_weight, m * n + 3))
+        return hyper_pfq_alpha(top, [c], inv, m, t, max_weight=w)
     return num / den

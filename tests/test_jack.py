@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from specsing import (NonConvergenceError, Partition, duality_ratio_2f1,
                       gen_pochhammer, hyp2f1_terminating, hyper_pfq_alpha,
                       jack_principal, partitions_up_to, pochhammer)
+from specsing.jack import _partition_tree
 
 
 class TestPartitions:
@@ -46,6 +47,54 @@ class TestPartitions:
 
     def test_conjugate(self):
         assert Partition((3, 1)).conjugate() == (2, 1, 1)
+
+
+def _brute_tree(m, max_weight, max_part):
+    """(parts, parent, row, col, starts) of _partition_tree, from itertools."""
+    top = min(max_part, max_weight)
+    parts = sorted((k for k in itertools.product(range(top + 1), repeat=m)
+                    if sum(k) <= max_weight
+                    and all(k[i] >= k[i + 1] for i in range(m - 1))),
+                   key=lambda k: (sum(k), [-x for x in k]))
+    index = {k: i for i, k in enumerate(parts)}
+    parent, row, col = [0], [0], [0]
+    for k in parts[1:]:
+        r = sum(1 for x in k if x) - 1
+        parent.append(index[k[:r] + (k[r] - 1,) + k[r + 1:]])
+        row.append(r)
+        col.append(k[r] - 1)
+    weights = [sum(k) for k in parts]
+    starts = tuple(weights.index(w) for w in range(weights[-1] + 1)) + (len(parts),)
+    return parts, parent, row, col, starts
+
+
+class TestPartitionTree:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_weight,max_part", [
+        (0, 0), (0, 3), (1, 1), (4, 0), (5, 2), (7, 3), (9, 12), (12, 1),
+        (12, 4), (12, 12), (12, 20), (40000, 3)])
+    def test_matches_brute_force(self, m, max_weight, max_part):
+        # graded, reverse-lexicographic within a shell, each parent the
+        # partition less its last box (row, col); P < W, W < m P and the
+        # whole box m P <= W all occur, and W = 40000 takes int64 parts
+        tree = _partition_tree(m, max_weight, max_part)
+        parts, parent, row, col, starts = _brute_tree(m, max_weight, max_part)
+        assert [tuple(k) for k in tree.parts.tolist()] == parts
+        assert tree.parent.tolist() == parent
+        assert tree.row.tolist() == row
+        assert tree.col.tolist() == col
+        assert tree.starts == starts
+
+    def test_read_only(self):
+        tree = _partition_tree(3, 6, 4)
+        for a in (tree.parts, tree.parent, tree.row, tree.col):
+            assert not a.flags.writeable
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            _partition_tree.__wrapped__(0, 3, 3)
+        with pytest.raises(ValueError):
+            _partition_tree.__wrapped__(2, -1, 3)
 
 
 class TestGenPochhammer:
@@ -108,6 +157,38 @@ class TestHyperPfq:
     def test_truncation_error_raised(self):
         with pytest.raises(NonConvergenceError):
             hyper_pfq_alpha([1.5], [2.5], 1.0, 2, 30.0, max_weight=8)
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_terminating_box_is_exact(self, w):
+        # 1F1(-1; 2; 1/2) = 1 - 1/4: every term lies in the tree from weight 1
+        # on, so no tail test applies
+        assert hyper_pfq_alpha([-1.0], [2.0], 1.0, 1, 0.5, max_weight=w) == 0.75
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_terminating_box_at_its_weight(self, m):
+        # the whole m x 2 box is summed at max_weight = 2 m, where the last
+        # shells are not small
+        a_list, b_list, x = [-2.0, 1.3 - 0.4j], [0.7 + 0.2j], 0.9 - 0.3j
+        val = hyper_pfq_alpha(a_list, b_list, 0.8, m, x, max_weight=2 * m)
+        ref, mass = _reference_pfq(a_list, b_list, 0.8, m, x, 2 * m)
+        assert abs(val - ref) < 1e-14 * mass
+
+    def test_truncated_terminating_series_is_tested(self):
+        # max_weight 0 < m n: the box is cut, so the tail test still raises
+        with pytest.raises(NonConvergenceError):
+            hyper_pfq_alpha([-1.0], [2.0], 1.0, 1, 0.5, max_weight=0)
+        with pytest.raises(NonConvergenceError):
+            hyper_pfq_alpha([-5.0], [2.0], 1.0, 1, 3.0, max_weight=3)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, -0.5, math.inf, math.nan])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            hyper_pfq_alpha([1.5], [2.5], alpha, 2, 0.3)
+
+    @pytest.mark.parametrize("x", [math.inf, complex(math.nan, 0), complex(0.1, -math.inf)])
+    def test_nonfinite_argument(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            hyper_pfq_alpha([1.5], [2.5], 1.0, 2, x)
 
     def test_denominator_pole(self):
         with pytest.raises(ZeroDivisionError):
