@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -34,6 +34,15 @@ _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
 # beta = 2, 2p at beta = 4) rounding leaves shares of 1e-37..1.3e-32, at
 # most about eps^2; accurate values reach 4e-18 (beta = 4, p = 4.5, q = 0.3)
 _NORM_TOL = 1e-24
+# morris_quadrature: the largest relative change of its last level it accepts
+# (the CLI's morris-check tolerance); the cap on the log of its integrand
+# (exp(700) is finite); the smallest distance to an end it uses, and the log
+# below which its integrand is set to 0 (exp is many times slower on results
+# that underflow into subnormals)
+_MORRIS_RTOL = 1e-6
+_LOG_CAP = 700.0
+_TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -84,27 +93,63 @@ def morris_quadrature(m: MorrisParams) -> complex:
     """Direct N-fold quadrature of the Morris integral on [-1/2, 1/2]^N.
 
     Ordered-sector iterated tanh-sinh rule (the |diff|^{2 lam} interaction is
-    smooth inside the sector).  N <= 3 only.
+    smooth inside the sector).  N <= 3 only.  Each point costs one exp (a
+    real one when a = conj(b)) of
+
+        sum_j [i pi d t_j + (a+b) log(2 cos pi t_j)]
+            + 2 lam sum_{i<j} log(2 sin pi (t_j - t_i)),  d = a - b.
+
+    2 cos pi t is 2 sin(pi * distance to the nearer end), and t_j - t_i is a
+    sum of the rule's gaps, or 1 minus it as (t_i + 1/2) + (1/2 - t_j)
+    when that is smaller; so each factor keeps its relative precision at the
+    ends, where it vanishes and Re(a+b) < 0 makes the integrand singular.
+    The distance to an end is floored at the smallest normal double (inner
+    axes place it as a product that can underflow to 0); a zero gap gives
+    log 0 = -inf and the point 0.  The exponent is capped at
+    _LOG_CAP; it binds only for Re(a+b) < 0 at points within about 1e-300
+    of an end, whose weights are smaller still (integrand times weight tends
+    to 0 there for Re(a+b) > -1), so no product overflows.
+
+    Raises ValueError for Re(a+b) <= -1, where the integral diverges, and
+    NonConvergenceError when the last two levels differ by more than 1e-6
+    relative.
     """
     if m.N > 3:
         raise ValueError("morris_quadrature supports N <= 3")
-    a, b, lam = m.a, m.b, m.lam
-    ab = a + b
-    d = a - b
+    ab, d, N = m.a + m.b, m.a - m.b, m.N
+    if ab.real <= -1:
+        raise ValueError(f"the Morris integral diverges for Re(a + b) = {ab.real} <= -1")
+
+    lam2 = 2 * m.lam
+    # the log 2 of the N end and N (N - 1) / 2 pair factors 2 sin(...)
+    log2 = math.log(2) * (N * ab + lam2 * N * (N - 1) / 2)
+
+    def log_sin(x):
+        """log sin(pi x) for x in [0, 1/2], in place of x."""
+        x *= math.pi
+        return np.log(np.sin(x, out=x), out=x)
 
     def integrand(ts):
-        total = None
-        for t in ts:
-            base = np.exp(1j * math.pi * d * t + ab * np.log(2 * np.cos(math.pi * t)))
-            total = base if total is None else total * base
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                diff = np.abs(np.exp(2j * math.pi * ts[j]) - np.exp(2j * math.pi * ts[i]))
-                total = total * diff ** (2 * lam)
-        return total
+        t_sum = sum(ts)
+        with np.errstate(divide="ignore"):
+            ends = sum(log_sin(np.maximum(np.minimum(lo, hi), _TINY))
+                       for lo, hi in zip(ts.to_a, ts.to_b))
+            pairs = sum(log_sin(np.minimum(reduce(np.add, ts.gaps[i:j]), ts.to_a[i] + ts.to_b[j]))
+                        for i in range(N) for j in range(i + 1, N))
+        expo = ab.real * ends + lam2 * pairs - (math.pi * d.imag) * t_sum
+        expo += log2.real
+        np.minimum(expo, _LOG_CAP, out=expo)
+        np.copyto(expo, -np.inf, where=expo < _LOG_TINY)
+        if ab.imag == 0 and d.real == 0:  # a = conj(b): a real integrand
+            return np.exp(expo)
+        return np.exp(expo + 1j * (ab.imag * ends + (math.pi * d.real) * t_sum + log2.imag))
 
-    return sector_integrate_adaptive(integrand, m.N, -0.5, 0.5,
-                                     start_level=3, max_level=5, rtol=1e-7)[0]
+    value, err = sector_integrate_adaptive(integrand, N, -0.5, 0.5,
+                                           start_level=3, max_level=5, rtol=1e-7)
+    if err > _MORRIS_RTOL:
+        raise NonConvergenceError(
+            f"Morris quadrature: last two levels differ by {err:.2e} (relative)")
+    return value
 
 
 # --- beta-dimensional integral representations --------------------------------

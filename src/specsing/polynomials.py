@@ -198,11 +198,15 @@ def rr_norm(n: int, c: complex) -> float:
 @functools.lru_cache(maxsize=1)
 def _circle_rule():
     """The default rule of orthogonality_check, level-11 tanh-sinh on
-    (0, 2 pi): 9441 nodes, mapped once rather than on every call."""
+    (0, 2 pi): 9441 nodes, mapped once rather than on every call, with its
+    x = tan((theta - pi)/2), log(1 + x^2) and arctan(x), all read-only."""
     from .quadrature import tanh_sinh_rule
     rule = tanh_sinh_rule(0.0, 2 * math.pi, level=11)
-    rule.nodes.flags.writeable = rule.weights.flags.writeable = False  # shared
-    return rule
+    x = np.tan((rule.nodes - math.pi) / 2)
+    out = rule, x, np.log1p(x * x), np.arctan(x)
+    for arr in (rule.nodes, rule.weights) + out[1:]:
+        arr.flags.writeable = False  # shared
+    return out
 
 
 def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> float:
@@ -217,9 +221,12 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     """
     P, Q = params.weight_params()
     c = complex(-P, Q)
-    rule = rule or _circle_rule()
-    x = np.tan((rule.nodes - math.pi) / 2)
-    root = np.exp(0.5 * ((1 - P) * np.log1p(x * x) + 2 * Q * np.arctan(x) - math.log(2)))
+    if rule is None:
+        rule, x, log1p_x2, arctan_x = _circle_rule()
+    else:
+        x = np.tan((rule.nodes - math.pi) / 2)
+        log1p_x2, arctan_x = np.log1p(x * x), np.arctan(x)
+    root = np.exp(0.5 * ((1 - P) * log1p_x2 + 2 * Q * arctan_x - math.log(2)))
     live = root != 0  # where root underflows, the term is 0 * finite
     x, root = x[live], root[live]
     left = rr_poly(n, c, x) * root

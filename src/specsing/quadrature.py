@@ -4,9 +4,14 @@ them (levels rise until two agree; each level holds the one below, so only
 its new nodes are evaluated), a Gauss-Jacobi rule for s^expo times a smooth
 function, the sinc matrix that gives ordered double integrals on tanh-sinh
 nodes, and an ordered-sector iterated scheme for symmetric multidimensional
-integrands with |diff|-type interior kinks (the Morris oracle).  The
+integrands with |diff|-type interior kinks (the Morris oracle), whose
+levels are nested the same way: a level evaluates only the grid points with
+at least one new node.  The sector points come with their distances to both
+ends and the gaps between successive axes, free of cancellation.  The
 tanh-sinh nodes and weights on (-1, 1) are built once per level and kept
-read-only, as is the sinc matrix once per size.
+read-only, as are their maps onto each interval the adaptive integrator
+sees (per level, least recently used first out) and the sinc matrix once per
+size.
 
 The Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub and
 Welsch, Math. Comp. 23 (1969) 221-230), polished by one Newton step on the
@@ -82,6 +87,16 @@ def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
     return _on_interval(a, b, *_tanh_sinh_raw(level))
 
 
+@lru_cache(maxsize=128)
+def _level_rule(a: float, b: float, level: int, odd: bool = False) -> QuadratureRule:
+    """_tanh_sinh_raw(level, odd) mapped onto (a, b), built once per interval
+    and level and kept read-only: the callers of tanh_sinh_adaptive integrate
+    over a few intervals many times."""
+    rule = _on_interval(a, b, *_tanh_sinh_raw(level, odd))
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
+
+
 def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     """Integrals over (a, b) on tanh-sinh levels 4, 5, ..., 12.
 
@@ -95,12 +110,15 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     The levels are nested (Bailey, Jeyabalan and Li, Exp. Math. 14 (2005)
     317-329): level L + 1 calls terms only on the nodes level L lacks, and
     its sum is half the sum of level L plus theirs, so terms sees each node
-    once.  sum |terms| is carried the same way.
+    once.  sum |terms| and the summed noise bound are carried the same way.
+    The rules are the read-only _level_rule objects of (a, b).
     """
-    vals = np.asarray(terms(tanh_sinh_rule(a, b, 4)))
+    rules = [_level_rule(a, b, 4)]
+    vals = np.asarray(terms(rules[0]))
     cur, mass = vals.sum(axis=-1), np.abs(vals).sum(axis=-1)
     for level in range(5, 13):
-        vals = np.asarray(terms(_on_interval(a, b, *_tanh_sinh_raw(level, odd=True))))
+        rules.append(_level_rule(a, b, level, odd=True))
+        vals = np.asarray(terms(rules[-1]))
         prev = cur
         cur = 0.5 * prev + vals.sum(axis=-1)
         mass = 0.5 * mass + np.abs(vals).sum(axis=-1)
@@ -108,7 +126,10 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
         if np.all(err <= 1e-13 * mass):
             return cur
     if noise is not None:
-        err = np.maximum(err, np.sum(noise(tanh_sinh_rule(a, b, level)), axis=-1))
+        bound = 0.0
+        for rule in rules:
+            bound = 0.5 * bound + np.sum(noise(rule), axis=-1)
+        err = np.maximum(err, bound)
         if np.all(err <= 1e-6 * np.abs(cur) + 1e-8):
             return cur
     raise NonConvergenceError(
@@ -209,9 +230,68 @@ def _sinc_matrix(n: int) -> np.ndarray:
     return S
 
 
-# grid points evaluated at once by sector_integrate; a 2-D rule up to level 6
-# fits in one chunk
-_CHUNK_POINTS = 2 ** 18
+# grid points evaluated at once by sector_integrate: a 2-D rule up to level 5,
+# or one outer row of a 3-D one, fits in a chunk, whose arrays stay in cache
+_CHUNK_POINTS = 2 ** 16
+
+
+class _SectorPoints(list):
+    """The axis arrays t_1 < ... < t_ndim that sector_integrate passes to
+    fvec, with, per axis, the distances to_a = t_j - a and to_b = b - t_j,
+    and the gaps t_{j+1} - t_j (on the axis of t_{j+1}), all free of
+    cancellation.  Each array gets trailing singleton dims to broadcast."""
+
+    def __init__(self, ts, to_a, to_b, gaps):
+        ndim = len(ts)
+
+        def shaped(arrs):
+            return [t.reshape(t.shape + (1,) * (ndim - t.ndim)) for t in arrs]
+
+        super().__init__(shaped(ts))
+        self.to_a, self.to_b, self.gaps = shaped(to_a), shaped(to_b), shaped(gaps)
+
+
+@lru_cache(maxsize=32)
+def _unit_nodes(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_tanh_sinh_raw(level, odd) on (0, 1), read-only: (u, 1 - u, weights),
+    u and 1 - u each taken from the stable distance to its nearer end."""
+    x, w, dist = _tanh_sinh_raw(level, odd)
+    near, far = 0.5 * dist, 1.0 - 0.5 * dist
+    out = np.where(x >= 0, far, near), np.where(x >= 0, near, far), 0.5 * w
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _sector_sum(fvec, axes, a: float, b: float) -> complex:
+    """sum fvec * weight over the ordered-sector points whose unit node on
+    axis j comes from axes[j], a (u, 1 - u, weights) triple of _unit_nodes.
+
+    Axis 1 maps u onto (a, b); axis j + 1 onto (t_j, b), where the gap is
+    (b - t_j) u and the new b - t is (b - t_j)(1 - u), products of positive
+    numbers.  The outer axis is split into chunks of at most _CHUNK_POINTS
+    grid points, or of one row where a row alone is larger.
+    """
+    ndim = len(axes)
+    inner = math.prod(ax[0].size for ax in axes[1:])
+    chunk = max(1, _CHUNK_POINTS // inner)
+    u1, v1, w1 = axes[0]
+    total = 0.0 + 0.0j
+    for start in range(0, u1.size, chunk):
+        part = slice(start, start + chunk)
+        to_a, to_b = [(b - a) * u1[part]], [(b - a) * v1[part]]
+        ts, gaps, weight = [a + to_a[0]], [], (b - a) * w1[part]
+        for u, v, w in axes[1:]:
+            rest = to_b[-1][..., None]
+            gaps.append(rest * u)
+            ts.append(ts[-1][..., None] + gaps[-1])
+            to_a.append(to_a[-1][..., None] + gaps[-1])
+            to_b.append(rest * v)
+            weight = (weight[..., None] * rest) * w
+
+        points = _SectorPoints(ts, to_a, to_b, gaps)
+        total += complex(np.sum(np.asarray(fvec(points)) * weight))
+    return total
 
 
 def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5) -> complex:
@@ -223,33 +303,13 @@ def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5) -> com
 
     fvec receives a list of ndim arrays that broadcast against one another
     (axis j varies along dimension j) and must return the integrand
-    evaluated elementwise.  The outer axis is split into chunks of at most
-    2^18 grid points; the result depends on the chunking only through
-    rounding.
+    evaluated elementwise.  The list also carries to_a, to_b and gaps
+    (_SectorPoints): t_j - a, b - t_j and t_{j+1} - t_j free of cancellation,
+    for integrands singular where they vanish.  The outer axis is split into
+    chunks of at most 2^16 grid points (or one outer row, where that is more);
+    the result depends on the chunking only through rounding.
     """
-    x, w, dist = _tanh_sinh_raw(level)
-    n = x.size
-    # unit-interval nodes in (0, 1) with stable clustering at both ends
-    u = np.where(x >= 0, 1.0 - 0.5 * dist, 0.5 * dist)
-    uw = 0.5 * w
-    fact = math.factorial(ndim)
-
-    t1_all = a + (b - a) * u
-    w1_all = uw * (b - a)
-    chunk = max(1, _CHUNK_POINTS // n ** (ndim - 1))
-    total = 0.0 + 0.0j
-    for start in range(0, n, chunk):
-        ts = [t1_all[start:start + chunk]]
-        w_cum = w1_all[start:start + chunk]
-        for _ in range(ndim - 1):
-            base = ts[-1]
-            ts.append(base[..., None] + (b - base[..., None]) * u)
-            w_cum = w_cum[..., None] * (uw * (b - base[..., None]))
-        # give each axis array trailing singleton dims so they broadcast
-        args = [t.reshape(t.shape + (1,) * (ndim - 1 - j)) for j, t in enumerate(ts)]
-        vals = np.asarray(fvec(args))
-        total += complex(np.sum(vals * w_cum))
-    return fact * total
+    return math.factorial(ndim) * _sector_sum(fvec, [_unit_nodes(level)] * ndim, a, b)
 
 
 def sector_integrate_adaptive(fvec, ndim: int, a: float, b: float,
@@ -257,11 +317,23 @@ def sector_integrate_adaptive(fvec, ndim: int, a: float, b: float,
                               rtol: float = 1e-8) -> tuple[complex, float]:
     """Escalate sector_integrate levels until two successive levels agree.
 
-    Returns (value, estimated relative error of the last doubling)."""
+    Returns (value, estimated relative error of the last doubling).
+
+    The levels are nested as in tanh_sinh_adaptive: a point of level L + 1
+    lacking from level L has a first axis j whose node is new (odd); the
+    axes before j hold level-L nodes, whose level-(L + 1) weights are half
+    their own, and the axes after j any level-(L + 1) node.  So fvec sees
+    each point of the last level once, and level L + 1 is level L / 2^ndim
+    plus ndim! sum_j 2^-j (block j summed with level-L weights before j).
+    """
+    fact = math.factorial(ndim)
     prev = sector_integrate(fvec, ndim, a, b, level=start_level)
     err = math.inf
     for level in range(start_level + 1, max_level + 1):
-        cur = sector_integrate(fvec, ndim, a, b, level=level)
+        old, new, full = _unit_nodes(level - 1), _unit_nodes(level, odd=True), _unit_nodes(level)
+        blocks = sum(_sector_sum(fvec, [old] * j + [new] + [full] * (ndim - 1 - j), a, b)
+                     / 2 ** j for j in range(ndim))
+        cur = prev / 2 ** ndim + fact * blocks
         err = abs(cur - prev) / max(abs(cur), 1e-300)
         prev = cur
         if err < rtol:

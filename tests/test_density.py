@@ -10,6 +10,7 @@ from specsing import (DensityTilde, EnsembleParams, MorrisParams, NonConvergence
                       density_expansion_check, i_integral, k_limit, kernel_s2, l1,
                       morris_closed, morris_quadrature, rho_finite, rho_limit,
                       tanh_sinh_rule)
+from specsing import density
 from specsing.density import _b_integral, _morris_ratio, c_beta_limit
 from specsing.quadrature import sector_integrate
 from specsing.series import gammaf
@@ -51,6 +52,33 @@ class TestMorris:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             morris_quadrature(MorrisParams(0j, 0j, 1.0, 4))
+
+    @pytest.mark.parametrize("a, lam, N", [(-0.4, 1.0, 1), (-0.45, 1.0, 2), (-0.45, 0.1, 2)])
+    def test_negative_a_plus_b(self, a, lam, N):
+        # (2 cos pi t)^(a+b) is singular at the ends; cos(pi t) there loses
+        # all relative precision, 2 sin(pi * distance to the end) keeps it
+        # (off by 4.5e-4, 2.5e-2 and 3.0e-2 when computed from cos)
+        m = MorrisParams(complex(a), complex(a), lam, N)
+        c = morris_closed(m)
+        assert abs(morris_quadrature(m) - c) < 1e-6 * abs(c)
+
+    @pytest.mark.parametrize("a, b", [(-0.5, -0.5), (-0.7 + 0.2j, -0.4 - 0.5j), (-1.5, 0.2)])
+    def test_divergent_raises(self, a, b):
+        with pytest.raises(ValueError, match="diverges"):
+            morris_quadrature(MorrisParams(complex(a), complex(b), 1.0, 2))
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        # an integrand no level up to 5 resolves: the last two levels differ
+        # by more than 1e-6 relative
+        real = density.sector_integrate_adaptive
+
+        def unresolved(fvec, *args, **kwargs):
+            return real(lambda ts: fvec(ts) * (1 + 1e-2 * np.sin(1e4 * ts[0])),
+                        *args, **kwargs)
+
+        monkeypatch.setattr(density, "sector_integrate_adaptive", unresolved)
+        with pytest.raises(NonConvergenceError, match="Morris quadrature"):
+            morris_quadrature(MorrisParams(1.5 + 0j, 0.7 + 0j, 1.0, 2))
 
 
 class TestIIntegral:

@@ -134,6 +134,18 @@ class TestOrthogonality:
         orthogonality_check(3, 5, pr)
         assert calls == [4, 3, 5]
 
+    def test_default_rule_cached(self):
+        # the default rule's mapped nodes are computed once and read-only;
+        # the residual equals the one from the same rule passed in
+        pr = EnsembleParams(2, 12, 1.5, 0.7)
+        rule = tanh_sinh_rule(0, 2 * math.pi, 11)
+        assert orthogonality_check(2, 4, pr) == orthogonality_check(2, 4, pr, rule)
+        assert orthogonality_check(3, 3, pr) == orthogonality_check(3, 3, pr, rule)
+        cached = polynomials._circle_rule()
+        assert cached is polynomials._circle_rule()
+        for arr in (cached[0].nodes, cached[0].weights) + cached[1:]:
+            assert not arr.flags.writeable
+
     def test_node_doubling_stable(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)
         r1 = orthogonality_check(3, 3, pr, tanh_sinh_rule(0, 2 * math.pi, 9))

@@ -13,8 +13,8 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi, sici
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (_gauss_jacobi_pair, _sinc_matrix, _tanh_sinh_raw,
-                                 gauss_jacobi_integrate, sector_integrate,
+from specsing.quadrature import (_CHUNK_POINTS, _gauss_jacobi_pair, _sinc_matrix,
+                                 _tanh_sinh_raw, gauss_jacobi_integrate, sector_integrate,
                                  sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
 
@@ -102,6 +102,28 @@ class TestTanhSinh:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_level_rules_built_once_per_interval(self):
+        # a second integral over the same interval is handed the same mapped
+        # rules, whose arrays are read-only
+        def run():
+            rules = []
+
+            def terms(rule):
+                rules.append(rule)
+                return np.cos(rule.nodes) * rule.weights
+
+            tanh_sinh_adaptive(terms, 0.25, 1.75)
+            return rules
+
+        first, second = run(), run()
+        assert len(first) == len(second) >= 2
+        assert all(r is s for r, s in zip(first, second))
+        for rule in first:
+            for arr in (rule.nodes, rule.weights):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -203,3 +225,83 @@ class TestSector:
         exact = (math.e - 1) ** 2
         assert abs(val - exact) < 1e-9
         assert err < 1e-8
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("max_level", [4, 5])
+    def test_nested_levels_match_fresh(self, ndim, max_level):
+        # the nested levels give the fresh level's value up to rounding, and
+        # the error estimate compares it with the fresh level below
+        def f(ts):
+            val = np.exp(sum(ts)) + 0j
+            for i in range(ndim):
+                for j in range(i + 1, ndim):
+                    val = val * np.abs(ts[j] - ts[i]) ** 1.3
+            return val
+
+        val, err = sector_integrate_adaptive(f, ndim, 0.0, 1.0, start_level=3,
+                                             max_level=max_level, rtol=0.0)
+        fresh, below = (sector_integrate(f, ndim, 0.0, 1.0, level)
+                        for level in (max_level, max_level - 1))
+        assert abs(val - fresh) <= 1e-13 * abs(fresh)
+        assert abs(err - abs(fresh - below) / abs(fresh)) <= 1e-13
+
+    def test_each_point_evaluated_once(self):
+        # a level-5 run from level 3 calls fvec on the points of the level-5
+        # grid, each once: the two multisets of points are equal.  Points
+        # are told apart by their distances, since near the ends distinct
+        # points round to one t
+        def collect(store):
+            def f(ts):
+                keys = np.broadcast_arrays(ts.to_a[0], ts.to_b[0], ts.gaps[0], ts.to_b[1])
+                store.append(np.stack([k.ravel() for k in keys], axis=1))
+                return np.ones(keys[0].shape, complex)
+            return f
+
+        seen, grid = [], []
+        sector_integrate_adaptive(collect(seen), 2, -0.5, 0.5, start_level=3, max_level=5,
+                                  rtol=0.0)
+        sector_integrate(collect(grid), 2, -0.5, 0.5, level=5)
+        seen, grid = np.concatenate(seen), np.concatenate(grid)
+        n = _tanh_sinh_raw(5)[0].size
+        assert len(seen) == len(grid) == n * n
+        for got, want in zip(np.unique(seen, axis=0, return_counts=True),
+                             np.unique(grid, axis=0, return_counts=True)):
+            assert np.array_equal(got, want)
+
+    def test_blocks_within_chunk_bound(self):
+        sizes = []
+
+        def f(ts):
+            sizes.append(np.broadcast(*ts).size)
+            return np.ones(np.broadcast(*ts).shape, complex)
+
+        val, _ = sector_integrate_adaptive(f, 3, 0.0, 1.0, start_level=3, max_level=5,
+                                           rtol=0.0)
+        assert abs(val - 1.0) < 1e-12
+        n = _tanh_sinh_raw(5)[0].size
+        assert sum(sizes) == n ** 3
+        assert max(sizes) <= _CHUNK_POINTS
+
+    def test_distances_without_cancellation(self):
+        # to_a, to_b and the gaps are t - a, b - t and t_{j+1} - t_j to a few
+        # rounding steps of t, and keep their relative precision next to the
+        # ends, where those differences round to 0
+        got = []
+
+        def f(ts):
+            got.append(ts)
+            return np.ones(np.broadcast(*ts).shape, complex)
+
+        a, b = -0.5, 0.5
+        tol = 4 * np.finfo(float).eps
+        sector_integrate(f, 3, a, b, level=4)
+        for ts in got:
+            for j in range(3):
+                assert np.all(ts.to_a[j] > 0) and np.all(ts.to_b[j] >= 0)
+                assert np.max(np.abs(ts[j] - a - ts.to_a[j])) <= tol
+                assert np.max(np.abs(b - ts[j] - ts.to_b[j])) <= tol
+            for j in range(2):
+                assert np.max(np.abs(ts[j + 1] - ts[j] - ts.gaps[j])) <= tol
+        # the outer axis reaches within 1e-100 of both ends
+        assert min(ts.to_a[0].min() for ts in got) < 1e-100
+        assert min(ts.to_b[0].min() for ts in got) < 1e-100
