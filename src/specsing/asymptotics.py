@@ -131,14 +131,15 @@ _KINDS = ("poc", "weight", "polynomial", "norm", "sine_ratio", "icc",
 
 
 def intermediate_expansion_check(kind: str, N: int, X: float,
-                                 params: EnsembleParams, alpha: int = 3,
-                                 k: int = 2) -> float:
-    """Scaled residual of one intermediate expansion display.
+                                 params: EnsembleParams) -> float:
+    """Scaled residual of one intermediate expansion display, at polynomial
+    shift k = 2 and, for 'poc', Pochhammer order alpha = 3.
 
     Returns N^s |LHS - truncated RHS| with s the next-order power, so the
     result should be bounded (and roughly N-independent) as N grows.
     """
     p, q = params.p, params.q
+    alpha, k = 3, 2
     if kind == "poc":
         # (-N+k)_alpha against its 1/N^2 truncation; next order 1/N^3
         lhs = pochhammer(complex(-N + k), alpha)

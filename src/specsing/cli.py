@@ -46,20 +46,14 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.command.startswith("density") and self.beta % 2:
             raise ValueError("density commands require even beta")
-        if self.beta not in (1, 2, 4) and self.beta % 2:
-            raise ValueError("beta must be 1, 2, 4 or even")
-        if self.p < 0:
-            raise ValueError("p must be > 0 (p = 0 only with q = 0)")
-        if self.p == 0 and self.q != 0:
-            raise ValueError("p = 0 requires q = 0 (circular ensemble limit)")
         if not self.grid_x or (self.command.startswith("kernel") and not self.grid_y):
             raise ValueError("grid must be nonempty")
         if not self.n_list:
             raise ValueError("n-list must be nonempty")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError("n-list entries must be >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        for N in self.n_list:
+            _params(self, N)   # EnsembleParams rejects beta, N, p and q
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, _DEFAULT_TOL[key]))

@@ -22,17 +22,17 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .jack import _pfq_shells, hyper_pfq_alpha
+from .jack import _hyp2f1_unit, _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
 from .quadrature import (_sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive,
                          tanh_sinh_adaptive)
-from .series import NonConvergenceError, log_gamma
+from .series import NonConvergenceError, PoleError, log_gamma
 
 _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
 # the normalization integral counts as 0 below this share of the integral of
-# its modulus.  Where Gamma poles make it vanish (q = 0 with p an integer at
-# beta = 2, 2p at beta = 4) rounding leaves shares of 1e-37..1.3e-32, at
-# most about eps^2; accurate values reach 4e-18 (beta = 4, p = 4.5, q = 0.3)
+# its modulus: the share is 0 at Gamma poles (q = 0 with p an integer at
+# beta = 2, 2p at beta = 4), and reaches 4e-18 away from them (beta = 4,
+# p = 4.5, q = 0.3)
 _NORM_TOL = 1e-24
 # morris_quadrature: the largest relative change of its last level it accepts
 # (the CLI's morris-check tolerance); the cap on the log of its integrand
@@ -170,10 +170,9 @@ def _ensure_integrable(params: EnsembleParams):
             "(integrable endpoint weight)")
 
 
-def _andreief_moments(g, h, modulus: bool = False) -> np.ndarray:
-    """[G_0, G_1, G_-1], then [H_0, H_1, H_-1] when h is given and the same
-    three of |g| when modulus is set, where G_m = int_{-pi}^{pi} g(t) e^{imt} dt
-    and H_m the same with g h.
+def _andreief_moments(g, h) -> np.ndarray:
+    """[G_0, G_1, G_-1], then [H_0, H_1, H_-1] when h is given, where
+    G_m = int_{-pi}^{pi} g(t) e^{imt} dt and H_m the same with g h.
 
     One tanh-sinh rule in s = pi - |t| on (0, pi) covers both signs
     t = +-(pi - s); g and h receive t and |2 cos(t/2)| = 2 sin(s/2), which
@@ -185,12 +184,29 @@ def _andreief_moments(g, h, modulus: bool = False) -> np.ndarray:
         two_cos = np.tile(2 * np.sin(s / 2), 2)
         gw = g(t, two_cos) * np.tile(rule.weights, 2)
         rows = [gw] if h is None else [gw, gw * h(t, two_cos)]
-        if modulus:
-            rows.append(np.abs(gw))
         e1 = np.exp(1j * t)
         return np.array([r * e for r in rows for e in (1.0, e1, e1.conj())])
 
     return tanh_sinh_adaptive(terms, 0.0, math.pi)
+
+
+def _check_normalization(td: DensityTilde, beta: int):
+    """Raise ZeroDivisionError where the normalization integral, (2 pi)^beta
+    M_beta(a~, b~, 2/beta), is below _NORM_TOL of the integral of its modulus,
+    (2 pi)^beta M_beta(a', conj(a'), 2/beta) with a' = (Re(a~+b~) +
+    i Im(a~-b~))/2 (|g| in the Morris form).  A Gamma pole of b~ makes it 0."""
+    ab, d = td.a_tilde + td.b_tilde, td.a_tilde - td.b_tilde
+    a_mod = complex(ab.real, d.imag) / 2
+    lam = 2 / beta
+    log_mod = _log_morris(MorrisParams(a_mod, a_mod.conjugate(), lam, beta)).real
+    try:
+        share = math.exp(_log_morris(MorrisParams(td.a_tilde, td.b_tilde, lam, beta)).real
+                         - log_mod)
+    except PoleError:
+        share = 0.0
+    if not share > _NORM_TOL:
+        raise ZeroDivisionError(f"normalization integral is 0: {share:.2e} of the "
+                                "integral of its modulus")
 
 
 def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
@@ -204,9 +220,8 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
     p + 2/beta - 2 > 0; otherwise ValueError is raised.
 
     power_factor None stands for 1: the normalization of both integral paths.
-    It is compared with the same integral of |g| (the integral of the modulus
-    of its integrand), and ZeroDivisionError is raised when it is below
-    _NORM_TOL of that: there it is 0 up to rounding.
+    Where it vanishes _check_normalization raises; otherwise it is integrated
+    with the numerator's rule, so that their quadrature errors cancel.
 
     beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
     2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
@@ -224,7 +239,6 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
     (_sinc_matrix).  A moment is the first-order term of the same Pfaffian
     with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T, F_h = F h.  Levels 6
     and 7 must agree to 1e-8 relative; otherwise NonConvergenceError is raised.
-    |g| is not analytic, so its Pfaffian is taken on the real axis (level 7).
     """
     beta = params.beta
     td = DensityTilde.from_ensemble(params)
@@ -239,27 +253,19 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
     h = _MOMENTS[moment]
 
     norm = power_factor is None
+    if norm:
+        _check_normalization(td, beta)
 
     def g(t, two_cos):
         # two_cos = 2 cos(t/2), which is |1 + e^{it}| for real t
         out = np.exp(1j * d / 2 * t + ab * np.log(two_cos))
         return out if norm else out * power_factor(t)
 
-    def check(value, modulus):
-        if not abs(value) > _NORM_TOL * abs(modulus):
-            raise ZeroDivisionError(
-                f"normalization integral {abs(value):.2e} is 0 next to the "
-                f"integral of its modulus {abs(modulus):.2e}")
-
     if beta == 2:
-        mom = _andreief_moments(g, h, modulus=norm)
+        mom = _andreief_moments(g, h)
         G0, G1, Gm1 = mom[:3]
         if h is None:
-            value = 2 * (G0 * G0 - G1 * Gm1)
-            if norm:
-                A0, A1, Am1 = mom[3:]
-                check(value, 2 * (A0 * A0 - A1 * Am1))
-            return value
+            return 2 * (G0 * G0 - G1 * Gm1)
         H0, H1, Hm1 = mom[3:]
         return 2 * (2 * G0 * H0 - G1 * Hm1 - Gm1 * H1)
 
@@ -267,17 +273,13 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
         # bilinear, with Pf(A) = pf(A, A) for an antisymmetric 4 x 4 A
         return M[0, 1] * N[2, 3] - M[0, 2] * N[1, 3] + M[0, 3] * N[1, 2]
 
-    def pfaffian(level, modulus=False):
+    def pfaffian(level):
         x, w, dist = _tanh_sinh_raw(level)
         s = np.copysign(math.pi * (1 - dist), x)
-        if modulus:
-            t = s
-            F = np.abs(g(s, 2 * np.sin(0.5 * math.pi * dist))) * (math.pi * w)
-        else:
-            y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
-            t = s + 1j * y
-            two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
-            F = g(t, two_cos) * (math.pi * w * (1 - 1j * np.sin(s)))
+        y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
+        t = s + 1j * y
+        two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
+        F = g(t, two_cos) * (math.pi * w * (1 - 1j * np.sin(s)))
         F = F * np.exp(1j * np.outer(np.arange(4) - 1.5, t))
         rows = F if h is None else np.vstack([F, F * h(t, two_cos)])
         # real S: no complex copy of it; antisymmetric S: F S F_h^T = -(F_h S F^T)^T
@@ -287,8 +289,6 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
         return pf(A, A) if h is None else pf(A, X - X.T) + pf(X - X.T, A)
 
     coarse, fine = pfaffian(6), pfaffian(7)
-    if norm:
-        check(-24 * fine, -24 * pfaffian(7, modulus=True))
     if not abs(fine - coarse) <= 1e-8 * abs(fine):
         raise NonConvergenceError(f"Pfaffian levels 6 and 7 differ by "
                                   f"{abs(fine - coarse):.2e} (value {abs(fine):.2e})")
@@ -360,7 +360,13 @@ def _rho_prefactor(theta: float, params: EnsembleParams) -> complex:
 
 
 def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> float:
-    """Finite-N spectral density rho_{N,beta}(theta), beta even."""
+    """Finite-N spectral density rho_{N,beta}(theta), beta even.
+
+    path 'jack' sums the Jack series F_n.  path 'integral' (beta in {2, 4})
+    takes F_n = I_N(theta) / 2F1^(beta/2)(-n, -b~; 2p+2; 1^beta), -b~ =
+    p+1-2iq/beta, with the denominator in closed form (_hyp2f1_unit): it
+    shares no series with the Jack path.
+    """
     beta, p, q, N = params.beta, params.p, params.q, params.size
     if beta % 2:
         raise ValueError("density requires even beta")
@@ -369,20 +375,14 @@ def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> floa
     if p == 0:
         return N / (2 * math.pi)  # circular ensemble: exactly uniform
     n = N - 1
-    # weight beta n holds the whole beta x n box, so both series below are
-    # summed exactly; the 3 zero shells past it stay because np.sum groups
-    # by length, and dropping them moves the last bits of most values
     if path == "jack":
+        # weight beta n holds the whole beta x n box: the series is summed exactly
         cpar = complex(-n - p - 2 / beta + 2, -2 * q / beta)
         F = hyper_pfq_alpha([complex(-n), complex(p + 1, -2 * q / beta)], [cpar],
-                            beta / 2, beta, np.exp(-1j * theta),
-                            max_weight=beta * n + 3)
+                            beta / 2, beta, np.exp(-1j * theta), max_weight=beta * n)
     elif path == "integral":
-        F_num = i_integral("finite_N", theta, params)
-        td = DensityTilde.from_ensemble(params)
-        F_den = hyper_pfq_alpha([complex(-n), -td.b_tilde], [complex(2 * p + 2)],
-                                beta / 2, beta, 1.0 + 0.0j, max_weight=beta * n + 3)
-        F = F_num / F_den
+        F = i_integral("finite_N", theta, params) / _hyp2f1_unit(
+            n, complex(p + 1, -2 * q / beta), complex(2 * p + 2), beta / 2, beta)
     else:
         raise ValueError("path must be 'jack' or 'integral'")
     val = _rho_prefactor(theta, params) * F
@@ -412,7 +412,7 @@ def _limit_shells(theta: float, params: EnsembleParams,
     -i theta 1_beta); shell w is homogeneous of degree w in theta."""
     beta, p, q = params.beta, params.p, params.q
     return _pfq_shells([complex(p + 1, -2 * q / beta)], [complex(2 * p + 2)],
-                       beta / 2, beta, -1j * theta, max_weight, 1e-14)
+                       beta / 2, beta, -1j * theta, max_weight)
 
 
 def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",

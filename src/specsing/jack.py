@@ -141,6 +141,14 @@ def gen_pochhammer(a: complex, k: Partition, alpha: float) -> complex:
     return out
 
 
+def _hyp2f1_unit(n: int, b: complex, c: complex, alpha: float, m: int) -> complex:
+    """2F1^(alpha)(-n, b; c; 1^m) = [c - b]_(n^m) / [c]_(n^m) (Kaneko, SIAM J.
+    Math. Anal. 24 (1993) 1086-1110), as a product of per-box ratios, which
+    cannot overflow where the ratio does not.  ZeroDivisionError at [c] = 0."""
+    return math.prod(((c - b + k - j / alpha) / (c + k - j / alpha)
+                      for j in range(m) for k in range(n)), start=1 + 0j)
+
+
 @lru_cache(maxsize=200000)
 def _jack_one_cached(parts: tuple, alpha: float, m: int) -> float:
     kc = Partition(parts).conjugate()
@@ -204,9 +212,10 @@ def _box_factors(params, tree: _PartitionTree, alpha: float) -> np.ndarray:
 
 
 def hyper_pfq_alpha(a_list, b_list, alpha: float, m: int, x: complex,
-                    max_weight: int = 40, rel_tol: float = 1e-14) -> complex:
+                    max_weight: int = 40) -> complex:
     """pFq^(alpha)(a_1..a_p; b_1..b_q; x 1_m), summed shell-by-shell in the
-    partition weight with a three-shell geometric tail test.
+    partition weight with a three-shell geometric tail test (each below 1e-14
+    of the sum).
 
     Each term is its parent's times x J(k)/J(parent) prod_a (a + c) /
     prod_b (b + c), c the alpha-content (j-1) - (i-1)/alpha of the added box
@@ -222,11 +231,11 @@ def hyper_pfq_alpha(a_list, b_list, alpha: float, m: int, x: complex,
     partitions fits in max_weight (m n <= max_weight) is summed exactly and
     returned without the tail test.
     """
-    return complex(np.sum(_pfq_shells(a_list, b_list, alpha, m, x, max_weight, rel_tol)))
+    return complex(np.sum(_pfq_shells(a_list, b_list, alpha, m, x, max_weight)))
 
 
-def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex, max_weight: int,
-                rel_tol: float) -> np.ndarray:
+def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex,
+                max_weight: int) -> np.ndarray:
     """hyper_pfq_alpha's series by shells: entry w sums the terms of weight w,
     which is homogeneous of degree w in x.  Raises as hyper_pfq_alpha does."""
     alpha, m = float(alpha), int(m)
@@ -262,7 +271,7 @@ def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex, max_weight: in
         return shells   # every term of the terminating series is summed
     scale = max(abs(np.sum(shells)), 1e-300)
     tail = np.abs(shells[-3:])
-    if np.all(tail < rel_tol * scale):
+    if np.all(tail < 1e-14 * scale):
         return shells
     raise NonConvergenceError(
         f"pFq^(alpha) truncation at weight {max_weight} not converged "
@@ -282,21 +291,21 @@ def _check_poles(tree: _PartitionTree, num: np.ndarray, pole: np.ndarray):
 
 
 def duality_ratio_2f1(n: int, b: complex, c: complex, alpha: float, m: int,
-                      t: complex, max_weight: int = 60) -> complex:
+                      t: complex) -> complex:
     """2F1^(1/alpha)(-n, b; c; (t)^m) computed through the transformed ratio
 
         2F1^(1/alpha)(-n, b; c'; ((1-t))^m) / 2F1^(1/alpha)(-n, b; c'; (1)^m),
         c' = -n + b + 1 + alpha (m - 1) - c.
 
-    When c' is a pole of the transformed series (for every t), the direct
-    series in t is summed instead; it terminates at weight m n.
+    The numerator sums its whole m x n box, the denominator is in closed
+    form (_hyp2f1_unit).  When c' is a pole of the transformed series (for
+    every t), the direct series in t, which terminates too, is summed instead.
     """
     cprime = -n + b + 1 + alpha * (m - 1) - c
     inv, top = 1.0 / alpha, [complex(-n), b]
-    w = max(max_weight, m * n)   # the whole m x n box: every sum is exact
     try:
-        num = hyper_pfq_alpha(top, [cprime], inv, m, 1 - t, max_weight=w)
-        den = hyper_pfq_alpha(top, [cprime], inv, m, 1.0 + 0.0j, max_weight=w)
+        num = hyper_pfq_alpha(top, [cprime], inv, m, 1 - t, max_weight=m * n)
+        den = _hyp2f1_unit(n, b, cprime, inv, m)
     except ZeroDivisionError:
-        return hyper_pfq_alpha(top, [c], inv, m, t, max_weight=w)
+        return hyper_pfq_alpha(top, [c], inv, m, t, max_weight=m * n)
     return num / den

@@ -156,14 +156,14 @@ def _s_tilde(N: int, k_shift: int, P: float, Q: float) -> float:
     return 0.5 * _w1_full_line(N - k_shift, P, Q)
 
 
-def skew_constants(params: EnsembleParams, parity: str = "even") -> SkewConstants:
+def skew_constants(params: EnsembleParams) -> SkewConstants:
     P, Q = params.weight_params()
     N, p = params.size, params.p
     if params.beta == 1:
         gam = {j: _gamma(j, P, Q) for j in (N - 2, N - 3) if j >= 0}
         eta1, eta2 = eta_constants(p, params.q)
         st = {}
-        if parity == "odd":
+        if N % 2:
             st = {N - 1 - j: _s_tilde(N, 1 + j, P, Q) for j in range(3)}
         return SkewConstants(gamma=gam, eta1=eta1, eta2=eta2, s_tilde=st)
     if params.beta == 4:
@@ -238,17 +238,12 @@ def w1_integral_closed(P: float, Q: float) -> float:
 
 # --- beta = 1 ----------------------------------------------------------------
 
-def kernel_s1_scaled(X: float, Y: float, params: EnsembleParams,
-                     parity: str = "even") -> float:
-    """S_{N,1}(z(X), z(Y)) dz/dX."""
+def kernel_s1_scaled(X: float, Y: float, params: EnsembleParams) -> float:
+    """S_{N,1}(z(X), z(Y)) dz/dX, by the even- or odd-N formula as N is."""
     if params.beta != 1:
         raise ValueError("kernel_s1_scaled requires beta=1 params")
     N = params.size
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    if (N % 2 == 0) != (parity == "even"):
-        raise ValueError("N parity does not match the requested formula")
-    if parity == "even":
+    if N % 2 == 0:
         return float(_s1_core(N, 1, params, X, Y)[0].real)
     return _s1_odd_scaled(N, params, X, Y)
 
@@ -294,12 +289,11 @@ def _s1_odd_scaled(N: int, params: EnsembleParams, X: float, Y: float) -> float:
     return float((part1 + part2 + part3).real)
 
 
-def kernel_s1(x: float, y: float, params: EnsembleParams,
-              parity: str = "even") -> float:
-    """S_{N,1}(x, y) on the real line (N even or odd per parity)."""
+def kernel_s1(x: float, y: float, params: EnsembleParams) -> float:
+    """S_{N,1}(x, y) on the real line (N even or odd)."""
     N = params.size
     X, Y = _to_scaled(x, N), _to_scaled(y, N)
-    return kernel_s1_scaled(X, Y, params, parity) / _dz_dX(X, N)
+    return kernel_s1_scaled(X, Y, params) / _dz_dX(X, N)
 
 
 # --- beta = 4 ----------------------------------------------------------------
@@ -337,8 +331,7 @@ def kernel_scaled(beta: int, X: float, Y: float, params: EnsembleParams) -> floa
     if beta == 2:
         return kernel_s2_scaled(X, Y, params)
     if beta == 1:
-        parity = "even" if params.size % 2 == 0 else "odd"
-        return kernel_s1_scaled(X, Y, params, parity)
+        return kernel_s1_scaled(X, Y, params)
     if beta == 4:
         return kernel_s4_scaled(X, Y, params)
     raise ValueError("beta must be 1, 2 or 4")

@@ -151,10 +151,11 @@ def _cached_at_points(maxsize: int):
     return wrap
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
+def _is_nonpositive_integer(z: complex) -> bool:
+    """z within 1e-12 of 0, -1, -2, ..."""
     z = complex(z)
     x = z.real
-    return abs(z.imag) < tol and x <= 0.5 and abs(x - round(x)) < tol
+    return abs(z.imag) < 1e-12 and x <= 0.5 and abs(x - round(x)) < 1e-12
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)

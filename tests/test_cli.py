@@ -32,6 +32,15 @@ class TestValidation:
         # p = 0 is accepted only with q = 0 (see test_converge_circular)
         assert run(_cfg(tmp_path, p=pq[0], q=pq[1])) == 1
 
+    @pytest.mark.parametrize("kw", [{"beta": 3}, {"beta": 0}, {"n_list": [20, 0]}])
+    def test_ensemble_inputs_checked_by_ensemble_params(self, tmp_path, kw):
+        # validate builds EnsembleParams for every N, so beta = 0 and N = 0
+        # are rejected before any command runs
+        cfg = _cfg(tmp_path, **kw)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        assert run(cfg) == 1
+
     def test_bad_theta_is_validation_error(self, tmp_path):
         cfg = _cfg(tmp_path, command="density-eval", grid_x=[7.0])
         assert run(cfg) == 1  # theta outside (0, 2 pi)

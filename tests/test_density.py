@@ -197,11 +197,7 @@ class TestRhoFinite:
         assert abs(rj - ri) < 1e-10 * rj
 
     def test_integral_path_beta4_over_N(self):
-        # the integral path either agrees with the Jack series or raises.
-        # Measured: 44 of 96 agree; 52 raise, 21 at the level test and 31 at
-        # the reality check.  The normalization F_den, the Jack series at
-        # x = 1, limits it: at N = 6 it is 2.8e-9 (p = 0.8) and 9.5e-9 (p = 1.3)
-        # off whatever theta, and from N = 8 on it breaks the reality check
+        # the integral path either agrees with the Jack series or raises
         agreed = 0
         for N in (2, 3, 4, 6, 8, 10, 12, 16):
             for p in (0.8, 1.3, 2.0):
@@ -215,6 +211,34 @@ class TestRhoFinite:
                     assert abs(ri - rj) < 1e-8 * rj, (N, p, theta)
                     agreed += 1
         assert agreed >= 40
+
+    @pytest.mark.parametrize("beta,N,p,q,thetas", [(2, 16, 2.5, 0.5, (0.3, 0.5)),
+                                                   (4, 8, 1.3, 0.4, (0.5, 1.5, 3.0)),
+                                                   (2, 200, 1.3, 0.4, (0.01,)),
+                                                   (4, 60, 1.3, 0.4, (0.05,))])
+    def test_integral_path_closed_form_normalization(self, beta, N, p, q, thetas):
+        # the unit-argument Jack series F_den was 2.9e-6 (beta = 2, N = 16)
+        # and 1.4e-5 (beta = 4, N = 8) off, and at N = 60 and 200 the density
+        # failed its reality check; the closed form leaves the quadrature's
+        # error (measured <= 3.8e-12)
+        pr = EnsembleParams(beta, N, p, q)
+        for theta in thetas:
+            rj = rho_finite(theta, pr, "jack")
+            assert abs(rho_finite(theta, pr, "integral") - rj) < 1e-9 * rj, theta
+
+    def test_integral_path_beta4_N12_matches_jack_or_raises(self):
+        # each value is within 1e-9 of the Jack series (measured 1.7e-13 and
+        # 1.7e-10 at theta = 0.5, 1) or the Pfaffian level test raises, as
+        # at theta = 1.5 and 3, where (1 + (1 - e^{-i theta}) e^{it})^11 cancels
+        pr = EnsembleParams(4, 12, 1.5, 0.4)
+        for theta in (0.5, 1.0, 1.5, 3.0):
+            try:
+                ri = rho_finite(theta, pr, "integral")
+            except (ArithmeticError, NonConvergenceError):
+                assert theta > 1, theta
+                continue
+            rj = rho_finite(theta, pr, "jack")
+            assert abs(ri - rj) < 1e-9 * rj, theta
 
     @pytest.mark.parametrize("beta,N", [(2, 64), (4, 28)])
     def test_normalization_large_N(self, beta, N):
@@ -340,11 +364,6 @@ class TestRhoLimit:
         rj = rho_limit(2.0, pr, "jack")
         assert abs(rho_limit(2.0, pr, "integral") - rj) < 1e-12 * rj
 
-    def test_integral_path_beta4_cancellation_raises(self):
-        # at N = 12 the factor (1 + (1 - e^{-i theta}) e^{it})^11 cancels
-        with pytest.raises((ArithmeticError, NonConvergenceError)):
-            rho_finite(1.0, EnsembleParams(4, 12, 1.5, 0.4), "integral")
-
     def test_integral_path_beta4_grid(self):
         # within 1e-9 of the Jack series (measured worst 1.0e-11) or
         # NonConvergenceError, or the normalization check's ZeroDivisionError
@@ -386,6 +405,15 @@ class TestRhoLimit:
         near = EnsembleParams(beta, 4, p, 0.1)
         rj = rho_limit(1.0, near, "jack")
         assert abs(rho_limit(1.0, near, "integral") - rj) < 1e-8 * rj
+
+    def test_integral_path_near_pole_normalization_raises(self):
+        # q = 1e-10 leaves the normalization at 1.9e-27 of the integral of its
+        # modulus (the closed-form Morris share), below _NORM_TOL
+        pr = EnsembleParams(2, 4, 4.0, 1e-10)
+        with pytest.raises(ZeroDivisionError, match="normalization integral"):
+            rho_limit(1.0, pr, "integral")
+        with pytest.raises(ZeroDivisionError, match="normalization integral"):
+            rho_finite(1.0, pr, "integral")
 
     def test_cbeta_constant(self):
         # beta = 2, p = 1, q = 0: e^{q pi} C = (1/(2pi)) G(2)G(2)G(2)/(G(4)G(3))

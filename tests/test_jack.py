@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from specsing import (NonConvergenceError, Partition, duality_ratio_2f1,
                       gen_pochhammer, hyp2f1_terminating, hyper_pfq_alpha,
                       jack_principal, partitions_up_to, pochhammer)
-from specsing.jack import _partition_tree
+from specsing.jack import _hyp2f1_unit, _partition_tree
 
 
 class TestPartitions:
@@ -227,6 +227,17 @@ class TestHyperPfq:
         val1 = hyper_pfq_alpha([a], [], alpha, m, x, max_weight=60)
         ref1 = (1 - x) ** (-m * a)
         assert abs(val1 - ref1) < 1e-13 * abs(ref1)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_unit_argument_terminating_closed_form(self, alpha, m):
+        # Kaneko's sum [c - b]_(n^m) / [c]_(n^m), which the integral-path
+        # density and duality_ratio_2f1 use in place of the series at 1^m
+        for b, c in ((0.6 - 0.3j, 4.2 + 0.7j), (-1.7 + 0.5j, 3.1 - 0.4j)):
+            for n in range(5):
+                closed = _hyp2f1_unit(n, b, c, alpha, m)
+                val = hyper_pfq_alpha([complex(-n), b], [c], alpha, m, 1.0, max_weight=m * n)
+                assert abs(val - closed) < 1e-13 * abs(closed), (b, c, n)
 
     @given(st.integers(1, 4), st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.0]),
            st.integers(0, 8), st.complex_numbers(max_magnitude=0.5),

@@ -207,28 +207,23 @@ class TestBeta1:
 
     def test_trace_even(self):
         pr = EnsembleParams(1, 6, 1.5, 0.3)
-        val, _ = quad(lambda X: kernel_s1_scaled(X, X, pr, "even"), 1e-9,
+        val, _ = quad(lambda X: kernel_s1_scaled(X, X, pr), 1e-9,
                       6 * math.pi, limit=250)
         assert abs(val - 6) < 1e-5
 
     def test_trace_odd(self):
         pr = EnsembleParams(1, 7, 1.5, 0.3)
-        val, _ = quad(lambda X: kernel_s1_scaled(X, X, pr, "odd"), 1e-9,
+        val, _ = quad(lambda X: kernel_s1_scaled(X, X, pr), 1e-9,
                       7 * math.pi, limit=250)
         assert abs(val - 7) < 1e-5
-
-    def test_parity_validation(self):
-        pr = EnsembleParams(1, 6, 1.5, 0.3)
-        with pytest.raises(ValueError):
-            kernel_s1_scaled(1.0, 2.0, pr, "odd")
 
     def test_cross_parity_limit(self):
         # even-N and odd-(N+1) kernels approach the same scaled limit
         p, q, X, Y = 1.5, 0.3, 2.0, 0.9
         diffs = {}
         for N in (16, 32):
-            se = kernel_s1_scaled(X, Y, EnsembleParams(1, N, p, q), "even")
-            so = kernel_s1_scaled(X, Y, EnsembleParams(1, N + 1, p, q), "odd")
+            se = kernel_s1_scaled(X, Y, EnsembleParams(1, N, p, q))
+            so = kernel_s1_scaled(X, Y, EnsembleParams(1, N + 1, p, q))
             diffs[N] = abs(se - so)
         assert diffs[32] < diffs[16]
         assert diffs[32] < 5e-4
@@ -239,18 +234,32 @@ class TestBeta1:
         x = -1.0 / math.tan(X / 6)
         y = -1.0 / math.tan(Y / 6)
         dz = 1.0 / (6 * math.sin(X / 6) ** 2)
-        assert kernel_s1(x, y, pr, "even") == pytest.approx(
-            kernel_s1_scaled(X, Y, pr, "even") / dz)
+        assert kernel_s1(x, y, pr) == pytest.approx(
+            kernel_s1_scaled(X, Y, pr) / dz)
 
     def test_skew_constants(self):
         pr = EnsembleParams(1, 8, 1.5, 0.7)
-        sc = skew_constants(pr, "even")
+        sc = skew_constants(pr)
         assert sc.eta1 > 0
         # frozen 30-digit values of the limit constants at (p, q) = (1.5, 0.7)
         assert sc.eta1 == pytest.approx(71.9105566192635651, rel=1e-12)
         assert sc.eta2 == pytest.approx(-0.000192915771450753349, rel=1e-12)
         P, Q = pr.weight_params()
         assert sc.gamma[6] == pytest.approx((P - 7) / _h_sub(6, P, Q), rel=1e-14)
+        assert sc.s_tilde == {}
+
+    def test_skew_constants_odd_s_tilde(self):
+        # odd N fills s~_k = (1/2) int w1 I_k for k = N - 1, N - 2, N - 3
+        # from N alone; odd degrees vanish
+        pr = EnsembleParams(1, 7, 1.5, 0.3)
+        P, Q = pr.weight_params()
+        st = skew_constants(pr).s_tilde
+        assert sorted(st) == [4, 5, 6]
+        assert st[5] == 0
+        for k in (4, 6):
+            assert st[k] == pytest.approx(_s_tilde(7, 7 - k, P, Q), rel=1e-15)
+            qd = tail_integral(k, 7 * math.pi * (1 - 1e-12), pr)
+            assert abs(qd.real - 2 * st[k]) < 1e-8 * abs(st[k])
 
 
 class TestBeta4:
