@@ -1,5 +1,5 @@
-"""Routh-Romanovski orthogonal polynomials, the Cauchy and circle weights,
-and the line <-> circle coordinate maps.
+"""Routh-Romanovski orthogonal polynomials (three-term recurrence; the kernels'
+scaled form by 2F1), Cauchy and circle weights, and line <-> circle maps.
 
 Weight convention: omega2(x) = (1 - ix)^c (1 + ix)^cbar with c = -P + iQ,
 equivalently (1 + x^2)^(-P) exp(2 Q arctan x).  For the ensemble-derived
@@ -17,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PoleError, SeriesControl, hyp2f1_terminating, log_gamma, pochhammer
+from .series import PoleError, hyp2f1_terminating, log_gamma
 
 _ALLOWED_BETA = (1, 2, 4)
-# rr_poly's series stops only at a term below 1e-300 of its running sum: the
-# prefactor's pole test leaves no zero term before the last one, and the
-# nonzero terms of these polynomials are nowhere near that small, so all
-# n + 1 terms are summed
-_ALL_TERMS = SeriesControl(rel_tol=1e-300)
 
 
 @dataclass(frozen=True)
@@ -134,26 +129,28 @@ def weight_circle_scaled(X: float, params: EnsembleParams) -> float:
 # --- polynomials -------------------------------------------------------------
 
 def rr_poly(n: int, c: complex, x) -> complex:
-    """Monic Routh-Romanovski polynomial I_n^{(c, cbar)}(x).
+    """Monic Routh-Romanovski polynomial I_n^{(c, cbar)}(x), c = -P + iQ, by the
+    three-term recurrence (DLMF 18.9: Jacobi's with alpha = c, beta = cbar,
+    y = ix) in real arithmetic, with s = 2k - 2P, I_{-1} = 0 and I_0 = 1:
 
-    Hypergeometric form with the gamma-ratio prefactor reduced to
-    Pochhammer products (finite even when c + cbar hits integers):
+        I_{k+1} = (x - a_k) I_k - b_k I_{k-1},  a_k = 4PQ / (s (s+2)),
+        b_k = 4k ((k-P)^2 + Q^2) (2P-k) / (s^2 (s^2-1)) = h_k / h_{k-1} (rr_norm).
 
-        (-2i)^n (c+1)_n / (c+cbar+n+1)_n * 2F1(-n, n+1+c+cbar; c+1; (1-ix)/2)
-
-    The 2F1 sums all n + 1 terms (_ALL_TERMS), vectorized over x.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    cc = 2 * c.real
-    denom = pochhammer(cc + n + 1, n)
-    if denom == 0:
-        raise PoleError("rr_poly prefactor pole: (c+cbar+n+1)_n vanished")
-    pref = (-2j) ** n * pochhammer(c + 1, n) / denom
-    z = 0.5 - 0.5j * np.asarray(x)  # (1 - ix)/2
-    # a (c+1)_alpha pole raises PoleError in hyp2f1_terminating
-    out = pref * hyp2f1_terminating(n, n + 1 + cc, c + 1, z, _ALL_TERMS)
-    return complex(out) if np.ndim(out) == 0 else out
+    Real for real x, complex for complex x.  In the orthogonal range n < P - 1/2
+    every k < n has |s| > 3; outside it a vanishing denominator raises PoleError."""
+    x = np.asarray(x)
+    if n < 0 or not np.isfinite(x).all():
+        raise ValueError("rr_poly needs degree n >= 0 and finite x")
+    P, Q = -float(c.real), float(c.imag)
+    prev, cur = 0.0, np.ones_like(x, dtype=np.result_type(x, float))
+    for k in range(n):
+        s = 2 * k - 2 * P
+        den_a, den_b = s * (s + 2), s * s * (s * s - 1)
+        if den_a == 0 or (k and den_b == 0):
+            raise PoleError(f"rr_poly recurrence pole at k = {k}: s = 2k - 2P = {s}")
+        b = 4 * k * ((k - P) ** 2 + Q * Q) * (2 * P - k) / den_b if k else 0.0
+        prev, cur = cur, (x - 4 * P * Q / den_a) * cur - b * prev
+    return cur.item() if cur.ndim == 0 else cur
 
 
 def rr_scaled_raw(N: int, k: int, X, P: float, Q: float):
@@ -184,15 +181,16 @@ def rr_norm(n: int, c: complex) -> float:
     """Squared norm h_n = int omega2 I_n^2 dx, via log-gamma.
 
     h_n = 2^(2n+2-2P) pi G(n+1) G(2P-2n) G(2P-2n-1)
-          / (G(2P-n) G(P-n-iQ) G(P-n+iQ)),  c = -P + iQ.
+          / (G(2P-n) G(P-n-iQ) G(P-n+iQ)),  c = -P + iQ;  ValueError if the
+    integral diverges (n >= P - 1/2).
     """
     P, Q = -c.real, c.imag
+    if n >= P - 0.5:
+        raise ValueError(f"h_n diverges: need n < P - 1/2, got n = {n}, P = {P}")
     lg = (log_gamma(n + 1) + log_gamma(2 * P - 2 * n) + log_gamma(2 * P - 2 * n - 1)
           - log_gamma(2 * P - n) - log_gamma(complex(P - n, -Q))
-          - log_gamma(complex(P - n, Q)))
-    val = (2 * n + 2 - 2 * P) * math.log(2) + math.log(math.pi) + lg
-    out = complex(np.exp(val))
-    return float(out.real)
+          - log_gamma(complex(P - n, Q))).real
+    return math.exp((2 * n + 2 - 2 * P) * math.log(2) + math.log(math.pi) + lg)
 
 
 @functools.lru_cache(maxsize=1)
@@ -218,8 +216,11 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     of the weight).  The tan form stays finite at nodes next to theta = 0, and
     sqrt(omega2 dx/dtheta) is applied to each polynomial factor so that
     neither product overflows; nodes where it underflows to 0 are skipped.
+    ValueError if the integral diverges (n + m >= 2P - 1).
     """
     P, Q = params.weight_params()
+    if n + m >= 2 * P - 1:
+        raise ValueError(f"int omega2 I_n I_m diverges: n + m = {n + m} >= 2P - 1, P = {P}")
     c = complex(-P, Q)
     if rule is None:
         rule, x, log1p_x2, arctan_x = _circle_rule()
@@ -233,5 +234,4 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     vals = left * (left if n == m else rr_poly(m, c, x) * root)
     integral = np.sum(vals * rule.weights[live])
     hn = rr_norm(n, c)
-    target = hn if n == m else 0.0
-    return float(abs(integral - target) / hn)
+    return float(abs(integral - (hn if n == m else 0.0)) / hn)

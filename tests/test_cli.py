@@ -97,6 +97,13 @@ class TestCommands:
         cfg = _cfg(tmp_path, command="ortho-check", n_list=[8])
         assert run(cfg) == 0
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_ortho_check_defaults(self, tmp_path, beta):
+        # the default N = 800 system, n <= m <= 6
+        cfg = RunConfig(command="ortho-check", beta=beta, out=str(tmp_path / "o.json"))
+        assert run(cfg) == 0
+        assert load_report(cfg.out)["max_residual"] <= 1e-10
+
     def test_verify_intermediate(self, tmp_path):
         cfg = _cfg(tmp_path, command="verify-intermediate",
                    n_list=[100, 200], grid_x=[1.3])

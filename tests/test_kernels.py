@@ -18,7 +18,8 @@ from specsing.series import hyp2f1_terminating
 
 def direct_sum_kernel(x, y, params):
     """Oracle: the rank-N projection sum (omega(x)omega(y))^(1/2)
-    sum_k I_k(x) I_k(y) / h_k built from first principles."""
+    sum_k I_k(x) I_k(y) / h_k built from first principles.  rr_poly runs the
+    three-term recurrence, so it shares no code with _phi's 2F1."""
     P, Q = params.weight_params()
     c = complex(-P, Q)
     w = CauchyWeightParams(c)

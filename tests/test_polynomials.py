@@ -24,6 +24,9 @@ class TestEnsembleParams:
         assert EnsembleParams(1, 8, 1.5, 0.7).weight_params() == (9.5, 1.4)
         assert EnsembleParams(2, 8, 1.5, 0.7).weight_params() == (9.5, 0.7)
         assert EnsembleParams(4, 8, 1.5, 0.7).weight_params() == (19.0, 0.7)
+        assert EnsembleParams(1, 8, 1.5, 0.7).limit_params() == (1.5, 1.4)
+        assert EnsembleParams(2, 8, 1.5, 0.7).limit_params() == (1.5, 0.7)
+        assert EnsembleParams(4, 8, 1.5, 0.7).limit_params() == (3.0, 0.7)
 
     @pytest.mark.parametrize("bad", [dict(beta=3, size=4, p=1.0),
                                      dict(beta=2, size=0, p=1.0),
@@ -63,6 +66,8 @@ class TestMaps:
             scaled_point_map(0.0, 5)
         with pytest.raises(ValueError):
             circle_to_cayley(0.0)
+        with pytest.raises(ValueError):
+            weight_circle_scaled(5 * math.pi, EnsembleParams(2, 5, 1.5, 0.7))
 
 
 class TestWeights:
@@ -101,13 +106,46 @@ class TestRRPoly:
     def test_degree_zero(self):
         assert rr_poly(0, complex(-8, 0.3), 1.7) == 1
 
-    @pytest.mark.parametrize("c", [complex(-3, 0), complex(-1, 0)])
+    @pytest.mark.parametrize("c", [complex(-3, 0), complex(-1, 0), complex(-2.5, 0)])
     def test_poles(self, c):
-        # c = -3: the prefactor's (c + cbar + n + 1)_n = (0)_5 vanishes;
-        # c = -1: the series' (c + 1)_alpha vanishes at alpha = 1
+        # degree 5 lies outside the orthogonal range n < P - 1/2 of each c, and
+        # a recurrence denominator vanishes, with s = 2k - 2P: c = -3: s + 2 at
+        # k = 2; c = -1: s + 2 at k = 0; c = -2.5: s^2 - 1 at k = 2
         for x in (0.3, np.array([0.3, -2.0])):
             with pytest.raises(PoleError):
                 rr_poly(5, c, x)
+
+    @pytest.mark.parametrize("n, x", [(-1, 0.3), (2, math.nan),
+                                      (2, np.array([0.3, math.inf]))])
+    def test_invalid_arguments(self, n, x):
+        with pytest.raises(ValueError):
+            rr_poly(n, complex(-9.5, 0.7), x)
+
+    @pytest.mark.parametrize("c, nmax, xs", [
+        # the beta = 1, 2 and 4 systems of N = 800, (p, q) = (1.5, 0.7),
+        # where the weight peaks
+        (complex(-801.5, 1.4), 6, np.linspace(-0.2, 0.2, 21)),
+        (complex(-801.5, 0.7), 6, np.linspace(-0.2, 0.2, 21)),
+        (complex(-1603, 0.7), 6, np.linspace(-0.15, 0.15, 21)),
+        (complex(-9.5, 0.7), 8, np.linspace(-3, 3, 21)),
+        (complex(-9.5, 0.7), 8, np.linspace(-3, 3, 7) + 0.5j),
+        (complex(-21.5, 0.7), 20, np.array([-20, -5, 0.3, 7]))])
+    def test_matches_mpmath(self, c, nmax, xs):
+        # 40-digit mpmath through the hypergeometric form
+        # (-2i)^n (c+1)_n / (c+cbar+n+1)_n 2F1(-n, n+1+c+cbar; c+1; (1-ix)/2),
+        # within 1e-13 of the largest |I_n| on the grid
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            cm = mpmath.mpc(c.real, c.imag)
+            cc = 2 * cm.real
+            for n in range(nmax + 1):
+                pref = (-2j) ** n * mpmath.rf(cm + 1, n) / mpmath.rf(cc + n + 1, n)
+                ref = np.array([complex(pref * mpmath.hyp2f1(
+                    -n, n + 1 + cc, cm + 1, (1 - 1j * mpmath.mpmathify(x)) / 2))
+                    for x in xs])
+                val = rr_poly(n, c, xs)
+                assert val.dtype == (complex if np.iscomplexobj(xs) else float)
+                assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref)), n
 
 
 class TestOrthogonality:
@@ -146,6 +184,13 @@ class TestOrthogonality:
         for arr in (cached[0].nodes, cached[0].weights) + cached[1:]:
             assert not arr.flags.writeable
 
+    def test_divergent_range_raises(self):
+        # P = 3.2: int omega2 I_n I_m converges only for n + m < 2P - 1 = 5.4
+        pr = EnsembleParams(2, 3, 0.2, 0.3)
+        assert orthogonality_check(2, 2, pr) < 1e-10
+        with pytest.raises(ValueError):
+            orthogonality_check(3, 3, pr)
+
     def test_node_doubling_stable(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)
         r1 = orthogonality_check(3, 3, pr, tanh_sinh_rule(0, 2 * math.pi, 9))
@@ -172,6 +217,13 @@ class TestNorms:
         for n in range(6):
             assert rr_norm(n, complex(-P, Q)) > 0
 
+    @pytest.mark.parametrize("c", [complex(-3.4, 0.3), complex(-3.2, 0.3)])
+    def test_divergent_range_raises(self, c):
+        # h_3 = int omega2 I_3^2 dx converges only for 3 < P - 1/2
+        assert rr_norm(2, c) > 0
+        with pytest.raises(ValueError):
+            rr_norm(3, c)
+
     def test_ratio_matches_quadrature(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)
         P, Q = pr.weight_params()
@@ -189,7 +241,7 @@ class TestNorms:
 
 class TestScaledPolynomial:
     def test_against_direct_product(self):
-        # prefactored form vs explicit prefactor times rr_poly
+        # prefactored 2F1 form vs explicit prefactor times the recurrence
         N, p, q = 20, 1.5, 0.7
         P = N + p
         X = 1.0
