@@ -16,6 +16,7 @@ eigenvalue PDF, and the determinantal diagonal at beta = 2):
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -24,7 +25,7 @@ import numpy as np
 
 from .jack import _hyp2f1_unit, _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
-from .quadrature import (_sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive,
+from .quadrature import (_T_CUT, _sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive,
                          tanh_sinh_adaptive)
 from .series import NonConvergenceError, PoleError, log_gamma
 
@@ -53,6 +54,8 @@ class MorrisParams:
     N: int
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b) and math.isfinite(self.lam)):
+            raise ValueError(f"a, b and lambda must be finite: {self.a}, {self.b}, {self.lam}")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if self.N < 1:
@@ -89,6 +92,30 @@ def morris_closed(m: MorrisParams) -> complex:
     return complex(np.exp(_log_morris(m)))
 
 
+def _morris_window(e: float) -> float:
+    """The node window |t| <= T of morris_quadrature's tanh-sinh levels, for
+    an integrand that vanishes like distance^e at the ends of its axes.
+
+    The terms beyond |t| = T hold about exp(-(1 + e) pi sinh T) of the
+    integral (Takahasi and Mori, Publ. RIMS 9 (1974) 721-741; Bailey,
+    Jeyabalan and Li, Exp. Math. 14 (2005) 317-329).  T leaves out 1e-18 of
+    it, plus 0.1 for the factors that estimate omits, rounded up to a
+    multiple of 1/4, the step of the first level, so that calls share
+    windows and so the cached nodes; it is capped at _T_CUT, the end of the
+    default rule.  Where that end leaves out more than a tenth of
+    _MORRIS_RTOL (1 + e < 0.024), NonConvergenceError is raised: what the
+    window leaves out is the same at every level, so no level difference
+    would show it.
+    """
+    dropped = math.exp(-(1 + e) * math.pi * math.sinh(_T_CUT))
+    if dropped > 0.1 * _MORRIS_RTOL:
+        raise NonConvergenceError(
+            f"Morris quadrature: the rule's last nodes leave out about {dropped:.1e} of "
+            f"the integral, whose integrand vanishes like distance^{e:.3g} at an end")
+    T = math.asinh(18 * math.log(10) / (math.pi * (1 + e))) + 0.1
+    return min(_T_CUT, math.ceil(4 * T) / 4)
+
+
 def morris_quadrature(m: MorrisParams) -> complex:
     """Direct N-fold quadrature of the Morris integral on [-1/2, 1/2]^N.
 
@@ -110,9 +137,16 @@ def morris_quadrature(m: MorrisParams) -> complex:
     of an end, whose weights are smaller still (integrand times weight tends
     to 0 there for Re(a+b) > -1), so no product overflows.
 
+    The levels run on the nodes |t| <= T that _morris_window sizes from the
+    powers with which the integrand vanishes, distance^(a+b) at the ends of
+    every axis and gap^(2 lam) behind each inner one, so that the nodes left
+    out would add less than 1e-18 of the integral.
+
     Raises ValueError for Re(a+b) <= -1, where the integral diverges, and
     NonConvergenceError when the last two levels differ by more than 1e-6
-    relative.
+    relative, or when Re(a+b) < -0.976, where the rule's last nodes, 1e-290
+    from the ends, leave out more than 1e-7 of the integral (1.6e-6 at
+    -0.98), which no level difference shows.
     """
     if m.N > 3:
         raise ValueError("morris_quadrature supports N <= 3")
@@ -144,8 +178,9 @@ def morris_quadrature(m: MorrisParams) -> complex:
             return np.exp(expo)
         return np.exp(expo + 1j * (ab.imag * ends + (math.pi * d.real) * t_sum + log2.imag))
 
-    value, err = sector_integrate_adaptive(integrand, N, -0.5, 0.5,
-                                           start_level=3, max_level=5, rtol=1e-7)
+    tmax = _morris_window(ab.real if N == 1 else min(ab.real, lam2))
+    value, err = sector_integrate_adaptive(integrand, N, -0.5, 0.5, start_level=3,
+                                           max_level=5, rtol=1e-7, tmax=tmax)
     if err > _MORRIS_RTOL:
         raise NonConvergenceError(
             f"Morris quadrature: last two levels differ by {err:.2e} (relative)")

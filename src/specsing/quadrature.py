@@ -13,6 +13,14 @@ read-only, as are their maps onto each interval the adaptive integrator
 sees (per level, least recently used first out) and the sinc matrix once per
 size.
 
+A tanh-sinh level keeps its nodes t = k h in one window |t| <= T.  By default
+T ends where the distance to an end falls to 1e-290.  The sector rules take a
+narrower T from a caller that knows how its integrand vanishes at the ends:
+like distance^e, the nodes beyond T hold about exp(-(1 + e) pi sinh T) of the
+integral (Takahasi and Mori, Publ. RIMS 9 (1974) 721-741).  The Morris
+oracle sizes T that way and raises where even the default end leaves out a
+share its level differences could not see.
+
 The Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub and
 Welsch, Math. Comp. 23 (1969) 221-230), polished by one Newton step on the
 three-term recurrence, which also gives the Christoffel weights.
@@ -43,32 +51,35 @@ class QuadratureRule:
             raise ValueError("nodes must lie strictly inside the domain")
 
 
-@lru_cache(maxsize=32)
-def _tanh_sinh_raw(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes on (-1, 1), read-only: returns (x, w, dist) with dist = 1 - |x|
-    computed stably.  odd=True keeps the nodes t = k h of odd k only: those
-    that level - 1 lacks.
+# the end of the tanh-sinh rules: the nodes |t| <= _T_CUT are those with
+# 1 - |x| = 2 / (exp(pi sinh |t|) + 1) > 1e-290
+_T_CUT = math.asinh(math.log(2e290) / math.pi)
 
-    A node is kept while dist > 1e-290, a test on t alone, so each level
-    holds every node of the one below, whose weights are exactly twice its
-    own (h is a power of two).
+
+@lru_cache(maxsize=64)
+def _tanh_sinh_raw(level: int, odd: bool = False,
+                   tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes on (-1, 1), read-only: returns (x, w, dist) with dist = 1 - |x|
+    computed stably, for the nodes t = k h in the window |t| <= tmax <= _T_CUT.
+    odd=True keeps the nodes of odd k only: those that level - 1 lacks.
+
+    The window is a test on t alone, so each level holds every node of the
+    one below in the same window, whose weights are exactly twice its own (h
+    is a power of two).
     """
     h = 2.0 ** (1 - level)
-    tmax = 6.8
-    k = np.arange(-int(tmax / h), int(tmax / h) + 1)
+    n = int(tmax / h)
+    k = np.arange(-n, n + 1)
     if odd:
         k = k[k % 2 == 1]
     t = k * h
     u = 0.5 * math.pi * np.sinh(t)
-    with np.errstate(over="ignore"):
-        x = np.tanh(u)
-        w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-        dist = 1.0 / (np.exp(2 * np.abs(u)) + 1.0) * 2.0  # 1 - |tanh(u)|
-    keep = dist > 1e-290
-    out = x[keep], w[keep], dist[keep]
-    for arr in out:
+    x = np.tanh(u)
+    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    dist = 1.0 / (np.exp(2 * np.abs(u)) + 1.0) * 2.0  # 1 - |tanh(u)|
+    for arr in (x, w, dist):
         arr.flags.writeable = False
-    return out
+    return x, w, dist
 
 
 def _on_interval(a: float, b: float, x, w, dist) -> QuadratureRule:
@@ -251,11 +262,13 @@ class _SectorPoints(list):
         self.to_a, self.to_b, self.gaps = shaped(to_a), shaped(to_b), shaped(gaps)
 
 
-@lru_cache(maxsize=32)
-def _unit_nodes(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_tanh_sinh_raw(level, odd) on (0, 1), read-only: (u, 1 - u, weights),
-    u and 1 - u each taken from the stable distance to its nearer end."""
-    x, w, dist = _tanh_sinh_raw(level, odd)
+@lru_cache(maxsize=64)
+def _unit_nodes(level: int, odd: bool = False,
+                tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_tanh_sinh_raw(level, odd, tmax) on (0, 1), read-only: (u, 1 - u,
+    weights), u and 1 - u each taken from the stable distance to its nearer
+    end."""
+    x, w, dist = _tanh_sinh_raw(level, odd, tmax)
     near, far = 0.5 * dist, 1.0 - 0.5 * dist
     out = np.where(x >= 0, far, near), np.where(x >= 0, near, far), 0.5 * w
     for arr in out:
@@ -294,12 +307,17 @@ def _sector_sum(fvec, axes, a: float, b: float) -> complex:
     return total
 
 
-def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5) -> complex:
+def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5,
+                     tmax: float = _T_CUT) -> complex:
     """Integrate a permutation-symmetric integrand over (a, b)^ndim.
 
     Works on the ordered sector a < t_1 < ... < t_ndim < b (where |diff|-type
-    factors are smooth) and multiplies by ndim!.  Per-axis tanh-sinh nodes;
-    inner axes are affinely mapped onto (t_{j-1}, b).
+    factors are smooth) and multiplies by ndim!.  Per-axis tanh-sinh nodes
+    in the window |t| <= tmax (by default up to 1e-290 from the ends); inner
+    axes are affinely mapped onto (t_{j-1}, b).  A caller whose integrand
+    vanishes like distance^e at the ends of every axis can narrow the
+    window: the nodes beyond |t| = T hold about exp(-(1 + e) pi sinh T) of
+    the integral (see the module docstring).
 
     fvec receives a list of ndim arrays that broadcast against one another
     (axis j varies along dimension j) and must return the integrand
@@ -309,28 +327,33 @@ def sector_integrate(fvec, ndim: int, a: float, b: float, level: int = 5) -> com
     chunks of at most 2^16 grid points (or one outer row, where that is more);
     the result depends on the chunking only through rounding.
     """
-    return math.factorial(ndim) * _sector_sum(fvec, [_unit_nodes(level)] * ndim, a, b)
+    return math.factorial(ndim) * _sector_sum(fvec, [_unit_nodes(level, tmax=tmax)] * ndim,
+                                              a, b)
 
 
 def sector_integrate_adaptive(fvec, ndim: int, a: float, b: float,
                               start_level: int = 4, max_level: int = 7,
-                              rtol: float = 1e-8) -> tuple[complex, float]:
+                              rtol: float = 1e-8, tmax: float = _T_CUT) -> tuple[complex, float]:
     """Escalate sector_integrate levels until two successive levels agree.
 
     Returns (value, estimated relative error of the last doubling).
 
-    The levels are nested as in tanh_sinh_adaptive: a point of level L + 1
+    Every level uses the one node window |t| <= tmax (see sector_integrate),
+    so the levels are nested as in tanh_sinh_adaptive: a point of level L + 1
     lacking from level L has a first axis j whose node is new (odd); the
     axes before j hold level-L nodes, whose level-(L + 1) weights are half
     their own, and the axes after j any level-(L + 1) node.  So fvec sees
     each point of the last level once, and level L + 1 is level L / 2^ndim
     plus ndim! sum_j 2^-j (block j summed with level-L weights before j).
+    What the window leaves out is the same at every level, so the error
+    estimate does not see it.
     """
     fact = math.factorial(ndim)
-    prev = sector_integrate(fvec, ndim, a, b, level=start_level)
+    prev = sector_integrate(fvec, ndim, a, b, level=start_level, tmax=tmax)
     err = math.inf
     for level in range(start_level + 1, max_level + 1):
-        old, new, full = _unit_nodes(level - 1), _unit_nodes(level, odd=True), _unit_nodes(level)
+        old, new, full = (_unit_nodes(level - 1, tmax=tmax),
+                          _unit_nodes(level, odd=True, tmax=tmax), _unit_nodes(level, tmax=tmax))
         blocks = sum(_sector_sum(fvec, [old] * j + [new] + [full] * (ndim - 1 - j), a, b)
                      / 2 ** j for j in range(ndim))
         cur = prev / 2 ** ndim + fact * blocks

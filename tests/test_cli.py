@@ -109,10 +109,16 @@ class TestCommands:
                    n_list=[100, 200], grid_x=[1.3])
         assert run(cfg) == 0
 
+    def test_morris_check_defaults(self, tmp_path):
+        # the real quadrature at the RunConfig defaults: 27 cases, N <= 3
+        # (measured max_rel_err 3.3e-15)
+        cfg = RunConfig(command="morris-check", out=str(tmp_path / "m.json"))
+        assert run(cfg) == 0
+        assert load_report(cfg.out)["max_rel_err"] <= 1e-6
+
     def test_morris_check(self, tmp_path, monkeypatch):
-        # a quadrature 1e-9 off the closed form stands in for the N = 3
-        # tensor rule (seconds per case): exit 0 under the default 1e-6
-        # tolerance, 3 under a 1e-10 one
+        # a quadrature 1e-9 off the closed form: exit 0 under the default
+        # 1e-6 tolerance, 3 under a 1e-10 one
         monkeypatch.setattr(density, "morris_quadrature",
                             lambda m: density.morris_closed(m) * (1 + 1e-9))
         cfg = _cfg(tmp_path, command="morris-check")

@@ -12,7 +12,7 @@ from specsing import (DensityTilde, EnsembleParams, MorrisParams, NonConvergence
                       tanh_sinh_rule)
 from specsing import density
 from specsing.density import _b_integral, _morris_ratio, c_beta_limit
-from specsing.quadrature import sector_integrate
+from specsing.quadrature import _T_CUT, sector_integrate
 from specsing.series import gammaf
 
 
@@ -49,6 +49,15 @@ class TestMorris:
         c, q = morris_closed(m), morris_quadrature(m)
         assert abs(c - q) < 1e-6 * abs(c)
 
+    @pytest.mark.parametrize("a, b, lam", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                           (0.0, complex(0.0, math.inf), 1.0),
+                                           (0.0, 0.0, math.nan), (0.0, 0.0, math.inf)])
+    def test_non_finite_parameters(self, a, b, lam):
+        # each of these made morris_closed and morris_quadrature return nan
+        # (nan + 0j or nan + nan j) without raising
+        with pytest.raises(ValueError, match="finite"):
+            MorrisParams(complex(a), complex(b), lam, 2)
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             morris_quadrature(MorrisParams(0j, 0j, 1.0, 4))
@@ -66,6 +75,54 @@ class TestMorris:
     def test_divergent_raises(self, a, b):
         with pytest.raises(ValueError, match="diverges"):
             morris_quadrature(MorrisParams(complex(a), complex(b), 1.0, 2))
+
+    @pytest.mark.parametrize("a, lam, N", [(-0.49, 1.0, 1), (-0.49, 0.3, 2), (-0.49, 1.0, 2),
+                                           (-0.487, 1.0, 1), (-0.487, 0.3, 2)])
+    def test_near_divergent(self, a, lam, N):
+        # the rule's last nodes, 1e-290 from the ends, leave out about
+        # (1e-290)^(1 + a + b) of the integral, a share no level difference
+        # sees: 1.6e-6 at a + b = -0.98, where a value 2.1e-6 off was
+        # returned, so that raises; 2.8e-8 at -0.974 (measured 2.0e-8 and
+        # 4.1e-8), which returns
+        m = MorrisParams(complex(a), complex(a), lam, N)
+        if a == -0.49:
+            with pytest.raises(NonConvergenceError, match="Morris quadrature"):
+                morris_quadrature(m)
+        else:
+            c = morris_closed(m)
+            assert abs(morris_quadrature(m) - c) < 1e-7 * abs(c)
+
+    def test_window_matches_full_rule(self, monkeypatch):
+        # the node window morris_quadrature takes from the endpoint exponents
+        # leaves out less than 1e-13 of the integral: on a seeded grid it is
+        # within 1e-13 of the same levels on the default nodes, and raises
+        # where they raise (measured: at most 2.9e-16; 2 of the 35 raise)
+        rng = np.random.default_rng(17)
+        cases = []
+        for N, count in ((1, 16), (2, 16), (3, 3)):
+            for _ in range(count):
+                ab, d = rng.uniform(-0.95, 5.0), rng.uniform(-1.0, 1.0)
+                ya, yb = rng.uniform(-1.0, 1.0, 2)
+                cases.append(MorrisParams(complex((ab + d) / 2, ya), complex((ab - d) / 2, yb),
+                                          rng.uniform(0.05, 2.0), N))
+
+        def outcomes():
+            out = []
+            for m in cases:
+                try:
+                    out.append(morris_quadrature(m))
+                except NonConvergenceError:
+                    out.append(None)
+            return out
+
+        windowed = outcomes()
+        monkeypatch.setattr(density, "_morris_window", lambda e: _T_CUT)
+        full = outcomes()
+        assert sum(v is not None for v in full) >= 30
+        for m, got, want in zip(cases, windowed, full):
+            assert (got is None) == (want is None), m
+            if want is not None:
+                assert abs(got - want) <= 1e-13 * abs(want), m
 
     def test_nonconvergence_raises(self, monkeypatch):
         # an integrand no level up to 5 resolves: the last two levels differ

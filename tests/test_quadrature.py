@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi, sici
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (_CHUNK_POINTS, _gauss_jacobi_pair, _sinc_matrix,
+from specsing.quadrature import (_CHUNK_POINTS, _T_CUT, _gauss_jacobi_pair, _sinc_matrix,
                                  _tanh_sinh_raw, gauss_jacobi_integrate, sector_integrate,
                                  sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
@@ -102,6 +102,48 @@ class TestTanhSinh:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("level", range(3, 13))
+    def test_default_window_ends_at_1e290(self, level):
+        # the default rule is the one that kept every node of |t| <= 6.8 with
+        # dist > 1e-290: bit for bit, and its last node is the last such one
+        h = 2.0 ** (1 - level)
+
+        def dist(t):
+            small = math.exp(-math.pi * math.sinh(abs(t)))
+            return 2.0 * small / (1.0 + small)
+
+        k = np.arange(-int(6.8 / h), int(6.8 / h) + 1)
+        t = k * h
+        u = 0.5 * math.pi * np.sinh(t)
+        with np.errstate(over="ignore"):
+            ref = (np.tanh(u), h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2,
+                   1.0 / (np.exp(2 * np.abs(u)) + 1.0) * 2.0)
+        keep = ref[2] > 1e-290
+        x, w, d = _tanh_sinh_raw(level)
+        for got, want in zip((x, w, d), ref):
+            assert np.array_equal(got, want[keep])
+        last = (x.size // 2) * h
+        assert dist(last) > 1e-290 >= dist(last + h)
+
+    @pytest.mark.parametrize("tmax", [0.25, 1.75, 2.6, 5.75])
+    def test_window_keeps_nodes_within_tmax(self, tmax):
+        # a window keeps the nodes |t| <= tmax of the default rule, the same
+        # arrays; each level's odd nodes are those the level below lacks, and
+        # the others are the level below's, at half its weights
+        for level in (3, 4, 5, 8):
+            h = 2.0 ** (1 - level)
+            n = int(tmax / h)
+            full, part = _tanh_sinh_raw(level), _tanh_sinh_raw(level, tmax=tmax)
+            mid = full[0].size // 2
+            assert n * h <= tmax < (n + 1) * h
+            for got, want in zip(part, full):
+                assert np.array_equal(got, want[mid - n:mid + n + 1])
+            odd = _tanh_sinh_raw(level, True, tmax)
+            below = _tanh_sinh_raw(level - 1, tmax=tmax)
+            for got, every, old, scale in zip(odd, part, below, (1, 2, 1)):
+                assert np.array_equal(got, every[1 - n % 2::2])  # every[0] is k = -n
+                assert np.array_equal(old, scale * every[n % 2::2])
 
     def test_level_rules_built_once_per_interval(self):
         # a second integral over the same interval is handed the same mapped
@@ -230,7 +272,8 @@ class TestSector:
     @pytest.mark.parametrize("max_level", [4, 5])
     def test_nested_levels_match_fresh(self, ndim, max_level):
         # the nested levels give the fresh level's value up to rounding, and
-        # the error estimate compares it with the fresh level below
+        # the error estimate compares it with the fresh level below, in the
+        # default node window and in a narrower one
         def f(ts):
             val = np.exp(sum(ts)) + 0j
             for i in range(ndim):
@@ -238,18 +281,20 @@ class TestSector:
                     val = val * np.abs(ts[j] - ts[i]) ** 1.3
             return val
 
-        val, err = sector_integrate_adaptive(f, ndim, 0.0, 1.0, start_level=3,
-                                             max_level=max_level, rtol=0.0)
-        fresh, below = (sector_integrate(f, ndim, 0.0, 1.0, level)
-                        for level in (max_level, max_level - 1))
-        assert abs(val - fresh) <= 1e-13 * abs(fresh)
-        assert abs(err - abs(fresh - below) / abs(fresh)) <= 1e-13
+        for tmax in (_T_CUT, 2.25):
+            val, err = sector_integrate_adaptive(f, ndim, 0.0, 1.0, start_level=3,
+                                                 max_level=max_level, rtol=0.0, tmax=tmax)
+            fresh, below = (sector_integrate(f, ndim, 0.0, 1.0, level, tmax)
+                            for level in (max_level, max_level - 1))
+            assert abs(val - fresh) <= 1e-13 * abs(fresh)
+            assert abs(err - abs(fresh - below) / abs(fresh)) <= 1e-13
 
     def test_each_point_evaluated_once(self):
         # a level-5 run from level 3 calls fvec on the points of the level-5
-        # grid, each once: the two multisets of points are equal.  Points
-        # are told apart by their distances, since near the ends distinct
-        # points round to one t
+        # grid, each once: the two multisets of points are equal, in the
+        # default node window and in a narrower one.  Points are told apart
+        # by their distances, since near the ends distinct points round to
+        # one t
         def collect(store):
             def f(ts):
                 keys = np.broadcast_arrays(ts.to_a[0], ts.to_b[0], ts.gaps[0], ts.to_b[1])
@@ -257,16 +302,17 @@ class TestSector:
                 return np.ones(keys[0].shape, complex)
             return f
 
-        seen, grid = [], []
-        sector_integrate_adaptive(collect(seen), 2, -0.5, 0.5, start_level=3, max_level=5,
-                                  rtol=0.0)
-        sector_integrate(collect(grid), 2, -0.5, 0.5, level=5)
-        seen, grid = np.concatenate(seen), np.concatenate(grid)
-        n = _tanh_sinh_raw(5)[0].size
-        assert len(seen) == len(grid) == n * n
-        for got, want in zip(np.unique(seen, axis=0, return_counts=True),
-                             np.unique(grid, axis=0, return_counts=True)):
-            assert np.array_equal(got, want)
+        for tmax in (_T_CUT, 2.25):
+            seen, grid = [], []
+            sector_integrate_adaptive(collect(seen), 2, -0.5, 0.5, start_level=3,
+                                      max_level=5, rtol=0.0, tmax=tmax)
+            sector_integrate(collect(grid), 2, -0.5, 0.5, level=5, tmax=tmax)
+            seen, grid = np.concatenate(seen), np.concatenate(grid)
+            n = _tanh_sinh_raw(5, tmax=tmax)[0].size
+            assert len(seen) == len(grid) == n * n
+            for got, want in zip(np.unique(seen, axis=0, return_counts=True),
+                                 np.unique(grid, axis=0, return_counts=True)):
+                assert np.array_equal(got, want)
 
     def test_blocks_within_chunk_bound(self):
         sizes = []
