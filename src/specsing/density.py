@@ -42,6 +42,12 @@ _NORM_TOL = 1e-24
 # that underflow into subnormals)
 _MORRIS_RTOL = 1e-6
 _LOG_CAP = 700.0
+# morris_quadrature's levels past 5, where level 5 does not settle: up to the
+# finest whose grid, (nodes per axis)^N, holds at most _MORRIS_POINTS points
+# (193^3 = 7.2e6 is level 5 at N = 3 on the widest window), and no finer
+# than _MORRIS_TOP, whose step 2^-11 no double-precision integrand needs
+_MORRIS_POINTS = 2 ** 23
+_MORRIS_TOP = 12
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
 
@@ -140,7 +146,10 @@ def morris_quadrature(m: MorrisParams) -> complex:
     The levels run on the nodes |t| <= T that _morris_window sizes from the
     powers with which the integrand vanishes, distance^(a+b) at the ends of
     every axis and gap^(2 lam) behind each inner one, so that the nodes left
-    out would add less than 1e-18 of the integral.
+    out would add less than 1e-18 of the integral.  They run from 3 to 5
+    (stopping early once two agree to 1e-7), and where levels 4 and 5 are
+    more than 1e-6 apart, on from 5 to the finest level whose grid,
+    (nodes per axis)^N, holds at most _MORRIS_POINTS points.
 
     Raises ValueError for Re(a+b) <= -1, where the integral diverges, and
     NonConvergenceError when the last two levels differ by more than 1e-6
@@ -181,6 +190,13 @@ def morris_quadrature(m: MorrisParams) -> complex:
     tmax = _morris_window(ab.real if N == 1 else min(ab.real, lam2))
     value, err = sector_integrate_adaptive(integrand, N, -0.5, 0.5, start_level=3,
                                            max_level=5, rtol=1e-7, tmax=tmax)
+    if err > _MORRIS_RTOL:
+        top = 5
+        while top < _MORRIS_TOP and (2 * int(tmax * 2 ** top) + 1) ** N <= _MORRIS_POINTS:
+            top += 1  # level top + 1 has the nodes k h, |k h| <= tmax, h = 2^-top
+        if top > 5:
+            value, err = sector_integrate_adaptive(integrand, N, -0.5, 0.5, start_level=5,
+                                                   max_level=top, rtol=1e-7, tmax=tmax)
     if err > _MORRIS_RTOL:
         raise NonConvergenceError(
             f"Morris quadrature: last two levels differ by {err:.2e} (relative)")

@@ -29,6 +29,12 @@ suite):
                   - (1/X^2) Js[C1(2Y) C0^1(2s) + C0(2Y) C1^1(2s) + 2p(4p+1) C0 C0]
              with Js prefactor p 2^(8p) |G(2p+1-iq)|^2 / (pi G(4p+1) G(4p+2)).
 
+A(j; X) is the j-th derivative of M(z) = 1F1(pk - iq; 2 pk; z) at z = 2iX
+(DLMF 13.3.16), so one series pass gives the whole family A(0..5; X):
+with T_m the terms of M, A(j) = z^-j sum_m T_m m (m - 1) ... (m - j + 1)
+(series._hyp1f1_derivatives).  Each scalar point, and each Gauss-Jacobi node
+set, is summed once; a jet reads its family from the one at its value.
+
 The derivative identity L1 = p (X d/dX + Y d/dY + 1) K holds with the same
 constant p for all three beta (checked to full precision with forward-mode
 jets).  Near the diagonal each beta = 2 term is G(X, Y)/(X - Y) times a
@@ -46,7 +52,7 @@ import numpy as np
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
 from .quadrature import gauss_jacobi_integrate
-from .series import _Jet, _cached_at_points, hyp1f1, log_gamma, pochhammer
+from .series import _Jet, _cached_at_points, _hyp1f1_derivatives, log_gamma
 
 _DIAG_EPS = 1e-5
 
@@ -79,42 +85,66 @@ class KernelExpansion:
 
 def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
     """A^{(p+k, q)}(j; X)."""
-    return _A(block.p + block.k, block.q_eff, j, X)
+    pk, q = block.p + block.k, block.q_eff
+    return _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, j)[j]
 
 
-# c_tilde orders 0..2 share A_0..A_4, and the blocks of K, L1 and L2 share
-# points, so each is evaluated once
+# C_0, C_1 and C_2 read A(0..0), A(0..2) and A(0..4); a point's family also
+# holds A(5), which the derivative of A(4) along a jet reads
+_TOP = 5
+
+
+# c_tilde orders 0..2 share one family, and the blocks of K, L1 and L2 share
+# points (also with the jets at them), so each point is summed once
 @_cached_at_points(1024)
-def _A(pk: float, q: float, j: int, X):
-    """A^{(pk, q)}(j; X); X may be an ndarray (quadrature nodes) or a jet."""
-    a = complex(pk, -q)
-    if pk == 0 and q == 0 and j >= 1:
-        # (a)_j/(2a)_j -> (1/2) (1)_{j-1}/(1)_{j-1} = 1/2 as a -> 0
-        return 0.5 * hyp1f1(complex(j), complex(j), 2j * X)
-    return (pochhammer(a, j) / pochhammer(complex(2 * pk), j)
-            * hyp1f1(a + j, 2 * pk + j, 2j * X))
+def _A(pk: float, q: float, X):
+    """A^{(pk, q)}(j; X) for j = 0..5, from one 1F1 series pass: A(j; X) is
+    the j-th derivative of 1F1(pk - iq; 2 pk; z) at z = 2iX.
+
+    X may be an ndarray (quadrature nodes), summed once per distinct node
+    set, or a jet: A(j; X + eps d) = A(j; X) + 2i d A(j + 1; X) eps, so a
+    jet's family is the one at its value, one order shorter (a jet of a jet
+    reaches A(3), enough for C_0 and C_1).
+    """
+    if isinstance(X, _Jet):
+        base = _A(pk, q, X.v)
+        return tuple(_Jet(base[j], 2j * X.d * base[j + 1], X.tag)
+                     for j in range(len(base) - 1))
+    if isinstance(X, np.ndarray):
+        return _A_nodes(pk, q, X.dtype.str, X.shape, X.tobytes())
+    return _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, _TOP)
+
+
+# the Gauss-Jacobi integrals of C_0, C_1, C_2 and l2's moment Ix evaluate
+# their integrands on one node set per (p, q, X), so they share its family
+@functools.lru_cache(maxsize=64)
+def _A_nodes(pk: float, q: float, dtype: str, shape: tuple, nodes: bytes) -> np.ndarray:
+    X = np.frombuffer(nodes, dtype).reshape(shape)
+    family = _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, _TOP)
+    family.flags.writeable = False
+    return family
 
 
 def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
     """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray or a jet."""
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     pk = p + k
     q = q_eff
+    A = _A(pk, q, X)
     if order == 0:
-        return _A(pk, q, 0, X)
+        return A[0]
+    A0, A1, A2 = A[:3]
     u = 2j * X
-    A1, A2 = _A(pk, q, 1, X), _A(pk, q, 2, X)
-    C0 = _A(pk, q, 0, X)
-    C1 = 0.5 * u * u * (A1 - A2) - k * u * A1 + (1j * k + q) * X * C0
+    C1 = 0.5 * u * u * (A1 - A2) - k * u * A1 + (1j * k + q) * X * A0
     if order == 1:
         return C1
-    if order != 2:
-        raise ValueError("order must be 0, 1 or 2")
-    A3, A4 = _A(pk, q, 3, X), _A(pk, q, 4, X)
+    A3, A4 = A[3:5]
     lines = (u ** 4 * (A2 - 2 * A3 + A4) / 8
              + u ** 3 * (A1 - 3 * (k + 1) * A2 + (3 * k + 2) * A3) / 6
              + u ** 2 * (-2 * k * A1 + 2 * k * (k + 1) * A2) / 4)
     w = 1j * k + q
-    return lines + w * X * C1 - (w * w / 2 + pk / 6) * X * X * C0
+    return lines + w * X * C1 - (w * w / 2 + pk / 6) * X * X * A0
 
 
 def j_blocks(k: int, p: float, q_eff: float, X: float, Y: float) -> dict:

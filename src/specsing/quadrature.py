@@ -65,8 +65,11 @@ def _tanh_sinh_raw(level: int, odd: bool = False,
 
     The window is a test on t alone, so each level holds every node of the
     one below in the same window, whose weights are exactly twice its own (h
-    is a power of two).
+    is a power of two).  A narrower window is the central part of the
+    default arrays (_central), a view.
     """
+    if tmax < _T_CUT:
+        return _central(_tanh_sinh_raw(level, odd), level, odd, tmax)
     h = 2.0 ** (1 - level)
     n = int(tmax / h)
     k = np.arange(-n, n + 1)
@@ -80,6 +83,16 @@ def _tanh_sinh_raw(level: int, odd: bool = False,
     for arr in (x, w, dist):
         arr.flags.writeable = False
     return x, w, dist
+
+
+def _central(arrays: tuple, level: int, odd: bool, tmax: float) -> tuple:
+    """The nodes |t| <= tmax of a level's default-window arrays (views): the
+    default window holds k = -n..n (odd k only for odd), n = int(_T_CUT / h),
+    so the window drops as many nodes from each end."""
+    h = 2.0 ** (1 - level)
+    full, n = int(_T_CUT / h), int(tmax / h)
+    cut = (full + 1) // 2 - (n + 1) // 2 if odd else full - n
+    return tuple(arr[cut:arr.size - cut] for arr in arrays)
 
 
 def _on_interval(a: float, b: float, x, w, dist) -> QuadratureRule:
@@ -151,6 +164,25 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
 # two, so dividing by it is exact, and small enough that its square vanishes
 # next to every P_k(x)
 _H = 2.0 ** -100
+# the sizes of _gauss_jacobi_pair's two rules, k = 1..19 of its recurrence,
+# and the 4 k^2 of its b_k
+_GJ_SIZES = (12, 20)
+_GJ_K = np.arange(1.0, 20.0)
+_GJ_4KK = 4 * _GJ_K * _GJ_K
+
+
+def _jacobi_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Jacobi matrices of both rules as one (2, 20, 20) stack, lower
+    triangles only (which eigvalsh reads): a_k on the diagonal, sqrt(b_k)
+    below it; the 12 x 12 one padded by a decoupled diagonal of 4s, whose
+    eigenvalues sort after every node in (-1, 1)."""
+    n, m = _GJ_SIZES
+    stack = np.zeros((2, m * m))
+    stack[:, ::m + 1] = a
+    stack[:, m::m + 1] = np.sqrt(b[1:])
+    stack[0, n * (m + 1)::m + 1] = 4.0
+    stack[0, n * (m + 1) - 1::m + 1] = 0.0  # entries (r, r - 1), r >= 12
+    return stack.reshape(2, m, m)
 
 
 @lru_cache(maxsize=64)
@@ -165,30 +197,38 @@ def _gauss_jacobi_pair(expo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     node to first order (the step is a few ulp), and scaled to sum to
     int_0^1 t^expo dt.  One recurrence pass at x + i h serves the nodes of
     both rules: its real part is P_k(x) and its imaginary part h P_k'(x)
-    (complex-step differentiation).
+    (complex-step differentiation).  The coefficients are formed as arrays
+    and the pass keeps only P_{n-1} and P_n of each rule, so a new exponent
+    costs a few dozen array operations.
     """
     e = expo
-    a = [e / (e + 2)] + [e * e / ((2 * k + e) * (2 * k + e + 2)) for k in range(1, 20)]
-    b = [0.0] + [4 * k * k * (k + e) ** 2 / ((2 * k + e) ** 2 * ((2 * k + e) ** 2 - 1))
-                 for k in range(1, 20)]
-    x = np.concatenate([np.linalg.eigvalsh(np.diag(a[:n]) + np.diag(np.sqrt(b[1:n]), -1))
-                        for n in (12, 20)])
-    shifted = (x + 1j * _H) - np.array(a)[:, None]
+    k = _GJ_K
+    two = 2 * k + e
+    a = np.concatenate([[e / (e + 2)], e * e / (two * (two + 2))])
+    # squares by pow (float_power), not x * x: a few round an ulp apart,
+    # which would move the weights by up to 6e-14
+    sq = np.float_power(two, 2)
+    b = np.concatenate([[0.0], _GJ_4KK * np.float_power(k + e, 2) / (sq * (sq - 1))])
+    coarse = _GJ_SIZES[0]
+    eig = np.linalg.eigvalsh(_jacobi_stack(a, b))
+    x = np.concatenate([eig[0, :coarse], eig[1]])
+    shifted = (x + 1j * _H) - a[:, None]
     prev, cur = np.zeros(x.size, complex), np.ones(x.size, complex)
-    values = [cur]
-    for k in range(20):
-        prev, cur = cur, shifted[k] * cur - b[k] * prev
-        values.append(cur)
-    # the degree n of each node's rule
-    n = np.repeat([12, 20], [12, 20])
-    values = np.array(values)
-    node = np.arange(x.size)
-    top, below = values[n, node], values[n - 1, node]
+    spare = np.empty_like(cur)
+    for j in range(_GJ_SIZES[1]):
+        # P_{j+1} = (x + ih - a_j) P_j - b_j P_{j-1}, into the array of P_{j-1}
+        np.multiply(shifted[j], cur, out=spare)
+        prev *= b[j]
+        np.subtract(spare, prev, out=prev)
+        prev, cur = cur, prev
+        if j == coarse - 1:  # P_12 and P_11 for the 12-node rule
+            top, below = cur[:coarse].copy(), prev[:coarse].copy()
+    top, below = np.concatenate([top, cur[coarse:]]), np.concatenate([below, prev[coarse:]])
     p_n, dp_n, p_below, dp_below = top.real, top.imag / _H, below.real, below.imag / _H
     step = p_n / dp_n
     t = 0.5 * (1.0 + (x - step))
     w = 1.0 / ((p_below - step * dp_below) * dp_n)
-    w_coarse, w_fine = (part / ((e + 1) * np.sum(part)) for part in (w[:12], w[12:]))
+    w_coarse, w_fine = (part / ((e + 1) * np.sum(part)) for part in (w[:coarse], w[coarse:]))
     for arr in (t, w_coarse, w_fine):
         arr.flags.writeable = False
     return t, w_coarse, w_fine
@@ -267,8 +307,10 @@ def _unit_nodes(level: int, odd: bool = False,
                 tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_tanh_sinh_raw(level, odd, tmax) on (0, 1), read-only: (u, 1 - u,
     weights), u and 1 - u each taken from the stable distance to its nearer
-    end."""
-    x, w, dist = _tanh_sinh_raw(level, odd, tmax)
+    end.  A narrower window is the central part of the default arrays."""
+    if tmax < _T_CUT:
+        return _central(_unit_nodes(level, odd), level, odd, tmax)
+    x, w, dist = _tanh_sinh_raw(level, odd)
     near, far = 0.5 * dist, 1.0 - 0.5 * dist
     out = np.where(x >= 0, far, near), np.where(x >= 0, near, far), 0.5 * w
     for arr in out:

@@ -92,11 +92,22 @@ class TestMorris:
             c = morris_closed(m)
             assert abs(morris_quadrature(m) - c) < 1e-7 * abs(c)
 
+    @pytest.mark.parametrize("m", [
+        MorrisParams(-0.298 + 0.219j, -0.433 - 0.986j, 0.399, 1),
+        MorrisParams(-0.436 - 0.315j, -0.4 - 0.477j, 1.165, 2)])
+    def test_levels_past_five(self, m):
+        # levels 4 and 5 differ by 1.35e-6 and 7.6e-4 (relative), over the
+        # 1e-6 limit: finer levels, as many as the point budget allows, settle
+        # them (measured 1.2e-15 and 3.2e-15)
+        c = morris_closed(m)
+        assert abs(morris_quadrature(m) - c) < 1e-6 * abs(c)
+
     def test_window_matches_full_rule(self, monkeypatch):
         # the node window morris_quadrature takes from the endpoint exponents
         # leaves out less than 1e-13 of the integral: on a seeded grid it is
         # within 1e-13 of the same levels on the default nodes, and raises
-        # where they raise (measured: at most 2.9e-16; 2 of the 35 raise)
+        # where they raise (measured: at most 2.9e-16; 1 of the 35 raises, at
+        # N = 3, whose level 6 is past the point budget)
         rng = np.random.default_rng(17)
         cases = []
         for N, count in ((1, 16), (2, 16), (3, 3)):
@@ -125,8 +136,8 @@ class TestMorris:
                 assert abs(got - want) <= 1e-13 * abs(want), m
 
     def test_nonconvergence_raises(self, monkeypatch):
-        # an integrand no level up to 5 resolves: the last two levels differ
-        # by more than 1e-6 relative
+        # an integrand no level the point budget allows resolves: the last
+        # two levels differ by more than 1e-6 relative
         real = density.sector_integrate_adaptive
 
         def unresolved(fvec, *args, **kwargs):

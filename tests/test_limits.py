@@ -15,6 +15,7 @@ from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       limits)
 from specsing.limits import _A, _jo, _js, j_symp_raw
 from specsing.polynomials import rr_scaled_raw
+from specsing.series import _Jet
 
 
 class TestConfluentBlocks:
@@ -37,7 +38,7 @@ class TestConfluentBlocks:
         # 2iX(A1 - A2) = 2(p+k) A1 - (p+k-iq) A0
         p, q, k, X = pqkX
         pk = p + k
-        A0, A1, A2 = (_A(pk, q, j, X) for j in (0, 1, 2))
+        A0, A1, A2 = _A(pk, q, X)[:3]
         lhs = 2j * X * (A1 - A2)
         rhs = 2 * pk * A1 - complex(pk, -q) * A0
         assert abs(lhs - rhs) < 1e-10 * (abs(lhs) + 1)
@@ -57,7 +58,8 @@ class TestCTilde:
         p, q, X = 1.5, 0.7, 2.0
         pk = p + k
         direct = c_tilde(1, k, p, q, X)
-        simpl = p * 2j * X * _A(pk, q, 1, X) - p * 1j * X * _A(pk, q, 0, X)
+        A0, A1 = _A(pk, q, X)[:2]
+        simpl = p * 2j * X * A1 - p * 1j * X * A0
         assert abs(direct - simpl) < 1e-10 * abs(direct)
 
     def test_expansion_against_finite_N(self):
@@ -101,17 +103,30 @@ class TestJBlocks:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_l1_needs_orders_zero_and_one(self, beta, monkeypatch):
-        # l1 builds J0 and J1 without C2: it evaluates no A_j with j >= 3
-        # and gives the same bits as the bracket taken from j_blocks (the
-        # diagonal point runs the jet branch)
+        # l1 builds J0 and J1 without C2, from one family pass (A_0..A_5) per
+        # distinct scalar point (pk, q, X): the passes equal the memo's misses
+        # and the points asked for, jets included, whose families are read
+        # from the one at their value; and it gives the same bits as the
+        # bracket taken from j_blocks (the diagonal point runs the jet branch)
         params = EnsembleParams(beta, 100, 1.5, 0.7)
         points = [(2.0, 0.9), (0.7, 1.6), (1.3, 1.3)]
-        orders = []
-        A = limits._A
-        monkeypatch.setattr(limits, "_A",
-                            lambda pk, q, j, X: orders.append(j) or A(pk, q, j, X))
+        keys, passes = set(), []
+        A, family = limits._A, limits._hyp1f1_derivatives
+
+        def record(pk, q, X):
+            if not isinstance(X, (np.ndarray, _Jet)):
+                keys.add((pk, q, X))
+            return A(pk, q, X)
+
+        def count(a, c, z, top):
+            if not isinstance(z, np.ndarray):
+                passes.append(z)
+            return family(a, c, z, top)
+        monkeypatch.setattr(limits, "_A", record)
+        monkeypatch.setattr(limits, "_hyp1f1_derivatives", count)
+        A.cache_clear()
         values = [l1(beta, X, Y, params) for X, Y in points]
-        assert max(orders) == 2
+        assert len(passes) == A.cache_info().misses == len(keys)
 
         def full_bracket(p, q, X, Y, k):
             b = j_blocks(k, p, q, X, Y)
@@ -205,6 +220,30 @@ def test_l1_near_diagonal(beta, X):
 def test_l2_near_diagonal(beta, X):
     # a first-order branch misses by up to 5.4e-5 (measured worst 5.9e-9)
     assert max(_near_diagonal_misses(l2, beta, X)) < 1e-8
+
+
+def test_integrals_share_one_node_family(monkeypatch):
+    # l2 at beta = 4 integrates C_0, C_1, C_2 and the moment Ix on one node
+    # set, and l1 at beta = 1 C_0 and C_1: one array pass each, and K and L1
+    # at the same point sum no more
+    passes = []
+    family = limits._hyp1f1_derivatives
+
+    def count(a, c, z, top):
+        if isinstance(z, np.ndarray):
+            passes.append(z.shape)
+        return family(a, c, z, top)
+    monkeypatch.setattr(limits, "_hyp1f1_derivatives", count)
+    for cache in (limits._A_nodes, limits._jo, limits._js):
+        cache.cache_clear()
+    for beta, first, then in ((4, l2, (k_limit, l1)), (1, l1, (k_limit,))):
+        pr = EnsembleParams(beta, 100, 1.37, 0.41)
+        first(beta, 1.3, 0.7, pr)
+        assert len(passes) == 1
+        for f in then:
+            f(beta, 1.3, 0.7, pr)
+        assert len(passes) == 1
+        passes.clear()
 
 
 def _oracle(g, X):
