@@ -5,8 +5,6 @@ kernel in the scaled variable, compares with the limit plus 1/N correction,
 and checks that the correction equals p (X d/dX + Y d/dY + 1) applied to the
 limit kernel.
 """
-import numpy as np
-
 from specsing import (EnsembleParams, derivative_identity_residual, k_limit,
                       kernel_scaled, l1, l2)
 

@@ -4,8 +4,6 @@ derivative-form correction.
 """
 import math
 
-import numpy as np
-
 from specsing import (EnsembleParams, density_expansion_check, kernel_s2,
                       morris_closed, morris_quadrature, MorrisParams,
                       rho_finite, rho_limit, tanh_sinh_rule)

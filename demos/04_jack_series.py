@@ -4,9 +4,7 @@ Shows the partition enumeration, the C-normalization sum rule that pins the
 principal specialization, the reduction to classical series at one variable,
 and the duality transformation used to move between equal-argument 2F1 forms.
 """
-import numpy as np
-
-from specsing import (Partition, duality_ratio_2f1, hyp2f1_terminating,
+from specsing import (duality_ratio_2f1, hyp2f1_terminating,
                       hyper_pfq_alpha, jack_principal, partitions_up_to)
 
 print("=== partitions with <= 3 parts, weight <= 4 ===")

@@ -30,6 +30,7 @@ from .quadrature import (_T_CUT, _sinc_matrix, _tanh_sinh_raw, sector_integrate_
 from .series import NonConvergenceError, PoleError, log_gamma
 
 _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
+_EPS = np.finfo(float).eps
 # the normalization integral counts as 0 below this share of the integral of
 # its modulus: the share is 0 at Gamma poles (q = 0 with p an integer at
 # beta = 2, 2p at beta = 4), and reaches 4e-18 away from them (beta = 4,
@@ -205,11 +206,11 @@ def morris_quadrature(m: MorrisParams) -> complex:
 
 # --- beta-dimensional integral representations --------------------------------
 
-# h(t, |1 + e^{it}|) of the moment sum_j h(t_j) in _b_integral, by name
-# (None: no moment); 1/(1 + e^{it}) = e^{-it/2} / (2 cos(t/2))
-_MOMENTS = {"one": None, "exp1": lambda t, _two_cos: np.exp(1j * t),
-            "exp2": lambda t, _two_cos: np.exp(2j * t),
-            "inv1p": lambda t, two_cos: np.exp(-0.5j * t) / two_cos}
+# h(e^{it}, 1/(1 + e^{it})) of the moment sum_j h(t_j) in _b_integral, by
+# name (None: no moment)
+_MOMENTS = {"one": None, "exp1": lambda z, inv: z, "exp2": lambda z, inv: z * z,
+            "inv1p": lambda z, inv: inv}
+
 
 def _ensure_integrable(params: EnsembleParams):
     beta, p = params.beta, params.p
@@ -221,38 +222,25 @@ def _ensure_integrable(params: EnsembleParams):
             "(integrable endpoint weight)")
 
 
-def _andreief_moments(g, h) -> np.ndarray:
-    """[G_0, G_1, G_-1], then [H_0, H_1, H_-1] when h is given, where
-    G_m = int_{-pi}^{pi} g(t) e^{imt} dt and H_m the same with g h.
-
-    One tanh-sinh rule in s = pi - |t| on (0, pi) covers both signs
-    t = +-(pi - s); g and h receive t and |2 cos(t/2)| = 2 sin(s/2), which
-    keeps its relative precision at the endpoint singularity s = 0.
-    """
-    def terms(rule):
-        s = rule.nodes
-        t = np.concatenate([math.pi - s, s - math.pi])
-        two_cos = np.tile(2 * np.sin(s / 2), 2)
-        gw = g(t, two_cos) * np.tile(rule.weights, 2)
-        rows = [gw] if h is None else [gw, gw * h(t, two_cos)]
-        e1 = np.exp(1j * t)
-        return np.array([r * e for r in rows for e in (1.0, e1, e1.conj())])
-
-    return tanh_sinh_adaptive(terms, 0.0, math.pi)
-
-
 def _check_normalization(td: DensityTilde, beta: int):
     """Raise ZeroDivisionError where the normalization integral, (2 pi)^beta
     M_beta(a~, b~, 2/beta), is below _NORM_TOL of the integral of its modulus,
     (2 pi)^beta M_beta(a', conj(a'), 2/beta) with a' = (Re(a~+b~) +
-    i Im(a~-b~))/2 (|g| in the Morris form).  A Gamma pole of b~ makes it 0."""
-    ab, d = td.a_tilde + td.b_tilde, td.a_tilde - td.b_tilde
-    a_mod = complex(ab.real, d.imag) / 2
-    lam = 2 / beta
-    log_mod = _log_morris(MorrisParams(a_mod, a_mod.conjugate(), lam, beta)).real
+    i Im(a~-b~))/2 (|g| in the Morris form).  A Gamma pole of b~ makes it 0.
+
+    In the share G(lam(j+1)+1) and G(1+lam) cancel, |G(x + a')|^2 =
+    G(x + a') G(x + conj(a')), and x = lam j + 1 at j >= beta/2 is 1 more
+    than at j - beta/2: three complex and two real log-gammas per j < beta/2."""
+    a, b = td.a_tilde, td.b_tilde
+    ab = a + b
+    a_mod = complex(ab.real, (a - b).imag) / 2
+    log_share = 0.0
     try:
-        share = math.exp(_log_morris(MorrisParams(td.a_tilde, td.b_tilde, lam, beta)).real
-                         - log_mod)
+        for j in range(beta // 2):
+            x = 2 * j / beta + 1
+            for c, times in ((ab, 1), (b, -1), (a, -1), (ab.real, -1), (a_mod, 2)):
+                log_share += times * (2 * log_gamma(x + c).real + math.log(abs(x + c)))
+        share = math.exp(log_share)
     except PoleError:
         share = 0.0
     if not share > _NORM_TOL:
@@ -260,24 +248,46 @@ def _check_normalization(td: DensityTilde, beta: int):
                                 "integral of its modulus")
 
 
-def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
-    """Raw beta-dimensional integral over (-pi, pi)^beta:
+@lru_cache(maxsize=16)
+def _andreief_nodes(rule) -> tuple:
+    """t = pi - s, log |1 + e^{it}| = log(2 sin(s/2)), and e^{it} and
+    1/(1 + e^{it}) = e^{-it/2} / (2 sin(s/2)) at t and -t (their conjugates),
+    on the nodes s of a tanh_sinh_adaptive rule on (0, pi), once per rule."""
+    s = rule.nodes
+    t = math.pi - s
+    two_cos = 2 * np.sin(s / 2)
+    z, half = np.exp(1j * t), np.exp(-0.5j * t)
+    out = (t, np.log(two_cos), np.array([z, z.conj()]),
+           np.array([half, half.conj()]) / two_cos)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
+                normalized: bool = False):
+    """The beta-dimensional integral over (-pi, pi)^beta
 
         int prod_j g(t_j) [moment] prod_{j<k} |e^{i t_k} - e^{i t_j}|^{4/beta} dt,
-        g(t) = e^{i t (a~-b~)/2} |1 + e^{i t}|^{a~+b~} power_factor(t),
+        g(t) = e^{i t (a~-b~)/2} |1 + e^{i t}|^{a~+b~} power_factor(e^{it}),
 
     where [moment] is sum_j h(t_j) with h = e^{it}, e^{2it} or 1/(1+e^{it}).
     The inv1p moment carries |1 + e^{it}|^{a~+b~-1} and needs
-    p + 2/beta - 2 > 0; otherwise ValueError is raised.
-
-    power_factor None stands for 1: the normalization of both integral paths.
-    Where it vanishes _check_normalization raises; otherwise it is integrated
-    with the numerator's rule, so that their quadrature errors cancel.
+    p + 2/beta - 2 > 0; otherwise ValueError is raised.  normalized=True
+    (moment one) divides by the same integral with power_factor 1, the
+    normalization of both integral paths, after _check_normalization; one
+    pass forms g once per node for both, so they share nodes, levels and
+    quadrature errors.
 
     beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
     2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
     2 (2 G_0 H_0 - G_1 H_-1 - G_-1 H_1) with a moment, where G_m and H_m are
-    the 1-D moments of g and g h (_andreief_moments).
+    int_{-pi}^{pi} e^{imt} times g and g h.  One tanh_sinh_adaptive run in
+    s = pi - |t| covers t = +-(pi - s), where e^{it(a~-b~)/2} is a reciprocal
+    pair (_andreief_nodes).  Normalized, it also integrates M = int |g|, the
+    sum |terms| of each moment row; where eps M (2 |G_0| + |G_1| + |G_-1|)
+    exceeds _REALITY_TOL |G_0^2 - G_1 G_-1| the moments cancel below their
+    rounding, and ArithmeticError is raised.
     beta = 4: on the ordered sector |Delta| = -prod_j e^{-3i t_j/2} det[e^{i m t_j}],
     so the integral is -24 Pf(A) by de Bruijn's identity, with
     A_lm = int int_{x<y} (phi_l(x) phi_m(y) - phi_m(x) phi_l(y)) and
@@ -288,8 +298,9 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
     s = +-pi (1 - dist), 2 cos(t/2) = 2 sin((pi dist -+ i (1 + cos s))/2), and
     with F the 4 x n matrix of the weighted phi_m(t) dt/ds, A = F S F^T
     (_sinc_matrix).  A moment is the first-order term of the same Pfaffian
-    with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T, F_h = F h.  Levels 6
-    and 7 must agree to 1e-8 relative; otherwise NonConvergenceError is raised.
+    with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T, F_h = F h.  Each level
+    multiplies S once, by the stacked rows of both integrals (or of F, F_h).
+    Levels 6 and 7 must agree to 1e-8 relative; else NonConvergenceError.
     """
     beta = params.beta
     td = DensityTilde.from_ensemble(params)
@@ -302,48 +313,72 @@ def _b_integral(params: EnsembleParams, power_factor=None, moment: str = "one"):
             f"the inv1p moment needs p > {2 - 2 / beta} at beta={beta} "
             "(integrable endpoint weight)")
     h = _MOMENTS[moment]
-
-    norm = power_factor is None
-    if norm:
+    if normalized:
         _check_normalization(td, beta)
 
-    def g(t, two_cos):
-        # two_cos = 2 cos(t/2), which is |1 + e^{it}| for real t
-        out = np.exp(1j * d / 2 * t + ab * np.log(two_cos))
-        return out if norm else out * power_factor(t)
+    def bases(g, z, weights, inv):
+        # the weighted 1-D integrands: g and g power_factor when normalized,
+        # else g power_factor, and g power_factor h with a moment
+        f = g * power_factor(z) * weights
+        if normalized:
+            return [g * weights, f]
+        return [f] if h is None else [f, f * h(z, inv)]
 
     if beta == 2:
-        mom = _andreief_moments(g, h)
-        G0, G1, Gm1 = mom[:3]
-        if h is None:
-            return 2 * (G0 * G0 - G1 * Gm1)
-        H0, H1, Hm1 = mom[3:]
-        return 2 * (2 * G0 * H0 - G1 * Hm1 - Gm1 * H1)
+        def terms(rule):
+            t, log_two_cos, z, inv = _andreief_nodes(rule)
+            u, v = ab * log_two_cos, (0.5j * d) * t
+            g = np.exp(np.array([v + u, u - v]))  # rows t, -t
+            rows = []
+            for b in bases(g, z, rule.weights, inv):
+                rows += [b, b * z, b * z[::-1]] + ([np.abs(b)] if normalized else [])
+            return np.array(rows).reshape(len(rows), -1)
+
+        def andreief(G, H):
+            # bilinear, with the integral 2 (G_0^2 - G_1 G_-1) = andreief(G, G)
+            return 2 * G[0] * H[0] - G[1] * H[2] - G[2] * H[1]
+
+        sums = tanh_sinh_adaptive(terms, 0.0, math.pi).reshape(-1, 4 if normalized else 3)
+        if h is not None:
+            return 2 * andreief(*sums)
+        vals = [andreief(G, G) for G in sums]
+        for (G0, G1, Gm1, M), val in zip(sums, vals) if normalized else ():
+            bound = 2 * _EPS * M.real * (2 * abs(G0) + abs(G1) + abs(Gm1))
+            if not bound <= _REALITY_TOL * abs(val):
+                raise ArithmeticError(f"the 1-D moments cancel: rounding bound {bound:.2e} "
+                                      f"against the integral {abs(val):.2e}")
+        return vals[1] / vals[0] if normalized else vals[0]
 
     def pf(M, N):
         # bilinear, with Pf(A) = pf(A, A) for an antisymmetric 4 x 4 A
         return M[0, 1] * N[2, 3] - M[0, 2] * N[1, 3] + M[0, 3] * N[1, 2]
 
-    def pfaffian(level):
+    def pfaffians(level):
         x, w, dist = _tanh_sinh_raw(level)
         s = np.copysign(math.pi * (1 - dist), x)
         y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
         t = s + 1j * y
         two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
-        F = g(t, two_cos) * (math.pi * w * (1 - 1j * np.sin(s)))
-        F = F * np.exp(1j * np.outer(np.arange(4) - 1.5, t))
-        rows = F if h is None else np.vstack([F, F * h(t, two_cos)])
-        # real S: no complex copy of it; antisymmetric S: F S F_h^T = -(F_h S F^T)^T
-        S = _sinc_matrix(t.size)
-        prod = (rows.real @ S + 1j * (rows.imag @ S)) @ F.T
-        A, X = prod[:4], prod[4:]
-        return pf(A, A) if h is None else pf(A, X - X.T) + pf(X - X.T, A)
+        g = np.exp((0.5j * d) * t + ab * np.log(two_cos))
+        rows = bases(g, np.exp(1j * t), math.pi * w * (1 - 1j * np.sin(s)),
+                     np.exp(-0.5j * t) / two_cos)
+        F = np.array(rows)[:, None] * np.exp(1j * np.outer(np.arange(4) - 1.5, t))
+        # real S: no complex copy of it
+        S, flat = _sinc_matrix(t.size), F.reshape(-1, t.size)
+        prod = flat.real @ S + 1j * (flat.imag @ S)
+        if h is not None:
+            # antisymmetric S: F S F_h^T = -(F_h S F^T)^T
+            A, X = prod[:4] @ F[0].T, prod[4:] @ F[0].T
+            return np.array([pf(A, X - X.T) + pf(X - X.T, A)])
+        return np.array([pf(A, A) for A in (prod[4 * k:4 * k + 4] @ F[k].T
+                                             for k in range(len(F)))])
 
-    coarse, fine = pfaffian(6), pfaffian(7)
-    if not abs(fine - coarse) <= 1e-8 * abs(fine):
-        raise NonConvergenceError(f"Pfaffian levels 6 and 7 differ by "
-                                  f"{abs(fine - coarse):.2e} (value {abs(fine):.2e})")
-    return -24 * fine
+    coarse, fine = pfaffians(6), pfaffians(7)
+    err = np.abs(fine - coarse)
+    if not np.all(err <= 1e-8 * np.abs(fine)):
+        raise NonConvergenceError(f"Pfaffian levels 6 and 7 differ by {err.max():.2e} "
+                                  f"(value {np.abs(fine).min():.2e})")
+    return fine[1] / fine[0] if normalized else -24 * fine[0]
 
 
 def i_integral(kind: str, theta: float, params: EnsembleParams,
@@ -362,14 +397,12 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
             raise ValueError("theta must lie in [0, 2 pi)")
         n = params.size - 1
         w = 1 - np.exp(-1j * theta)
-        raw0 = _b_integral(params)
-        return _b_integral(params, lambda t: (1 + w * np.exp(1j * t)) ** n) / raw0
+        return _b_integral(params, lambda z: (1 + w * z) ** n, normalized=True)
     if kind in ("weighted", "infinity"):
         moment = "one" if kind == "infinity" else f_moment
         if moment not in _MOMENTS:
             raise ValueError(f"moment must be one of {tuple(_MOMENTS)}")
-        return _b_integral(params, lambda t: np.exp(1j * theta * np.exp(1j * t)),
-                           moment=moment)
+        return _b_integral(params, lambda z: np.exp(1j * theta * z), moment=moment)
     raise ValueError("kind must be finite_N, weighted or infinity")
 
 
@@ -480,8 +513,7 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
         F = np.sum(_limit_shells(theta, params, max_weight))
     elif path == "integral":
         _ensure_integrable(params)
-        raw0 = _b_integral(params)
-        F = i_integral("infinity", theta, params) / raw0
+        F = _b_integral(params, lambda z: np.exp(1j * theta * z), normalized=True)
     else:
         raise ValueError("path must be 'jack' or 'integral'")
     val = c_beta_limit(params) * np.exp(1j * beta * theta / 2) \

@@ -36,9 +36,9 @@ import numpy as np
 from .series import NonConvergenceError, _Jet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes/weights with declared domain."""
+    """Nodes/weights with declared domain, compared and hashed by identity."""
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]

@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
@@ -15,8 +14,7 @@ from specsing import (EnsembleParams, derivative_identity_residual, hyp1f1,
                       hyp2f1_terminating, intermediate_expansion_check,
                       k_limit, kernel_residual_scan, kernel_s2, morris_closed,
                       morris_quadrature, MorrisParams, orthogonality_check,
-                      rho_finite, rho_limit, rr_norm, density_expansion_check,
-                      tuned_scaling_residual)
+                      rho_finite, density_expansion_check, tuned_scaling_residual)
 
 
 def _report(num, label, ok, detail=""):

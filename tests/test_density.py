@@ -1,6 +1,7 @@
 """Spectral density: Morris integrals, beta-dimensional representations,
 finite-N density against the determinantal oracle, and scaled limits."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from specsing import (DensityTilde, EnsembleParams, MorrisParams, NonConvergence
                       morris_closed, morris_quadrature, rho_finite, rho_limit,
                       tanh_sinh_rule)
 from specsing import density
-from specsing.density import _b_integral, _morris_ratio, c_beta_limit
+from specsing.density import _morris_ratio, c_beta_limit
 from specsing.quadrature import _T_CUT, sector_integrate
 from specsing.series import gammaf
 
@@ -233,6 +234,93 @@ class TestIIntegral:
             i_integral("weighted", 1.0, pr, "bogus")
         with pytest.raises(ValueError):
             i_integral("finite_N", 1.0, EnsembleParams(6, 3, 1.5, 0.7))
+
+
+class TestIntegralPathPass:
+    """The integral paths integrate numerator and normalization in one pass."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: rho_finite(2.0, EnsembleParams(2, 5, 1.4, 0.3), "integral"),
+        lambda: rho_limit(1.5, EnsembleParams(2, 4, 1.8, -0.5), "integral"),
+        lambda: i_integral("weighted", 1.0, EnsembleParams(2, 4, 1.6, 0.2), "inv1p")])
+    def test_beta2_one_adaptive_run(self, monkeypatch, call):
+        runs = []
+        real = density.tanh_sinh_adaptive
+
+        def counted(*args, **kwargs):
+            runs.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(density, "tanh_sinh_adaptive", counted)
+        call()
+        assert runs == [(0.0, math.pi)]
+
+    @pytest.mark.parametrize("call", [
+        lambda: rho_finite(2.0, EnsembleParams(4, 3, 1.4, 0.3), "integral"),
+        lambda: rho_limit(1.5, EnsembleParams(4, 4, 1.8, -0.5), "integral"),
+        lambda: i_integral("weighted", 1.0, EnsembleParams(4, 4, 1.6, 0.2), "exp1")])
+    def test_beta4_one_sinc_product_per_level(self, monkeypatch, call):
+        # each level fetches S once, for the one product of all stacked rows
+        sizes = []
+        real = density._sinc_matrix
+
+        def counted(n):
+            sizes.append(n)
+            return real(n)
+
+        monkeypatch.setattr(density, "_sinc_matrix", counted)
+        call()
+        coarse, fine = (density._tanh_sinh_raw(level)[0].size for level in (6, 7))
+        assert sizes == [coarse, fine]
+
+    def test_seeded_grid_matches_jack(self):
+        # the real-axis moments (beta = 2) and the Pfaffian entries (beta = 4)
+        # cancel more as N grows: over 300 and 60 draws from these ranges the
+        # worst relative errors were, by N = 3..8, 8.6e-13, 4.8e-12, 4.1e-11,
+        # 9.9e-11, 4.3e-10, 1.5e-9 at beta = 2 and, by N = 3..6, 1.3e-11,
+        # 2.8e-11, 6.7e-11, 8.4e-10 at beta = 4
+        rng = random.Random(19)
+        for beta, n_hi, count in ((2, 8, 24), (4, 6, 10)):
+            for _ in range(count):
+                N = rng.randint(3, n_hi)
+                pr = EnsembleParams(beta, N, rng.uniform(0.9, 2.5), rng.uniform(-0.8, 0.8))
+                theta = rng.uniform(0.2, 3.0)
+                rj = rho_finite(theta, pr, "jack")
+                ri = rho_finite(theta, pr, "integral")
+                tol = 1e-10 if N <= 5 else 3e-9
+                assert abs(ri - rj) < tol * rj, (pr, theta)
+
+    def test_beta2_large_N_matches_jack_or_raises(self):
+        # the factor (1 + (1 - e^{-i theta}) e^{it})^(N-1) cancels in the 1-D
+        # moments; the rounding bound eps M (2 |G_0| + |G_1| + |G_-1|) raises
+        # where it passes 1e-8 of G_0^2 - G_1 G_-1.  Without it 6 more of
+        # these calls returned values, 6.2e-9 to 4.4e-7 off the Jack series,
+        # the worst at (N, p, q, theta) = (14, 1.95, 0.4, 2); measured: 37 of
+        # 72 return, the worst 9.1e-9 off
+        returned = 0
+        for N in (10, 12, 14, 16):
+            for p in (1.3, 1.95, 2.2):
+                for q in (-0.4, 0.4):
+                    pr = EnsembleParams(2, N, p, q)
+                    for theta in (1.0, 2.0, 3.0):
+                        try:
+                            ri = rho_finite(theta, pr, "integral")
+                        except ArithmeticError:
+                            continue
+                        rj = rho_finite(theta, pr, "jack")
+                        assert abs(ri - rj) < 1e-8 * rj, (N, p, q, theta)
+                        returned += 1
+        assert returned >= 30
+        with pytest.raises(ArithmeticError, match="moments cancel"):
+            rho_finite(2.0, EnsembleParams(2, 14, 1.95, 0.4), "integral")
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_beta2_near_pole_normalization_raises(self, theta):
+        # q = 1e-4 leaves the normalization at 1.9e-15 of the integral of its
+        # modulus, above _NORM_TOL; its moments lose about 1e-16/sqrt(share),
+        # and the values were 2.4e-8 and 5.2e-8 off the Jack series
+        with pytest.raises(ArithmeticError, match="moments cancel"):
+            rho_limit(theta, EnsembleParams(2, 4, 4.0, 1e-4), "integral")
 
 
 class TestRhoFinite:

@@ -1,7 +1,7 @@
-"""Source hygiene: every name a specsing module imports is used in it or
-re-exported through its __all__ (a stdlib-ast stand-in for a linter), every
-module-level private name is used somewhere in the package, and the package
-imports nothing beyond numpy."""
+"""Source hygiene: every name a specsing module, test or demo imports is used
+in it, re-exported through its __all__ or marked `# noqa: F401` (a stdlib-ast
+stand-in for a linter), every module-level private name is used somewhere in
+the package, and the package imports nothing beyond numpy."""
 import ast
 import os
 import subprocess
@@ -10,20 +10,30 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "specsing"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "specsing"
+# the files whose imports are checked: the package modules by name, the tests
+# and demos by directory and name
+CHECKED = ([(path.name, path) for path in sorted(SRC.glob("*.py"))]
+           + [(f"{folder}/{path.name}", path) for folder in ("tests", "demos")
+              for path in sorted((ROOT / folder).glob("*.py"))])
 
 
 def unused_imports(path: Path) -> list:
-    tree = ast.parse(path.read_text(), filename=str(path))
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+            names = [(alias, alias.asname or alias.name.split(".")[0]) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+            names = [(alias, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        for alias, name in names:
+            if "noqa: F401" not in lines[alias.lineno - 1]:
+                imported[name] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -33,16 +43,18 @@ def unused_imports(path: Path) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
-def test_no_unused_imports(module):
-    assert unused_imports(SRC / module) == []
+@pytest.mark.parametrize("path", [path for _name, path in CHECKED],
+                         ids=[name for name, _path in CHECKED])
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
 
 
 def test_detects_unused_import(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("import os\nimport math as m\nfrom json import dumps, loads\n"
-                   "__all__ = ['loads']\nprint(m.pi)\n")
-    assert unused_imports(src) == ["dumps (line 3)", "os (line 1)"]
+                   "import sys  # noqa: F401\nfrom re import (compile,\n"
+                   "                escape)  # noqa: F401\n__all__ = ['loads']\nprint(m.pi)\n")
+    assert unused_imports(src) == ["compile (line 5)", "dumps (line 3)", "os (line 1)"]
 
 
 def _defined(node) -> list:

@@ -10,11 +10,9 @@ from scipy.special import jv
 
 from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       a_confluent, c_tilde, derivative_identity_residual,
-                      j_blocks, k_limit, kernel_expansion, kernel_s1_scaled,
-                      kernel_s2_scaled, kernel_s4_scaled, kernel_scaled, l1, l2,
+                      j_blocks, k_limit, kernel_expansion, kernel_scaled, l1, l2,
                       limits)
 from specsing.limits import _A, _jo, _js, j_symp_raw
-from specsing.polynomials import rr_scaled_raw
 from specsing.series import _Jet
 
 

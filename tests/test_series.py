@@ -13,7 +13,7 @@ from scipy.special import loggamma
 from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
                       log_gamma, pochhammer)
-from specsing.series import _Jet, _hyp1f1_derivatives, gammaf
+from specsing.series import _Jet, _hyp1f1_derivatives
 
 
 class TestLogGamma:
