@@ -212,16 +212,6 @@ _MOMENTS = {"one": None, "exp1": lambda z, inv: z, "exp2": lambda z, inv: z * z,
             "inv1p": lambda z, inv: inv}
 
 
-def _ensure_integrable(params: EnsembleParams):
-    beta, p = params.beta, params.p
-    if beta not in (2, 4):
-        raise ValueError("integral path supports beta in {2, 4}")
-    if p <= 1 - 2 / beta:
-        raise ValueError(
-            f"integral path needs p > {1 - 2 / beta} at beta={beta} "
-            "(integrable endpoint weight)")
-
-
 def _check_normalization(td: DensityTilde, beta: int):
     """Raise ZeroDivisionError where the normalization integral, (2 pi)^beta
     M_beta(a~, b~, 2/beta), is below _NORM_TOL of the integral of its modulus,
@@ -272,8 +262,9 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
         g(t) = e^{i t (a~-b~)/2} |1 + e^{i t}|^{a~+b~} power_factor(e^{it}),
 
     where [moment] is sum_j h(t_j) with h = e^{it}, e^{2it} or 1/(1+e^{it}).
-    The inv1p moment carries |1 + e^{it}|^{a~+b~-1} and needs
-    p + 2/beta - 2 > 0; otherwise ValueError is raised.  normalized=True
+    It needs beta in {2, 4} and p > 1 - 2/beta, and the inv1p moment, which
+    carries |1 + e^{it}|^{a~+b~-1}, p + 2/beta - 2 > 0; otherwise ValueError
+    is raised.  normalized=True
     (moment one) divides by the same integral with power_factor 1, the
     normalization of both integral paths, after _check_normalization; one
     pass forms g once per node for both, so they share nodes, levels and
@@ -303,11 +294,16 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     Levels 6 and 7 must agree to 1e-8 relative; else NonConvergenceError.
     """
     beta = params.beta
+    if beta not in (2, 4):
+        raise ValueError("integral path supports beta in {2, 4}")
+    if params.p <= 1 - 2 / beta:
+        raise ValueError(f"integral path needs p > {1 - 2 / beta} at beta={beta} "
+                         "(integrable endpoint weight)")
+    if moment not in _MOMENTS:
+        raise ValueError(f"moment must be one of {tuple(_MOMENTS)}")
     td = DensityTilde.from_ensemble(params)
     ab = td.a_tilde + td.b_tilde
     d = td.a_tilde - td.b_tilde
-    if moment not in _MOMENTS:
-        raise ValueError(f"unknown moment {moment!r}")
     if moment == "inv1p" and ab.real <= 0:
         raise ValueError(
             f"the inv1p moment needs p > {2 - 2 / beta} at beta={beta} "
@@ -391,7 +387,6 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
         selected moment f in {one, exp1, exp2, inv1p}.
     kind='infinity': same with f = 1.
     """
-    _ensure_integrable(params)
     if kind == "finite_N":
         if not 0 <= theta < 2 * math.pi:
             raise ValueError("theta must lie in [0, 2 pi)")
@@ -400,8 +395,6 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
         return _b_integral(params, lambda z: (1 + w * z) ** n, normalized=True)
     if kind in ("weighted", "infinity"):
         moment = "one" if kind == "infinity" else f_moment
-        if moment not in _MOMENTS:
-            raise ValueError(f"moment must be one of {tuple(_MOMENTS)}")
         return _b_integral(params, lambda z: np.exp(1j * theta * z), moment=moment)
     raise ValueError("kind must be finite_N, weighted or infinity")
 
@@ -512,7 +505,6 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
     if path == "jack":
         F = np.sum(_limit_shells(theta, params, max_weight))
     elif path == "integral":
-        _ensure_integrable(params)
         F = _b_integral(params, lambda z: np.exp(1j * theta * z), normalized=True)
     else:
         raise ValueError("path must be 'jack' or 'integral'")
