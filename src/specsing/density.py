@@ -30,7 +30,6 @@ from .quadrature import (_T_CUT, _sinc_matrix, _tanh_sinh_raw, sector_integrate_
 from .series import NonConvergenceError, PoleError, log_gamma
 
 _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
-_EPS = np.finfo(float).eps
 # the normalization integral counts as 0 below this share of the integral of
 # its modulus: the share is 0 at Gamma poles (q = 0 with p an integer at
 # beta = 2, 2p at beta = 4), and reaches 4e-18 away from them (beta = 4,
@@ -206,10 +205,11 @@ def morris_quadrature(m: MorrisParams) -> complex:
 
 # --- beta-dimensional integral representations --------------------------------
 
-# h(e^{it}, 1/(1 + e^{it})) of the moment sum_j h(t_j) in _b_integral, by
-# name (None: no moment)
-_MOMENTS = {"one": None, "exp1": lambda z, inv: z, "exp2": lambda z, inv: z * z,
-            "inv1p": lambda z, inv: inv}
+# h(e^{it}, t, |1 + e^{it}|) of the moment sum_j h(t_j) in _b_integral, by
+# name (None: no moment); 1/(1 + e^{it}) = e^{-it/2} / (2 cos(t/2))
+_MOMENTS = {"one": None, "exp1": lambda z, _t, _two_cos: z,
+            "exp2": lambda z, _t, _two_cos: z * z,
+            "inv1p": lambda _z, t, two_cos: np.exp(-0.5j * t) / two_cos}
 
 
 def _check_normalization(td: DensityTilde, beta: int):
@@ -238,22 +238,6 @@ def _check_normalization(td: DensityTilde, beta: int):
                                 "integral of its modulus")
 
 
-@lru_cache(maxsize=16)
-def _andreief_nodes(rule) -> tuple:
-    """t = pi - s, log |1 + e^{it}| = log(2 sin(s/2)), and e^{it} and
-    1/(1 + e^{it}) = e^{-it/2} / (2 sin(s/2)) at t and -t (their conjugates),
-    on the nodes s of a tanh_sinh_adaptive rule on (0, pi), once per rule."""
-    s = rule.nodes
-    t = math.pi - s
-    two_cos = 2 * np.sin(s / 2)
-    z, half = np.exp(1j * t), np.exp(-0.5j * t)
-    out = (t, np.log(two_cos), np.array([z, z.conj()]),
-           np.array([half, half.conj()]) / two_cos)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
                 normalized: bool = False):
     """The beta-dimensional integral over (-pi, pi)^beta
@@ -264,21 +248,17 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     where [moment] is sum_j h(t_j) with h = e^{it}, e^{2it} or 1/(1+e^{it}).
     It needs beta in {2, 4} and p > 1 - 2/beta, and the inv1p moment, which
     carries |1 + e^{it}|^{a~+b~-1}, p + 2/beta - 2 > 0; otherwise ValueError
-    is raised.  normalized=True
-    (moment one) divides by the same integral with power_factor 1, the
-    normalization of both integral paths, after _check_normalization; one
-    pass forms g once per node for both, so they share nodes, levels and
-    quadrature errors.
+    is raised, as for normalized=True with a moment.  normalized=True divides
+    by the same integral with power_factor 1, the normalization of both
+    integral paths, after _check_normalization; one pass forms g once per
+    node for both, so they share nodes, levels and quadrature errors.
 
     beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
     2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
     2 (2 G_0 H_0 - G_1 H_-1 - G_-1 H_1) with a moment, where G_m and H_m are
     int_{-pi}^{pi} e^{imt} times g and g h.  One tanh_sinh_adaptive run in
-    s = pi - |t| covers t = +-(pi - s), where e^{it(a~-b~)/2} is a reciprocal
-    pair (_andreief_nodes).  Normalized, it also integrates M = int |g|, the
-    sum |terms| of each moment row; where eps M (2 |G_0| + |G_1| + |G_-1|)
-    exceeds _REALITY_TOL |G_0^2 - G_1 G_-1| the moments cancel below their
-    rounding, and ArithmeticError is raised.
+    s = pi - |t| covers t = +-(pi - s), where e^{it} is a conjugate pair and
+    e^{it(a~-b~)/2} a reciprocal one.
     beta = 4: on the ordered sector |Delta| = -prod_j e^{-3i t_j/2} det[e^{i m t_j}],
     so the integral is -24 Pf(A) by de Bruijn's identity, with
     A_lm = int int_{x<y} (phi_l(x) phi_m(y) - phi_m(x) phi_l(y)) and
@@ -299,8 +279,8 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     if params.p <= 1 - 2 / beta:
         raise ValueError(f"integral path needs p > {1 - 2 / beta} at beta={beta} "
                          "(integrable endpoint weight)")
-    if moment not in _MOMENTS:
-        raise ValueError(f"moment must be one of {tuple(_MOMENTS)}")
+    if moment not in _MOMENTS or normalized and moment != "one":
+        raise ValueError(f"moment must be one of {tuple(_MOMENTS)}, and one if normalized")
     td = DensityTilde.from_ensemble(params)
     ab = td.a_tilde + td.b_tilde
     d = td.a_tilde - td.b_tilde
@@ -312,37 +292,34 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     if normalized:
         _check_normalization(td, beta)
 
-    def bases(g, z, weights, inv):
+    def bases(g, z, t, two_cos, weights):
         # the weighted 1-D integrands: g and g power_factor when normalized,
         # else g power_factor, and g power_factor h with a moment
         f = g * power_factor(z) * weights
         if normalized:
             return [g * weights, f]
-        return [f] if h is None else [f, f * h(z, inv)]
+        return [f] if h is None else [f, f * h(z, t, two_cos)]
 
     if beta == 2:
         def terms(rule):
-            t, log_two_cos, z, inv = _andreief_nodes(rule)
-            u, v = ab * log_two_cos, (0.5j * d) * t
-            g = np.exp(np.array([v + u, u - v]))  # rows t, -t
-            rows = []
-            for b in bases(g, z, rule.weights, inv):
-                rows += [b, b * z, b * z[::-1]] + ([np.abs(b)] if normalized else [])
+            # rows t = pi - s and -t; 2 sin(s/2) = |1 + e^{it}| keeps its
+            # relative precision at the endpoint singularity s = 0
+            t, two_cos = math.pi - rule.nodes, 2 * np.sin(rule.nodes / 2)
+            u, v, e1 = ab * np.log(two_cos), (0.5j * d) * t, np.exp(1j * t)
+            z = np.array([e1, e1.conj()])
+            rows = [r for b in bases(np.exp(np.array([v + u, u - v])), z,
+                                     np.array([t, -t]), two_cos, rule.weights)
+                    for r in (b, b * z, b * z[::-1])]
             return np.array(rows).reshape(len(rows), -1)
 
         def andreief(G, H):
             # bilinear, with the integral 2 (G_0^2 - G_1 G_-1) = andreief(G, G)
             return 2 * G[0] * H[0] - G[1] * H[2] - G[2] * H[1]
 
-        sums = tanh_sinh_adaptive(terms, 0.0, math.pi).reshape(-1, 4 if normalized else 3)
+        sums = tanh_sinh_adaptive(terms, 0.0, math.pi).reshape(-1, 3)
         if h is not None:
             return 2 * andreief(*sums)
         vals = [andreief(G, G) for G in sums]
-        for (G0, G1, Gm1, M), val in zip(sums, vals) if normalized else ():
-            bound = 2 * _EPS * M.real * (2 * abs(G0) + abs(G1) + abs(Gm1))
-            if not bound <= _REALITY_TOL * abs(val):
-                raise ArithmeticError(f"the 1-D moments cancel: rounding bound {bound:.2e} "
-                                      f"against the integral {abs(val):.2e}")
         return vals[1] / vals[0] if normalized else vals[0]
 
     def pf(M, N):
@@ -356,8 +333,7 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
         t = s + 1j * y
         two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
         g = np.exp((0.5j * d) * t + ab * np.log(two_cos))
-        rows = bases(g, np.exp(1j * t), math.pi * w * (1 - 1j * np.sin(s)),
-                     np.exp(-0.5j * t) / two_cos)
+        rows = bases(g, np.exp(1j * t), t, two_cos, math.pi * w * (1 - 1j * np.sin(s)))
         F = np.array(rows)[:, None] * np.exp(1j * np.outer(np.arange(4) - 1.5, t))
         # real S: no complex copy of it
         S, flat = _sinc_matrix(t.size), F.reshape(-1, t.size)

@@ -36,9 +36,9 @@ import numpy as np
 from .series import NonConvergenceError, _Jet
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights with declared domain, compared and hashed by identity."""
+    """Nodes/weights with declared domain."""
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]

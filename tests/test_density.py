@@ -290,37 +290,13 @@ class TestIntegralPathPass:
                 tol = 1e-10 if N <= 5 else 3e-9
                 assert abs(ri - rj) < tol * rj, (pr, theta)
 
-    def test_beta2_large_N_matches_jack_or_raises(self):
-        # the factor (1 + (1 - e^{-i theta}) e^{it})^(N-1) cancels in the 1-D
-        # moments; the rounding bound eps M (2 |G_0| + |G_1| + |G_-1|) raises
-        # where it passes 1e-8 of G_0^2 - G_1 G_-1.  Without it 6 more of
-        # these calls returned values, 6.2e-9 to 4.4e-7 off the Jack series,
-        # the worst at (N, p, q, theta) = (14, 1.95, 0.4, 2); measured: 37 of
-        # 72 return, the worst 9.1e-9 off
-        returned = 0
-        for N in (10, 12, 14, 16):
-            for p in (1.3, 1.95, 2.2):
-                for q in (-0.4, 0.4):
-                    pr = EnsembleParams(2, N, p, q)
-                    for theta in (1.0, 2.0, 3.0):
-                        try:
-                            ri = rho_finite(theta, pr, "integral")
-                        except ArithmeticError:
-                            continue
-                        rj = rho_finite(theta, pr, "jack")
-                        assert abs(ri - rj) < 1e-8 * rj, (N, p, q, theta)
-                        returned += 1
-        assert returned >= 30
-        with pytest.raises(ArithmeticError, match="moments cancel"):
-            rho_finite(2.0, EnsembleParams(2, 14, 1.95, 0.4), "integral")
-
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_beta2_near_pole_normalization_raises(self, theta):
-        # q = 1e-4 leaves the normalization at 1.9e-15 of the integral of its
-        # modulus, above _NORM_TOL; its moments lose about 1e-16/sqrt(share),
-        # and the values were 2.4e-8 and 5.2e-8 off the Jack series
-        with pytest.raises(ArithmeticError, match="moments cancel"):
-            rho_limit(theta, EnsembleParams(2, 4, 4.0, 1e-4), "integral")
+    @pytest.mark.parametrize("beta", [2, 4])
+    def test_normalized_takes_no_moment(self, beta):
+        # the normalized pass integrates g and g power_factor; a moment would
+        # drop the normalization's rows
+        with pytest.raises(ValueError, match="one if normalized"):
+            density._b_integral(EnsembleParams(beta, 4, 1.6, 0.2), lambda z: 1 + 0 * z,
+                                "exp1", normalized=True)
 
 
 class TestRhoFinite:
