@@ -357,8 +357,8 @@ def i_integral(kind: str, theta: float, params: EnsembleParams,
                f_moment: str = "one") -> complex:
     """Beta-dimensional integrals:
 
-    kind='finite_N': I_N(theta), the normalized integral with the factor
-        (1 + (1 - e^{-i theta}) e^{i t_j})^(N-1), equal to 1 at theta = 0.
+    kind='finite_N': I_N(theta), the integral with (1 + (1 - e^{-i theta}) e^{i t_j})^(N-1)
+        over the normalization, both from one pass; 1 at theta = 0.
     kind='weighted': the raw integral with e^{i theta e^{i t_j}} and the
         selected moment f in {one, exp1, exp2, inv1p}.
     kind='infinity': same with f = 1.
