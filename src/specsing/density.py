@@ -302,15 +302,17 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
 
     if beta == 2:
         def terms(rule):
-            # rows t = pi - s and -t; 2 sin(s/2) = |1 + e^{it}| keeps its
-            # relative precision at the endpoint singularity s = 0
+            # t = pi - s and -t; 2 sin(s/2) = |1 + e^{it}| keeps its
+            # relative precision at the endpoint singularity s = 0.  Each row
+            # holds the two signs of a node side by side, so the last axis
+            # runs over the nodes and the stop test sees sign-summed rows
             t, two_cos = math.pi - rule.nodes, 2 * np.sin(rule.nodes / 2)
             u, v, e1 = ab * np.log(two_cos), (0.5j * d) * t, np.exp(1j * t)
             z = np.array([e1, e1.conj()])
             rows = [r for b in bases(np.exp(np.array([v + u, u - v])), z,
                                      np.array([t, -t]), two_cos, rule.weights)
                     for r in (b, b * z, b * z[::-1])]
-            return np.array(rows).reshape(len(rows), -1)
+            return np.array(rows).transpose(0, 2, 1).reshape(len(rows), -1)
 
         def andreief(G, H):
             # bilinear, with the integral 2 (G_0^2 - G_1 G_-1) = andreief(G, G)

@@ -12,9 +12,11 @@ quadrature on the circle side (_phi on whole node arrays), the full-line
 integrals (the s~ constants) in closed form.
 
 Each finite-N quantity is computed once per parameter set: the tail
-integrals and the closed forms behind the s~ constants are memoised whole, and _phi at scalar points
-(node arrays and jets bypass its memo).  A kernel grid thus evaluates each
-tail integral once per X and each _phi once per point.
+integrals and the closed forms behind the s~ constants are memoised whole,
+and _phi at scalar points (node arrays bypass its memo).  A jet, the exact
+diagonal's, takes _phi's value from that memo and sums only the slope's
+series.  A kernel grid thus evaluates each tail integral once per X and each
+_phi once per point, on the diagonal too.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import EnsembleParams, rr_norm, rr_scaled_raw
+from .polynomials import EnsembleParams, _rr_scaled_slope, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
 from .series import _Jet, _cached_at_points, hyp2f1_terminating, log_gamma
 
@@ -32,8 +34,16 @@ _DIAG_SWITCH = 1e-6
 
 
 def _prefactor(N: int, k: int, P: float, Q: float, X):
-    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N."""
+    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N.
+
+    X may be an ndarray or a jet, whose derivative is the prefactor times
+    ((p+k) cot(X/N) + Q + ik)/N - i.
+    """
     p = P - N
+    if isinstance(X, _Jet):
+        return X.chain(lambda x: _prefactor(N, k, P, Q, x),
+                       lambda x: _prefactor(N, k, P, Q, x)
+                       * (((p + k) / np.tan(x / N) + Q + 1j * k) / N - 1j))
     u = X / N
     sign = -1.0 if (N - k) % 2 else 1.0
     return sign * np.exp((p + k) * np.log(np.sin(u)) + Q * (u - math.pi / 2)
@@ -47,8 +57,13 @@ def _phi(N: int, k: int, P: float, Q: float, X):
 
     F_k(X) = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}),   p = P - N,
 
-    which is rr_scaled_raw; X may be an ndarray or a jet.
+    which is rr_scaled_raw; X may be an ndarray or a jet.  A jet takes its
+    value from the point cache and sums one series more, F_k's slope.
     """
+    if isinstance(X, _Jet):
+        value, pref = _phi(N, k, P, Q, X.v), _prefactor(N, k, P, Q, X)
+        slope = value / pref.v * pref.d + pref.v * _rr_scaled_slope(N, k, X, P, Q)
+        return _Jet(value, slope, X.tag)
     return _prefactor(N, k, P, Q, X) * rr_scaled_raw(N, k, X, P, Q)
 
 

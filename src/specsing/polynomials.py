@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PoleError, hyp2f1_terminating, log_gamma
+from .series import PoleError, _hyp2f1_slope, _Jet, hyp2f1_terminating, log_gamma
 
 _ALLOWED_BETA = (1, 2, 4)
 
@@ -160,11 +160,22 @@ def rr_scaled_raw(N: int, k: int, X, P: float, Q: float):
 
     The confluent limit of this quantity (N -> infinity) is C0^{(p,Q,k)}(X).
     """
+    return hyp2f1_terminating(*_rr_args(N, k, X, P, Q))
+
+
+def _rr_args(N: int, k: int, X, P: float, Q: float) -> tuple:
+    """(n, b, c, z) of rr_scaled_raw's 2F1(-n, b; c; z)."""
     p = P - N
     if p + k <= 0 and not (p + k == 0 and Q == 0):
         raise ValueError("need p + k > 0 (or the circular limit p + k = Q = 0)")
-    z = 1 - np.exp(2j * (X / N))
-    return hyp2f1_terminating(N - k, complex(p + k, -Q), complex(2 * p + 2 * k), z)
+    return N - k, complex(p + k, -Q), complex(2 * p + 2 * k), 1 - np.exp(2j * (X / N))
+
+
+def _rr_scaled_slope(N: int, k: int, X: _Jet, P: float, Q: float) -> complex:
+    """The derivative part of rr_scaled_raw at a jet X, without its value:
+    one 2F1 series, by the 2F1's own rule (series._hyp2f1_slope)."""
+    n, b, c, z = _rr_args(N, k, X, P, Q)
+    return _hyp2f1_slope(n, b, c, z.v) * z.d
 
 
 def rr_scaled(n_minus_k: int, k: int, X: float, params: EnsembleParams) -> complex:

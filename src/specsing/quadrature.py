@@ -1,17 +1,17 @@
 """Quadrature utilities: tanh-sinh (double exponential) rules for endpoint
 algebraic singularities and the library's one adaptive 1-D integrator on
 them (levels rise until two agree; each level holds the one below, so only
-its new nodes are evaluated), a Gauss-Jacobi rule for s^expo times a smooth
-function, the sinc matrix that gives ordered double integrals on tanh-sinh
-nodes, and an ordered-sector iterated scheme for symmetric multidimensional
-integrands with |diff|-type interior kinks (the Morris oracle), whose
-levels are nested the same way: a level evaluates only the grid points with
-at least one new node.  The sector points come with their distances to both
-ends and the gaps between successive axes, free of cancellation.  The
-tanh-sinh nodes and weights on (-1, 1) are built once per level and kept
-read-only, as are their maps onto each interval the adaptive integrator
-sees (per level, least recently used first out) and the sinc matrix once per
-size.
+its new nodes are evaluated, and the first call covers two levels), a
+Gauss-Jacobi rule for s^expo times a smooth function, the sinc matrix that
+gives ordered double integrals on tanh-sinh nodes, and an ordered-sector
+iterated scheme for symmetric multidimensional integrands with |diff|-type
+interior kinks (the Morris oracle), whose levels are nested the same way: a
+level evaluates only the grid points with at least one new node.  The
+sector points come with their distances to both ends and the gaps between
+successive axes, free of cancellation.  The tanh-sinh nodes and weights on
+(-1, 1) are built once per level and kept read-only, as are their maps onto
+each interval the adaptive integrator sees (per level, and levels 4 and 5
+joined; least recently used first out) and the sinc matrix once per size.
 
 A tanh-sinh level keeps its nodes t = k h in one window |t| <= T.  By default
 T ends where the distance to an end falls to 1e-290.  The sector rules take a
@@ -121,28 +121,48 @@ def _level_rule(a: float, b: float, level: int, odd: bool = False) -> Quadrature
     return rule
 
 
+@lru_cache(maxsize=128)
+def _first_rule(a: float, b: float) -> QuadratureRule:
+    """Levels 4 and 5 of (a, b) in one read-only rule: the nodes and weights
+    of _level_rule(a, b, 4) followed by those of _level_rule(a, b, 5, odd=True)."""
+    low, new = _level_rule(a, b, 4), _level_rule(a, b, 5, odd=True)
+    rule = QuadratureRule(nodes=np.concatenate([low.nodes, new.nodes]),
+                          weights=np.concatenate([low.weights, new.weights]), domain=(a, b))
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
+
+
 def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     """Integrals over (a, b) on tanh-sinh levels 4, 5, ..., 12.
 
     terms(rule) returns f(rule.nodes) * rule.weights, or a stack of such
-    rows (nodes on the last axis).  The sums are returned once two successive
-    levels agree to 1e-13 of sum |terms| in every row.  Otherwise, given
-    noise(rule), a bound on the rounding error of each term, the last level
-    is returned if its change from level 11 and the summed bound are within
-    1e-6 |sum| + 1e-8; else NonConvergenceError is raised.
+    rows.  The last axis runs over the rule's nodes in their order; a node
+    may hold several entries there, side by side, as many for every node.
+    The sums are returned once two successive levels agree to 1e-13 of
+    sum |terms| in every row.  Otherwise, given noise(rule), a bound on the
+    rounding error of each term, the last level is returned if its change
+    from level 11 and the summed bound are within 1e-6 |sum| + 1e-8; else
+    NonConvergenceError is raised.
 
     The levels are nested (Bailey, Jeyabalan and Li, Exp. Math. 14 (2005)
     317-329): level L + 1 calls terms only on the nodes level L lacks, and
     its sum is half the sum of level L plus theirs, so terms sees each node
     once.  sum |terms| and the summed noise bound are carried the same way.
-    The rules are the read-only _level_rule objects of (a, b).
+    The first call covers levels 4 and 5 at once, on _first_rule: level 4's
+    nodes, then level 5's new ones, split after the former on the last axis.
+    An integrand whose cost is mostly per call (a series summed order by
+    order over the node array) pays once for both.  Every rule is read-only
+    and built once per (a, b); noise sees the rules of single levels.
     """
-    rules = [_level_rule(a, b, 4)]
-    vals = np.asarray(terms(rules[0]))
-    cur, mass = vals.sum(axis=-1), np.abs(vals).sum(axis=-1)
+    rules, first = [_level_rule(a, b, 4)], _first_rule(a, b)
+    vals = np.asarray(terms(first))
+    cut = vals.shape[-1] // first.nodes.size * rules[0].nodes.size
+    cur, mass = vals[..., :cut].sum(axis=-1), np.abs(vals[..., :cut]).sum(axis=-1)
+    vals = vals[..., cut:]
     for level in range(5, 13):
         rules.append(_level_rule(a, b, level, odd=True))
-        vals = np.asarray(terms(rules[-1]))
+        if level > 5:
+            vals = np.asarray(terms(rules[-1]))
         prev = cur
         cur = 0.5 * prev + vals.sum(axis=-1)
         mass = 0.5 * mass + np.abs(vals).sum(axis=-1)

@@ -266,10 +266,7 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     ctrl = ctrl or DEFAULT_CONTROL
     if isinstance(z, _Jet):
         value = hyp2f1_terminating(n, b, c, z.v, ctrl)  # raises at a pole first
-        # b/c -> 1/2 in the joint limit b, c -> 0; the n = 0 derivative is 0
-        ratio = 0.5 if b == 0 and c == 0 else b / c
-        slope = -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z.v, ctrl)
-        return _Jet(value, slope * z.d, z.tag)
+        return _Jet(value, _hyp2f1_slope(n, b, c, z.v, ctrl) * z.d, z.tag)
     # joint limit b, c -> 0 with b/c -> 1/2 (weight p -> 0 at q = 0): the
     # first ratio is -n/2 (the scalar loop adds that term without Kahan or test)
     joint = b == 0 and c == 0
@@ -308,6 +305,13 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     if not cmath.isfinite(total):
         raise NonConvergenceError("2F1 terms or sums overflowed")
     return total
+
+
+def _hyp2f1_slope(n: int, b: complex, c: complex, z, ctrl: SeriesControl | None = None):
+    """d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z), one series."""
+    # b/c -> 1/2 in the joint limit b, c -> 0; the n = 0 derivative is 0
+    ratio = 0.5 if b == 0 and c == 0 else b / c
+    return -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z, ctrl)
 
 
 def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from specsing import (EnsembleParams, NonConvergenceError, correlation_det, k_limit, kernel_s1,
                       kernel_s1_scaled, kernel_s2, kernel_s2_scaled, kernel_s4,
-                      kernel_s4_scaled, kernel_scaled, rr_norm, rr_poly,
+                      kernel_s4_scaled, kernel_scaled, rho_finite, rr_norm, rr_poly,
                       skew_constants, tail_integral)
+from specsing import kernels, polynomials
 from specsing.kernels import (_cd_scaled, _h_sub, _phi, _prefactor, _s_tilde,
                               _w1_full_line, eta_constants, w1_integral_closed)
 from specsing.polynomials import CauchyWeightParams, rr_scaled_raw, weight_cauchy
@@ -397,3 +398,89 @@ class TestMemo:
                 for f in (tail_integral, _phi, _w1_full_line):
                     f.cache_clear()
                 assert kernel_scaled(beta, X, Y, params) == grid[i][j]
+
+
+class TestCallCounts:
+    """A kernel grid sums each 2F1 series once: a jet reads _phi's point
+    memo and adds only its slope's series, and a tail integral that settles
+    at tanh-sinh level 5 evaluates its integrand in one node-array call."""
+
+    PTS = (0.7, 1.9, 3.1)
+
+    def test_grid_series_once_per_point(self, monkeypatch):
+        # beta = 2, N = 12: the CD kernel needs _phi at k = 0, 1 for every
+        # point; the diagonal adds the slopes, 2F1(-n+1, b+1; c+1; z)
+        value, slope = [], []
+        series, rule = polynomials.hyp2f1_terminating, polynomials._hyp2f1_slope
+
+        def count_value(n, b, c, z, ctrl=None):
+            value.append((n, complex(z)))
+            return series(n, b, c, z, ctrl)
+
+        def count_slope(n, b, c, z, ctrl=None):
+            slope.append((n, complex(z)))
+            return rule(n, b, c, z, ctrl)
+
+        monkeypatch.setattr(polynomials, "hyp2f1_terminating", count_value)
+        monkeypatch.setattr(polynomials, "_hyp2f1_slope", count_slope)
+        params = EnsembleParams(2, 12, 1.3, 0.4)
+        for X in self.PTS:
+            for Y in self.PTS:
+                kernel_scaled(2, X, Y, params)
+        assert len(value) == len(set(value)) == 2 * len(self.PTS)
+        assert len(slope) == len(set(slope)) == 2 * len(self.PTS)
+
+    def test_tail_integral_one_array_call(self, monkeypatch):
+        # levels 4 and 5 share one call of the integrand, and this integral
+        # settles at level 5
+        calls = []
+        phi = kernels._phi
+
+        def count(N, k, P, Q, X):
+            if isinstance(X, np.ndarray):
+                calls.append(X.size)
+            return phi(N, k, P, Q, X)
+
+        monkeypatch.setattr(kernels, "_phi", count)
+        tail_integral(19, 1.9, EnsembleParams(4, 10, 1.3, 0.4))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    def test_grid_order_does_not_matter(self, beta):
+        # the diagonal's jets read the values the off-diagonal points store,
+        # and the reverse: either order gives the same bits
+        params = EnsembleParams(beta, 12, 1.3, 0.4)
+        pairs = [(X, Y) for X in self.PTS for Y in self.PTS]
+        grids = []
+        for order in (sorted(pairs, key=lambda xy: xy[0] != xy[1]),
+                      sorted(pairs, key=lambda xy: xy[0] == xy[1])):
+            for f in (tail_integral, _phi, _h_sub):
+                f.cache_clear()
+            grids.append({xy: kernel_scaled(beta, *xy, params) for xy in order})
+        assert grids[0] == grids[1]
+
+
+@pytest.mark.parametrize("beta, N", [(2, 5), (2, 12), (2, 40), (4, 5), (4, 12), (4, 16)])
+@pytest.mark.parametrize("p, q", [(1.3, 0.4), (0.6, -0.6), (2.4, 0.9)])
+def test_diagonal_is_jack_density(beta, N, p, q):
+    # the scaled diagonal is the density at theta = 2 pi - 2X/N, here summed
+    # by the Jack series, which shares no code with the jets or the tail
+    # integrals (measured worst 8e-14 at beta = 2, 2.4e-11 at beta = 4)
+    pr = EnsembleParams(beta, N, p, q)
+    for X in (0.2, 1.0, 2.5, 4.0):
+        ref = 2 / N * rho_finite(2 * math.pi - 2 * X / N, pr)
+        assert abs(kernel_scaled(beta, X, X, pr) - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pr: kernel_s2_scaled(-1.0, 1.0, pr[2]),  # X/N outside (0, pi)
+    lambda pr: kernel_s2_scaled(1.0, 2.0, pr[1]),
+    lambda pr: kernel_s1_scaled(1.0, 2.0, pr[2]),
+    lambda pr: kernel_s4_scaled(1.0, 2.0, pr[2]),
+    lambda pr: kernel_scaled(3, 1.0, 2.0, pr[2]),
+    lambda pr: skew_constants(pr[2]),
+    lambda pr: tail_integral(11, 1.0, pr[1])])  # degree beyond the size-10 system
+def test_argument_checks(call):
+    with pytest.raises(ValueError):
+        call({beta: EnsembleParams(beta, 10, 1.3, 0.4) for beta in (1, 2, 4)})
+

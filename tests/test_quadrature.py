@@ -83,19 +83,33 @@ class TestTanhSinh:
         (lambda x: 1 / (1 + x * x), -1.0, 4.0)])
     def test_nested_levels(self, f, a, b):
         # terms sees each node of the returned level once, and the sum built
-        # level by level is the direct sum of that level's rule
+        # level by level is the direct sum of that level's rule; the first
+        # call covers levels 4 and 5, each later one a level
         seen = []
 
         def terms(rule):
-            seen.append(rule.nodes.size)
+            seen.append(rule.nodes)
             return f(rule.nodes) * rule.weights
 
         val = tanh_sinh_adaptive(terms, a, b)
-        rule = tanh_sinh_rule(a, b, 3 + len(seen))
-        assert sum(seen) == rule.nodes.size
+        rule = tanh_sinh_rule(a, b, 4 + len(seen))
+        nodes = np.concatenate(seen)
+        assert nodes.size == rule.nodes.size
+        assert np.array_equal(np.sort(nodes), np.sort(rule.nodes))
         direct = f(rule.nodes) * rule.weights
         assert np.all(np.abs(val - direct.sum(axis=-1))
                       <= 1e-15 * np.abs(direct).sum(axis=-1))
+
+    def test_entries_side_by_side(self):
+        # two entries per node on the last axis sum as one integrand: the
+        # split after level 4 falls between nodes, not inside one
+        def pair(rule):
+            x, w = rule.nodes, np.repeat(rule.weights, 2)
+            return np.stack([np.cos(10 * x), x ** -0.3], axis=-1).reshape(-1) * w
+
+        one = tanh_sinh_adaptive(
+            lambda r: (np.cos(10 * r.nodes) + r.nodes ** -0.3) * r.weights, 0.0, 1.0)
+        assert abs(tanh_sinh_adaptive(pair, 0.0, 1.0) - one) <= 1e-14 * abs(one)
 
     def test_cached_rules_read_only(self):
         for arr in _tanh_sinh_raw(6) + _tanh_sinh_raw(6, odd=True):
@@ -147,13 +161,14 @@ class TestTanhSinh:
 
     def test_level_rules_built_once_per_interval(self):
         # a second integral over the same interval is handed the same mapped
-        # rules, whose arrays are read-only
+        # rules, whose arrays are read-only: the first rule (levels 4 and 5)
+        # and that of level 6, which this oscillation needs
         def run():
             rules = []
 
             def terms(rule):
                 rules.append(rule)
-                return np.cos(rule.nodes) * rule.weights
+                return np.cos(10 * rule.nodes) * rule.weights
 
             tanh_sinh_adaptive(terms, 0.25, 1.75)
             return rules
