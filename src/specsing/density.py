@@ -1,6 +1,7 @@
 """Spectral density of the circular Jacobi ensemble for even beta: Morris
 integrals (closed form and quadrature oracle), beta-dimensional integral
-representations, the finite-N density, its scaled limit, and the expansion
+representations (beta = 2, 4: 1-D integrals on one contour inside the unit
+disk), the finite-N density, its scaled limit, and the expansion
 verification machinery.
 
 Conventions fixed by numerical oracles (direct small-N quadrature of the
@@ -25,8 +26,7 @@ import numpy as np
 
 from .jack import _hyp2f1_unit, _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
-from .quadrature import (_T_CUT, _sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive,
-                         tanh_sinh_adaptive)
+from .quadrature import _T_CUT, _sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive
 from .series import NonConvergenceError, PoleError, log_gamma
 
 _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
@@ -238,6 +238,28 @@ def _check_normalization(td: DensityTilde, beta: int):
                                 "integral of its modulus")
 
 
+@lru_cache(maxsize=2)
+def _contour(level: int) -> tuple:
+    """A tanh-sinh level on _b_integral's contour t = s + i (1 + cos s),
+    built once per process and read-only: t, 2 cos(t/2), its log, e^{it},
+    the weights pi w dt/ds, and the e^{imt} (m = 0, 1, -1; columns) and
+    e^{ikt/2} (k = -3, -1, 1, 3; rows) of beta = 2 and 4.  s = +-pi (1 - dist)
+    and 2 cos(t/2) = 2 sin((pi dist -+ i (1 + cos s))/2) keep their relative
+    precision at s = +-pi, where 2 cos(t/2) vanishes."""
+    x, w, dist = _tanh_sinh_raw(level)
+    s = np.copysign(math.pi * (1 - dist), x)
+    y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
+    t = s + 1j * y
+    two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
+    z = np.exp(1j * t)
+    arrays = (t, two_cos, np.log(two_cos), z, math.pi * w * (1 - 1j * np.sin(s)),
+              np.array([np.ones(t.size), z, np.exp(-1j * t)]).T,
+              np.exp(1j * np.outer(np.arange(4) - 1.5, t)))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
                 normalized: bool = False):
     """The beta-dimensional integral over (-pi, pi)^beta
@@ -253,24 +275,23 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     integral paths, after _check_normalization; one pass forms g once per
     node for both, so they share nodes, levels and quadrature errors.
 
+    Both betas reduce it to 1-D integrals of g e^{ikt/2}, analytic for
+    Re t in (-pi, pi), Im t >= 0 (power_factor must be too) and smaller
+    there: they are taken on each level's _contour, inside the unit disk,
+    where (1 + (1 - e^{-i theta}) e^{it})^(N-1) cancels far less than on
+    the real axis, which the contour meets at t = +-pi.
     beta = 2: by Andreief's identity, with |e^{iy} - e^{ix}|^2 =
     2 - e^{i(y-x)} - e^{-i(y-x)}, the integral is 2 (G_0^2 - G_1 G_-1), or
     2 (2 G_0 H_0 - G_1 H_-1 - G_-1 H_1) with a moment, where G_m and H_m are
-    int_{-pi}^{pi} e^{imt} times g and g h.  One tanh_sinh_adaptive run in
-    s = pi - |t| covers t = +-(pi - s), where e^{it} is a conjugate pair and
-    e^{it(a~-b~)/2} a reciprocal one.
+    int e^{imt} times g and g h: the weighted rows times the e^{imt} columns.
     beta = 4: on the ordered sector |Delta| = -prod_j e^{-3i t_j/2} det[e^{i m t_j}],
     so the integral is -24 Pf(A) by de Bruijn's identity, with
     A_lm = int int_{x<y} (phi_l(x) phi_m(y) - phi_m(x) phi_l(y)) and
-    phi_m(t) = g(t) e^{i(m-3/2)t}.  The phi_m are analytic for Re t in
-    (-pi, pi), Im t >= 0 (power_factor must be too) and smaller there, so the
-    entries, which cancel far less off the real axis, are taken along
-    t = s + i (1 + cos s).  On the tanh-sinh nodes of one level,
-    s = +-pi (1 - dist), 2 cos(t/2) = 2 sin((pi dist -+ i (1 + cos s))/2), and
-    with F the 4 x n matrix of the weighted phi_m(t) dt/ds, A = F S F^T
-    (_sinc_matrix).  A moment is the first-order term of the same Pfaffian
-    with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T, F_h = F h.  Each level
-    multiplies S once, by the stacked rows of both integrals (or of F, F_h).
+    phi_m(t) = g(t) e^{i(m-3/2)t}.  With F the 4 x n matrix of the weighted
+    phi_m, A = F S F^T (_sinc_matrix).  A moment is the first-order term of
+    the same Pfaffian with g -> g(1 + eps h): B = F_h S F^T + F S F_h^T,
+    F_h = F h.  Each level multiplies S once, by the stacked rows of both
+    integrals (or of F, F_h).
     Levels 6 and 7 must agree to 1e-8 relative; else NonConvergenceError.
     """
     beta = params.beta
@@ -292,51 +313,26 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
     if normalized:
         _check_normalization(td, beta)
 
-    def bases(g, z, t, two_cos, weights):
-        # the weighted 1-D integrands: g and g power_factor when normalized,
-        # else g power_factor, and g power_factor h with a moment
-        f = g * power_factor(z) * weights
-        if normalized:
-            return [g * weights, f]
-        return [f] if h is None else [f, f * h(z, t, two_cos)]
-
-    if beta == 2:
-        def terms(rule):
-            # t = pi - s and -t; 2 sin(s/2) = |1 + e^{it}| keeps its
-            # relative precision at the endpoint singularity s = 0.  Each row
-            # holds the two signs of a node side by side, so the last axis
-            # runs over the nodes and the stop test sees sign-summed rows
-            t, two_cos = math.pi - rule.nodes, 2 * np.sin(rule.nodes / 2)
-            u, v, e1 = ab * np.log(two_cos), (0.5j * d) * t, np.exp(1j * t)
-            z = np.array([e1, e1.conj()])
-            rows = [r for b in bases(np.exp(np.array([v + u, u - v])), z,
-                                     np.array([t, -t]), two_cos, rule.weights)
-                    for r in (b, b * z, b * z[::-1])]
-            return np.array(rows).transpose(0, 2, 1).reshape(len(rows), -1)
-
-        def andreief(G, H):
-            # bilinear, with the integral 2 (G_0^2 - G_1 G_-1) = andreief(G, G)
-            return 2 * G[0] * H[0] - G[1] * H[2] - G[2] * H[1]
-
-        sums = tanh_sinh_adaptive(terms, 0.0, math.pi).reshape(-1, 3)
-        if h is not None:
-            return 2 * andreief(*sums)
-        vals = [andreief(G, G) for G in sums]
-        return vals[1] / vals[0] if normalized else vals[0]
+    def andreief(G, H):
+        # bilinear, with the integral 2 (G_0^2 - G_1 G_-1) = andreief(G, G)
+        return 2 * G[0] * H[0] - G[1] * H[2] - G[2] * H[1]
 
     def pf(M, N):
         # bilinear, with Pf(A) = pf(A, A) for an antisymmetric 4 x 4 A
         return M[0, 1] * N[2, 3] - M[0, 2] * N[1, 3] + M[0, 3] * N[1, 2]
 
-    def pfaffians(level):
-        x, w, dist = _tanh_sinh_raw(level)
-        s = np.copysign(math.pi * (1 - dist), x)
-        y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
-        t = s + 1j * y
-        two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
-        g = np.exp((0.5j * d) * t + ab * np.log(two_cos))
-        rows = bases(g, np.exp(1j * t), t, two_cos, math.pi * w * (1 - 1j * np.sin(s)))
-        F = np.array(rows)[:, None] * np.exp(1j * np.outer(np.arange(4) - 1.5, t))
+    def level_values(level):
+        # the integrals of one level's weighted rows: g and g power_factor
+        # when normalized, else g power_factor, and g power_factor h with a moment
+        t, two_cos, log_two_cos, z, weights, moments, halves = _contour(level)
+        g = np.exp((0.5j * d) * t + ab * log_two_cos)
+        f = g * power_factor(z) * weights
+        rows = np.array([g * weights, f] if normalized
+                        else [f] if h is None else [f, f * h(z, t, two_cos)])
+        if beta == 2:
+            G = (rows @ moments).T  # G_0, G_1, G_-1 of each row
+            return 2 * andreief(G[:, :1], G[:, 1:]) if h is not None else andreief(G, G)
+        F = rows[:, None] * halves
         # real S: no complex copy of it
         S, flat = _sinc_matrix(t.size), F.reshape(-1, t.size)
         prod = flat.real @ S + 1j * (flat.imag @ S)
@@ -347,12 +343,12 @@ def _b_integral(params: EnsembleParams, power_factor, moment: str = "one",
         return np.array([pf(A, A) for A in (prod[4 * k:4 * k + 4] @ F[k].T
                                              for k in range(len(F)))])
 
-    coarse, fine = pfaffians(6), pfaffians(7)
+    coarse, fine = level_values(6), level_values(7)
     err = np.abs(fine - coarse)
     if not np.all(err <= 1e-8 * np.abs(fine)):
-        raise NonConvergenceError(f"Pfaffian levels 6 and 7 differ by {err.max():.2e} "
+        raise NonConvergenceError(f"contour levels 6 and 7 differ by {err.max():.2e} "
                                   f"(value {np.abs(fine).min():.2e})")
-    return fine[1] / fine[0] if normalized else -24 * fine[0]
+    return fine[1] / fine[0] if normalized else (1 if beta == 2 else -24) * fine[0]
 
 
 def i_integral(kind: str, theta: float, params: EnsembleParams,
