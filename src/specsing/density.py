@@ -469,15 +469,24 @@ def _limit_shells(theta: float, params: EnsembleParams,
 def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
               max_weight: int = 40) -> float:
     """Scaled-limit density rho_inf(theta) = lim (1/N) rho_N(theta/N)."""
+    return _rho_limit(theta, params, path, max_weight)[0]
+
+
+def _rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
+               max_weight: int = 40) -> tuple:
+    """rho_limit and the shells of its Jack series (None where none is
+    summed: path 'integral', or p = 0)."""
     beta, p, q = params.beta, params.p, params.q
     if beta % 2:
         raise ValueError("density requires even beta")
     if theta <= 0:
         raise ValueError("theta must be positive")
     if p == 0:
-        return 1 / (2 * math.pi)  # circular ensemble limit, uniform
+        return 1 / (2 * math.pi), None  # circular ensemble limit, uniform
+    shells = None
     if path == "jack":
-        F = np.sum(_limit_shells(theta, params, max_weight))
+        shells = _limit_shells(theta, params, max_weight)
+        F = np.sum(shells)
     elif path == "integral":
         F = _b_integral(params, lambda z: np.exp(1j * theta * z), normalized=True)
     else:
@@ -489,7 +498,7 @@ def rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
     scale = max(abs(val), 1e-300)
     if abs(val.imag) > _REALITY_TOL * scale:
         raise ArithmeticError(f"rho_inf reality violated: {val}")
-    return float(val.real)
+    return float(val.real), shells
 
 
 def density_expansion_check(theta: float, params: EnsembleParams, N_list) -> dict:
@@ -507,8 +516,9 @@ def density_expansion_check(theta: float, params: EnsembleParams, N_list) -> dic
     # l1_predicted = p d/dtheta [theta rho_inf].  rho_inf = c theta^(p beta)
     # e^{i beta theta/2} F is real, so theta rho_inf'/rho_inf is the real part
     # of p beta + i beta theta/2 + theta F'/F, and theta F' = sum_w w shell_w
-    r0 = rho_limit(theta, params)
-    shells = _limit_shells(theta, params)
+    r0, shells = _rho_limit(theta, params)
+    if shells is None:   # p = 0: the uniform limit sums no series
+        shells = _limit_shells(theta, params)
     theta_dlogF = np.sum(np.arange(len(shells)) * shells) / np.sum(shells)
     l1_pred = p * r0 * (1 + p * beta + theta_dlogF.real)
     l1_meas = []

@@ -136,13 +136,12 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     """Integrals over (a, b) on tanh-sinh levels 4, 5, ..., 12.
 
     terms(rule) returns f(rule.nodes) * rule.weights, or a stack of such
-    rows.  The last axis runs over the rule's nodes in their order; a node
-    may hold several entries there, side by side, as many for every node.
-    The sums are returned once two successive levels agree to 1e-13 of
-    sum |terms| in every row.  Otherwise, given noise(rule), a bound on the
-    rounding error of each term, the last level is returned if its change
-    from level 11 and the summed bound are within 1e-6 |sum| + 1e-8; else
-    NonConvergenceError is raised.
+    rows; the last axis runs over the rule's nodes in their order.  The sums
+    are returned once two successive levels agree to 1e-13 of sum |terms| in
+    every row.  Otherwise, given noise(rule), a bound on the rounding error
+    of each term, the last level is returned if its change from level 11 and
+    the summed bound are within 1e-6 |sum| + 1e-8; else NonConvergenceError
+    is raised.
 
     The levels are nested (Bailey, Jeyabalan and Li, Exp. Math. 14 (2005)
     317-329): level L + 1 calls terms only on the nodes level L lacks, and
@@ -156,7 +155,7 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     """
     rules, first = [_level_rule(a, b, 4)], _first_rule(a, b)
     vals = np.asarray(terms(first))
-    cut = vals.shape[-1] // first.nodes.size * rules[0].nodes.size
+    cut = rules[0].nodes.size
     cur, mass = vals[..., :cut].sum(axis=-1), np.abs(vals[..., :cut]).sum(axis=-1)
     vals = vals[..., cut:]
     for level in range(5, 13):

@@ -522,6 +522,22 @@ class TestRhoLimit:
             L1 = l1(beta, theta / 2, theta / 2, EnsembleParams(beta, 8, p, -q))
             assert abs(rec["l1_predicted"] - 0.5 * L1) < 1e-12 * abs(L1)
 
+    @pytest.mark.parametrize("pq", [(1.5, 0.7), (0.0, 0.0)])
+    def test_expansion_check_sums_limit_series_once(self, monkeypatch, pq):
+        # rho_inf and theta F'/F read the same shells; at p = 0 the uniform
+        # limit sums none, so the check sums them itself
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shells(*args)
+
+        shells = density._limit_shells
+        monkeypatch.setattr(density, "_limit_shells", counted)
+        rec = density_expansion_check(1.0, EnsembleParams(2, 4, *pq), [4, 8])
+        assert len(calls) == 1
+        assert (rec["l1_predicted"] == 0) == (pq[0] == 0)
+
     def test_integral_path(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)
         rj = rho_limit(1.0, pr, "jack")

@@ -2,6 +2,10 @@
 principal specialization, pFq^(alpha) series, duality ratio."""
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import strategies as st
 from specsing import (NonConvergenceError, Partition, duality_ratio_2f1,
                       gen_pochhammer, hyp2f1_terminating, hyper_pfq_alpha,
                       jack_principal, partitions_up_to, pochhammer)
-from specsing.jack import _hyp2f1_unit, _partition_tree
+from specsing.jack import (_MAX_NODES, _hyp2f1_unit, _jack_tree, _partition_tree,
+                           _pfq_shells, _sweep, _tree_size)
 
 
 class TestPartitions:
@@ -68,15 +73,19 @@ def _brute_tree(m, max_weight, max_part):
     return parts, parent, row, col, starts
 
 
+# max_weight W and max_part P: P < W, W < m P and the whole box m P <= W
+# all occur, and W = 40000 takes int64 parts
+_SHAPES = [(0, 0), (0, 3), (1, 1), (4, 0), (5, 2), (7, 3), (9, 12), (12, 1),
+           (12, 4), (12, 12), (12, 20), (40000, 3)]
+
+
 class TestPartitionTree:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("max_weight,max_part", [
-        (0, 0), (0, 3), (1, 1), (4, 0), (5, 2), (7, 3), (9, 12), (12, 1),
-        (12, 4), (12, 12), (12, 20), (40000, 3)])
+    @pytest.mark.parametrize("max_weight,max_part", _SHAPES)
     def test_matches_brute_force(self, m, max_weight, max_part):
         # graded, reverse-lexicographic within a shell, each parent the
-        # partition less its last box (row, col); P < W, W < m P and the
-        # whole box m P <= W all occur, and W = 40000 takes int64 parts
+        # partition less its last box (row, col); the node count the budget
+        # reads before anything is built
         tree = _partition_tree(m, max_weight, max_part)
         parts, parent, row, col, starts = _brute_tree(m, max_weight, max_part)
         assert [tuple(k) for k in tree.parts.tolist()] == parts
@@ -84,10 +93,46 @@ class TestPartitionTree:
         assert tree.row.tolist() == row
         assert tree.col.tolist() == col
         assert tree.starts == starts
+        assert _tree_size(m, max_weight, max_part) == len(parts)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_weight,max_part", _SHAPES)
+    def test_sweeps_form_path_products(self, m, max_weight, max_part):
+        # powers of two multiply exactly, so after the sweeps each node holds
+        # exactly 2^(the exponents summed along its path), as a walk from the
+        # root finds them; on booleans, the and along the path
+        tree = _partition_tree(m, max_weight, max_part)
+        n = len(tree.row)
+        rng = np.random.default_rng(1000 * m + max_weight)
+        exps, alive = rng.integers(-3, 4, n), rng.random(n) > 0.1
+        exps[0], alive[0] = 0, True
+        walk, walk_alive = exps.copy(), alive.copy()
+        for k in range(1, n):
+            walk[k] += walk[tree.parent[k]]
+            walk_alive[k] &= walk_alive[tree.parent[k]]
+        vals, flags = np.ldexp(1.0, exps)[tree.scan], alive[tree.scan]
+        _sweep(vals, tree)
+        _sweep(flags, tree)
+        assert np.array_equal(vals, np.ldexp(1.0, walk)[tree.scan])
+        assert np.array_equal(flags, walk_alive[tree.scan])
+        # the scan order lists every node once, shell by shell, root first
+        assert tree.scan[0] == 0
+        assert np.array_equal(np.sort(tree.scan), np.arange(n))
+        for b, w in zip(tree.blocks, tree.block_weights):
+            shell = tree.scan[b:b + tree.starts[w + 1] - tree.starts[w]]
+            assert np.array_equal(shell, np.arange(tree.starts[w], tree.starts[w + 1]))
+
+    def test_sweep_count(self):
+        # 2 ceil(log2(depth + 1)) - 1 passes: depth 84 takes 13, not 84
+        assert len(_partition_tree(4, 84, 21).sweeps) == 13
+        assert len(_partition_tree(4, 0, 3).sweeps) == 0
 
     def test_read_only(self):
         tree = _partition_tree(3, 6, 4)
-        for a in (tree.parts, tree.parent, tree.row, tree.col):
+        arrays = [tree.parts, tree.parent, tree.row, tree.col, tree.scan,
+                  tree.blocks, tree.block_weights] + [src for _, _, src in tree.sweeps]
+        _, ratio, content = _jack_tree(3, 6, 0.7, 4)
+        for a in arrays + [ratio, content]:
             assert not a.flags.writeable
 
     def test_validation(self):
@@ -95,6 +140,37 @@ class TestPartitionTree:
             _partition_tree.__wrapped__(0, 3, 3)
         with pytest.raises(ValueError):
             _partition_tree.__wrapped__(2, -1, 3)
+
+
+class TestNodeBudget:
+    def test_counts_at_the_budget(self):
+        # beta = 6 density boxes: N = 32 (6 x 31) builds, N = 64 does not;
+        # rho_limit's beta = 6 tree is capped by weight 40, not by its box:
+        # C(46, 6) = 9,366,819 tuples would bound it past the budget
+        assert _tree_size(6, 186, 31) == 2324784 <= _MAX_NODES
+        assert _tree_size(6, 378, 63) == 119877472 > _MAX_NODES
+        assert _tree_size(4, 396, 99) == 4421275 > _MAX_NODES
+        assert len(_partition_tree(6, 40, 40).row) == _tree_size(6, 40, 40) == 32459
+
+    def test_refused_before_building(self):
+        # without the budget this call takes more memory than the machine
+        # has, so the child runs under a 2 GiB address-space limit and the
+        # missing budget shows as a MemoryError, not a killed machine
+        code = ("import resource, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from specsing import EnsembleParams, NonConvergenceError, rho_finite\n"
+                "start = time.process_time()\n"
+                "try:\n"
+                "    rho_finite(1.0, EnsembleParams(6, 64, 1.3, 0.4))\n"
+                "except NonConvergenceError:\n"
+                "    print('refused', time.process_time() - start)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, env=env)
+        verdict, seconds = (out.stdout.split() + ["", ""])[:2]
+        assert verdict == "refused", out.stderr[-500:]
+        assert float(seconds) < 1.0
 
 
 class TestGenPochhammer:
@@ -253,6 +329,61 @@ class TestHyperPfq:
         val = hyper_pfq_alpha(a_list, b_list, alpha, m, x, max_weight=w)
         ref, mass = _reference_pfq(a_list, b_list, alpha, m, x, w)
         assert abs(val - ref) < 1e-14 * mass
+
+
+def _product_order_cases():
+    """(a_list, b_list, alpha, m, x, max_weight, max_part): a seeded grid of
+    terminating boxes and confluent trees, the beta = 4 density box at
+    N = 28 (m = 4, n = 27: 31,465 nodes) and rho_inf's beta = 4 tree."""
+    rng = np.random.default_rng(2022)
+    for _ in range(60):
+        m, alpha = int(rng.integers(1, 5)), float(rng.choice([0.3, 0.5, 1.0, 1.7, 2.0, 3.0]))
+        x, b = complex(*rng.uniform(-1, 1, 2)), complex(rng.uniform(0.5, 3), rng.uniform(-1, 1))
+        a = complex(rng.uniform(0.5, 2.5), rng.uniform(-1, 1))
+        if rng.random() < 0.5:
+            n = int(rng.integers(1, 12))
+            yield [complex(-n), a], [b], alpha, m, x, m * n, n
+        else:
+            yield [a], [b], alpha, m, x, 40, 40
+    p, q, n = 1.3, 0.4, 27
+    for theta in (0.5, 1.0, 3.0):
+        yield ([complex(-n), complex(p + 1, -q / 2)], [complex(-n - p + 1.5, -q / 2)],
+               2.0, 4, complex(np.exp(-1j * theta)), 4 * n, n)
+    for theta in (0.5, 1.0, 2.0):   # weight 40 no longer converges at 3
+        yield [complex(p + 1, -q / 2)], [complex(2 * p + 2)], 2.0, 4, -1j * theta, 40, 40
+
+
+def _sequential_shells(a_list, b_list, alpha, m, x, max_weight, max_part):
+    """(shells, sum |terms|) of the series on _pfq_shells' tree in
+    np.clongdouble, each term its parent's times its step, shell by shell;
+    only the Jack ratios are the library's (float64)."""
+    tree, ratio, _ = _jack_tree(m, max_weight, alpha, max_part)
+    step = np.empty(len(ratio), dtype=np.clongdouble)
+    step[tree.scan] = ratio
+    step *= np.clongdouble(x)
+    content = tree.col.astype(np.longdouble) - tree.row / np.longdouble(alpha)
+    for a in a_list:
+        step *= content + np.clongdouble(a)
+    for b in b_list:
+        step /= content + np.clongdouble(b)
+    terms = np.empty_like(step)
+    terms[0] = 1
+    for s, e in zip(tree.starts[1:-1], tree.starts[2:]):
+        terms[s:e] = terms[tree.parent[s:e]] * step[s:e]
+    return np.add.reduceat(terms, tree.starts[:-1]), float(np.abs(terms).sum())
+
+
+class TestProductOrder:
+    def test_matches_sequential_extended_precision(self):
+        # the sweeps form each term in another order than a walk from the
+        # root does; every shell stays within 4 eps sum |terms| of the walk
+        # in extended precision (measured worst 1.2 eps sum |terms|)
+        eps = np.finfo(float).eps
+        for a_list, b_list, alpha, m, x, w, top in _product_order_cases():
+            shells = _pfq_shells(a_list, b_list, alpha, m, x, w)
+            ref, mass = _sequential_shells(a_list, b_list, alpha, m, x, w, top)
+            err = np.abs(shells[:len(ref)] - ref).max()
+            assert err <= 4 * eps * mass, (m, alpha, w, x, err / (eps * mass))
 
 
 def _reference_pfq(a_list, b_list, alpha, m, x, max_weight):

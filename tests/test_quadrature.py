@@ -100,17 +100,6 @@ class TestTanhSinh:
         assert np.all(np.abs(val - direct.sum(axis=-1))
                       <= 1e-15 * np.abs(direct).sum(axis=-1))
 
-    def test_entries_side_by_side(self):
-        # two entries per node on the last axis sum as one integrand: the
-        # split after level 4 falls between nodes, not inside one
-        def pair(rule):
-            x, w = rule.nodes, np.repeat(rule.weights, 2)
-            return np.stack([np.cos(10 * x), x ** -0.3], axis=-1).reshape(-1) * w
-
-        one = tanh_sinh_adaptive(
-            lambda r: (np.cos(10 * r.nodes) + r.nodes ** -0.3) * r.weights, 0.0, 1.0)
-        assert abs(tanh_sinh_adaptive(pair, 0.0, 1.0) - one) <= 1e-14 * abs(one)
-
     def test_cached_rules_read_only(self):
         for arr in _tanh_sinh_raw(6) + _tanh_sinh_raw(6, odd=True):
             assert not arr.flags.writeable
