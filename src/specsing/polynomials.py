@@ -156,7 +156,7 @@ def rr_poly(n: int, c: complex, x) -> complex:
 def rr_scaled_raw(N: int, k: int, X, P: float, Q: float):
     """Prefactored scaled polynomial ((1-e^{2iX/N})/(2i))^{N-k} I_{N-k}(z(X))
     = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}) with p = P - N; X may be an
-    ndarray or a jet.  p + k = 0 is admitted at Q = 0 (the circular limit).
+    ndarray.  p + k = 0 is admitted at Q = 0 (the circular limit).
 
     The confluent limit of this quantity (N -> infinity) is C0^{(p,Q,k)}(X).
     """

@@ -1,12 +1,13 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
-expansion; the evaluator that sums a 2F1 or 1F1 series over a whole node
-array, a block of orders at a time; the derivatives M, M', ..., M^(top) of
-a 1F1 from one series pass, M^(j) = z^-j sum_m T_m m (m - 1) ... (m - j + 1)
-over the terms T_m of M; the forward-mode jet that carries every
-derivative in the library (Griewank and Walther, Evaluating Derivatives,
-SIAM 2008); and the memo over scalar points that jets and node arrays
-bypass.
+expansion; the evaluator that sums a terminating 2F1 over a whole node
+array, a block of orders at a time; the one 1F1 evaluator, which gives
+M, M', ..., M^(top) of M = 1F1 from one series pass (hyp1f1 is its order
+0, and SeriesControl.max_terms bounds it for every caller, the limit
+kernels' confluent blocks included); the forward-mode jet that carries
+every derivative in the library (Griewank and Walther, Evaluating
+Derivatives, SIAM 2008); and the memo over scalar points that jets and node
+arrays bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
@@ -21,6 +22,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -40,8 +42,9 @@ class SeriesControl:
     """Truncation policy for hypergeometric series.
 
     rel_tol: term magnitude cutoff relative to the running sum.
-    max_terms: hard cap on the number of summed terms (a terminating 2F1
-        of degree n sums at most n + 1 terms and does not read it).
+    max_terms: hard cap on the number of summed terms of every 1F1 series,
+        hyp1f1's and the confluent blocks' alike (a terminating 2F1 of
+        degree n sums at most n + 1 terms and does not read it).
     """
     rel_tol: float = 1e-15
     max_terms: int = 2000
@@ -218,11 +221,6 @@ def log_gamma(z: complex) -> complex:
     return complex(math.lgamma(x), -math.pi * math.ceil(-x) if x < 0 else 0.0)
 
 
-def gammaf(z: complex) -> complex:
-    """Gamma(z) = exp(log_gamma(z)); raises PoleError at nonpositive integers."""
-    return complex(np.exp(log_gamma(z)))
-
-
 def pochhammer(a: complex, n: int) -> complex:
     """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
 
@@ -258,15 +256,11 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     (safe when |n z| stays O(1), as in the scaled-kernel use).  z may be an
     ndarray: _array_series then sums the series for every element at once,
     to the first order at which every element meets rel_tol, or to the end.
-    z may be a jet: d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z).
     A non-finite z raises ValueError, a non-finite sum NonConvergenceError.
     """
-    if n < 0:
+    if operator.index(n) < 0:
         raise ValueError("terminating order n must be nonnegative")
     ctrl = ctrl or DEFAULT_CONTROL
-    if isinstance(z, _Jet):
-        value = hyp2f1_terminating(n, b, c, z.v, ctrl)  # raises at a pole first
-        return _Jet(value, _hyp2f1_slope(n, b, c, z.v, ctrl) * z.d, z.tag)
     # joint limit b, c -> 0 with b/c -> 1/2 (weight p -> 0 at q = 0): the
     # first ratio is -n/2 (the scalar loop adds that term without Kahan or test)
     joint = b == 0 and c == 0
@@ -274,15 +268,15 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     if isinstance(z, np.ndarray):
         def ratios(alpha):
             # t_{alpha+1} = t_alpha num / den z; alpha = n, the last order,
-            # gives num = 0, which ends the sum, whatever c + n is
+            # gives num = 0, which ends the sum, whatever b and c are
             num = (alpha - n) * (b + alpha)
             den = (c + alpha) * (alpha + 1.0)
-            if alpha[-1] == n:
-                den[-1] = 1.0
+            last = alpha == n
+            num[last], den[last] = 0.0, 1.0
             if joint and alpha[0] == 0:
                 num[0], den[0] = -0.5 * n, 1.0
             return num, den
-        return _array_series(ratios, np.asarray(z, dtype=complex), ctrl.rel_tol, n + 1)
+        return _array_series(ratios, np.asarray(z, dtype=complex), ctrl.rel_tol)
     _check_finite(z)
     tol = ctrl.rel_tol
     total = 1.0 + 0.0j
@@ -307,56 +301,21 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     return total
 
 
-def _hyp2f1_slope(n: int, b: complex, c: complex, z, ctrl: SeriesControl | None = None):
+def _hyp2f1_slope(n: int, b: complex, c: complex, z):
     """d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z), one series."""
     # b/c -> 1/2 in the joint limit b, c -> 0; the n = 0 derivative is 0
     ratio = 0.5 if b == 0 and c == 0 else b / c
-    return -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z, ctrl)
+    return -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z)
 
 
 def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
-    """Kummer 1F1(a; c; z) by its power series (Kahan-summed for a scalar z).
-
-    z may be an ndarray: _array_series then sums the series for every
-    element at once, to the first order at which every element meets
-    rel_tol.  z may be a jet: d/dz 1F1(a; c; z) = (a/c) 1F1(a+1; c+1; z).
-    A non-finite z raises ValueError.
-    """
-    if isinstance(z, _Jet):
-        value = hyp1f1(a, c, z.v, ctrl)  # raises at a pole first
-        # a/c -> 1/2 in the joint limit a, c -> 0
-        ratio = 0.5 if a == 0 and c == 0 else a / c
-        return _Jet(value, ratio * hyp1f1(a + 1, c + 1, z.v, ctrl) * z.d, z.tag)
-    if c == 0 and a == 0:
-        # joint limit a, c -> 0 with a/c -> 1/2: 1 + (e^z - 1)/2
-        _check_finite(z)
-        out = 1 + (np.exp(z) - 1) / 2
-        return out if isinstance(z, np.ndarray) else complex(out)
-    if _is_nonpositive_integer(c):
-        raise PoleError(f"1F1 lower parameter pole at c={c}")
-    ctrl = ctrl or DEFAULT_CONTROL
-    if isinstance(z, np.ndarray):
-        return _array_series(lambda k: (a + k, (c + k) * (k + 1)),
-                             np.asarray(z, dtype=complex), ctrl.rel_tol, ctrl.max_terms)
-    _check_finite(z)
-    tol = ctrl.rel_tol
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(ctrl.max_terms):
-        term = term * (a + k) / ((c + k) * (k + 1)) * z
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < tol * abs(total) + _TINY:
-            return total
-    raise NonConvergenceError(
-        f"1F1 series did not converge in {ctrl.max_terms} terms "
-        f"(last |term|={abs(term):.3e})")
+    """Kummer 1F1(a; c; z) by its power series, z a scalar or an ndarray:
+    order 0 of _hyp1f1_derivatives, whose rules and errors it shares."""
+    return _hyp1f1_derivatives(a, c, z, 0, ctrl)[0]
 
 
-def _hyp1f1_derivatives(a: complex, c: complex, z, top: int):
+def _hyp1f1_derivatives(a: complex, c: complex, z, top: int,
+                        ctrl: SeriesControl | None = None):
     """M, M', ..., M^(top) of M(z) = 1F1(a; c; z), from one series pass.
 
     M^(j) = (a)_j/(c)_j 1F1(a + j; c + j; z) (DLMF 13.3.16), and with
@@ -366,26 +325,21 @@ def _hyp1f1_derivatives(a: complex, c: complex, z, top: int):
 
     so one term recurrence serves every order, and the sums are one product
     of the (top + 1) x (terms) falling factorials with the terms.  They stop
-    where every order's last contribution meets hyp1f1's rule,
+    where every order's last contribution meets the rule of every series,
     |T_m m ... (m - j + 1)| < rel_tol |sum| + _TINY, tested on every order
     (a scalar z: _derivatives_scalar) or at the end of each block of
-    _DERIV_BLOCK orders, for every element (an ndarray: one cumprod of the
-    block's steps (a + m - 1)/((c + m - 1) m) z, the terms past the point
-    where the rule first held only adding below rel_tol).  Below |z| =
-    _Z_SMALL, where z^-j may underflow, M^(j) = (a)_j/(c)_j (1 + (a + j)/(c
-    + j) z), exactly (a)_j/(c)_j at z = 0.
+    _DERIV_BLOCK orders, for every element (an ndarray: _derivatives_array).
+    Below |z| = _Z_SMALL, where z^-j may underflow, M^(j) = (a)_j/(c)_j (1 +
+    (a + j)/(c + j) z), exactly (a)_j/(c)_j at z = 0.
 
     A scalar z gives a tuple, an ndarray an array of shape (top + 1,) +
-    z.shape, and a jet a tuple of jets, M^(j)(z + eps d) = M^(j) + M^(j+1)
-    d eps, read from the family of order top + 1.  The joint limit a, c -> 0
-    gives 1 + (e^z - 1)/2 and e^z/2, as in hyp1f1.  A non-finite z raises
-    ValueError, overflow or a spent term budget NonConvergenceError.
+    z.shape.  The joint limit a, c -> 0 (a/c -> 1/2) gives 1 + (e^z - 1)/2
+    and e^z/2.  ctrl (default DEFAULT_CONTROL) gives rel_tol and the term
+    budget max_terms.  A non-finite z raises ValueError, overflow or a spent
+    term budget NonConvergenceError.
     """
     if top < 0:
         raise ValueError("derivative order must be nonnegative")
-    if isinstance(z, _Jet):
-        vals = _hyp1f1_derivatives(a, c, z.v, top + 1)  # raises at a pole first
-        return tuple(_Jet(vals[j], vals[j + 1] * z.d, z.tag) for j in range(top + 1))
     _check_finite(z)
     array = isinstance(z, np.ndarray)
     if a == 0 and c == 0:
@@ -394,24 +348,27 @@ def _hyp1f1_derivatives(a: complex, c: complex, z, top: int):
         return np.stack(out) if array else tuple(complex(v) for v in out)
     if _is_nonpositive_integer(c):
         raise PoleError(f"1F1 lower parameter pole at c={c}")
+    ctrl = ctrl or DEFAULT_CONTROL
     if not array:
-        return _derivatives_scalar(a, c, z, top)
-    return _derivatives_array(a, c, z, top)
+        return _derivatives_scalar(a, c, z, top, ctrl)
+    return _derivatives_array(a, c, z, top, ctrl)
 
 
-def _derivatives_array(a: complex, c: complex, z: np.ndarray, top: int) -> np.ndarray:
+def _derivatives_array(a: complex, c: complex, z: np.ndarray, top: int,
+                       ctrl: SeriesControl) -> np.ndarray:
     """_hyp1f1_derivatives for an ndarray z: blocks of _DERIV_BLOCK orders,
-    each one cumprod of its steps for every element and one product of the
-    falling factorials with the terms; the rule is tested at each block's
-    end, on every order and element."""
+    each one cumprod of its steps (a + m - 1)/((c + m - 1) m) z for every
+    element and one product of the falling factorials with the terms; the
+    rule is tested at each block's end, on every order and element (the
+    terms past the point where it first held only add below rel_tol)."""
     flat = np.ascontiguousarray(z, dtype=complex).reshape(-1)
-    tol = DEFAULT_CONTROL.rel_tol
+    tol, max_terms = ctrl.rel_tol, ctrl.max_terms
     sums = np.zeros((top + 1, flat.size), complex)
     sums[0] = 1.0
     term = np.ones_like(flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, DEFAULT_CONTROL.max_terms + 1, _DERIV_BLOCK):
-            stop = min(start + _DERIV_BLOCK, DEFAULT_CONTROL.max_terms + 1)
+        for start in range(1, max_terms + 1, _DERIV_BLOCK):
+            stop = min(start + _DERIV_BLOCK, max_terms + 1)
             m1 = np.arange(start - 1.0, stop - 1.0)  # m - 1
             terms = np.cumprod(((a + m1) / ((c + m1) * (m1 + 1)))[:, None] * flat, axis=0)
             terms *= term
@@ -432,19 +389,19 @@ def _derivatives_array(a: complex, c: complex, z: np.ndarray, top: int) -> np.nd
                     sums[:, small] = np.array(list(_small_z(a, c, flat[small], top)))
                 return _finite(sums).reshape((top + 1,) + z.shape)
     _finite(sums)
-    raise NonConvergenceError(
-        f"1F1 derivative series did not converge in {DEFAULT_CONTROL.max_terms} terms")
+    raise NonConvergenceError(f"1F1 series did not converge in {max_terms} terms")
 
 
-def _derivatives_scalar(a: complex, c: complex, z: complex, top: int) -> tuple:
+def _derivatives_scalar(a: complex, c: complex, z: complex, top: int,
+                        ctrl: SeriesControl) -> tuple:
     """_hyp1f1_derivatives for a scalar z.  A Python loop forms the terms,
-    summing only order 0, until that order meets the rule, and top + 1 terms
-    more; one product of the falling factorials with the terms then gives
-    every order's sum, and the rule is tested on each (a failed test adds
-    top + 1 terms)."""
+    summing only order 0, until that order meets the rule (at top = 0, the
+    end), and top + 1 terms more; one product of the falling factorials with
+    the terms then gives every order's sum, and the rule is tested on each
+    (a failed test adds top + 1 terms)."""
     if abs(z) < _Z_SMALL:
         return tuple(_small_z(a, c, z, top))
-    tol, max_terms = DEFAULT_CONTROL.rel_tol, DEFAULT_CONTROL.max_terms
+    tol, max_terms = ctrl.rel_tol, ctrl.max_terms
     t = s = 1.0 + 0.0j
     terms = [t]
     m = 0
@@ -455,13 +412,15 @@ def _derivatives_scalar(a: complex, c: complex, z: complex, top: int) -> tuple:
         while m < least or abs(t) >= tol * abs(s) + _TINY:
             if m == max_terms:
                 raise NonConvergenceError(
-                    f"1F1 derivative series did not converge in {max_terms} terms at z={z}")
+                    f"1F1 series did not converge in {max_terms} terms at z={z}")
             t = t * (a + m) / ((c + m) * (m + 1)) * z
             s += t
             terms.append(t)
             m += 1
         if not cmath.isfinite(s):
-            raise NonConvergenceError("1F1 derivative terms or sums overflowed")
+            raise NonConvergenceError("1F1 terms or sums overflowed")
+        if not top:
+            return (s,)
         if padded:
             sums = (_falling_factorials(0, m + 1, top) @ np.array(terms)).tolist()
             contribution = t  # of order j: t m (m - 1) ... (m - j + 1)
@@ -521,10 +480,11 @@ def _check_finite(z) -> None:
         raise ValueError("series argument z must be finite")
 
 
-def _array_series(ratios, z: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """Sum of the series t_0 = 1, t_{k+1} = t_k num_k / den_k z for every
-    element of z, to the first order k < max_terms at which every element has
-    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar loops' rule).
+def _array_series(ratios, z: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Sum of the terminating series t_0 = 1, t_{k+1} = t_k num_k / den_k z
+    for every element of z, to the first order k at which every element has
+    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar loop's rule), or
+    to the first zero num.
 
     ratios(ks) gives (num, den) over an array of _BLOCK orders at a time.
     The steps num/den z of up to _CHUNK // z.size orders form one array;
@@ -551,8 +511,8 @@ def _array_series(ratios, z: np.ndarray, rel_tol: float, max_terms: int) -> np.n
     # overflow and NaN up to the stop are reported by _finite; steps past the
     # stop are never used
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, max_terms, _BLOCK):
-            num, den = ratios(np.arange(start, min(start + _BLOCK, max_terms), dtype=float))
+        for start in itertools.count(0, _BLOCK):
+            num, den = ratios(np.arange(start, start + _BLOCK, dtype=float))
             cut = np.flatnonzero((den == 0) | (num == 0))
             width = cut[0] if cut.size else len(num)
             ratio = num[:width] / den[:width]
@@ -565,15 +525,11 @@ def _array_series(ratios, z: np.ndarray, rel_tol: float, max_terms: int) -> np.n
                         probe = int(np.argmax(excess))
                         if excess[probe] < 0:
                             return _finite(total).reshape(z.shape)
-            if cut.size and den[width] != 0:
-                return _finite(total).reshape(z.shape)
             if cut.size:
-                raise PoleError(f"series parameter pole: a denominator vanished at "
-                                f"order {start + width + 1}")
-    _finite(total)
-    raise NonConvergenceError(
-        f"series did not converge in {max_terms} terms "
-        f"(largest last |term|={np.max(np.abs(term)):.3e})")
+                if den[width] == 0:
+                    raise PoleError(f"series parameter pole: a denominator vanished at "
+                                    f"order {start + width + 1}")
+                return _finite(total).reshape(z.shape)
 
 
 def _finite(total: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Source hygiene: every name a specsing module, test or demo imports is used
 in it, re-exported through its __all__ or marked `# noqa: F401` (a stdlib-ast
 stand-in for a linter), every module-level private name is used somewhere in
-the package, and the package imports nothing beyond numpy."""
+the package, the package imports nothing beyond numpy, and its public names
+and their parameters stay as frozen here."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -112,3 +114,85 @@ def test_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]"
+
+
+# specsing.__all__ with the parameter names of each callable in it (a class:
+# its constructor's; an exception class: its base), as frozen here: a change
+# that drops or renames a public name or parameter fails, and one that adds
+# one updates this table on purpose
+PUBLIC_API = {
+    "CauchyWeightParams": ("c",),
+    "ConfluentBlock": ("p", "q_eff", "k"),
+    "DensityTilde": ("a_tilde", "b_tilde"),
+    "EnsembleParams": ("beta", "size", "p", "q"),
+    "KernelExpansion": ("K_inf", "L1", "L2", "X", "Y"),
+    "MorrisParams": ("a", "b", "lam", "N"),
+    "NonConvergenceError": RuntimeError,
+    "Partition": ("parts",),
+    "PoleError": ValueError,
+    "QuadratureRule": ("nodes", "weights", "domain"),
+    "ResidualReport": ("N_values", "residuals", "fitted_slope", "fit_r2",
+                       "extrapolated_limit", "floor_hit"),
+    "SeriesControl": ("rel_tol", "max_terms"),
+    "SkewConstants": ("gamma", "eta1", "eta2", "s_tilde"),
+    "a_confluent": ("j", "block", "X"),
+    "c_tilde": ("order", "k", "p", "q_eff", "X"),
+    "cayley_to_circle": ("x",),
+    "circle_to_cayley": ("theta",),
+    "correlation_det": ("points", "params"),
+    "density_expansion_check": ("theta", "params", "N_list"),
+    "derivative_identity_residual": ("beta", "X", "Y", "params"),
+    "duality_ratio_2f1": ("n", "b", "c", "alpha", "m", "t"),
+    "fit_loglog": ("N_values", "residuals"),
+    "gamma_ratio_expansion": ("z", "a", "b", "order"),
+    "gen_pochhammer": ("a", "k", "alpha"),
+    "hyp1f1": ("a", "c", "z", "ctrl"),
+    "hyp2f1_terminating": ("n", "b", "c", "z", "ctrl"),
+    "hyper_pfq_alpha": ("a_list", "b_list", "alpha", "m", "x", "max_weight"),
+    "i_integral": ("kind", "theta", "params", "f_moment"),
+    "intermediate_expansion_check": ("kind", "N", "X", "params"),
+    "j_blocks": ("k", "p", "q_eff", "X", "Y"),
+    "jack_principal": ("k", "alpha", "m", "x"),
+    "k_limit": ("beta", "X", "Y", "params"),
+    "kernel_expansion": ("beta", "X", "Y", "params"),
+    "kernel_residual_scan": ("beta", "X", "Y", "params", "N_list", "order"),
+    "kernel_s1": ("x", "y", "params"),
+    "kernel_s1_scaled": ("X", "Y", "params"),
+    "kernel_s2": ("x", "y", "params"),
+    "kernel_s2_scaled": ("X", "Y", "params"),
+    "kernel_s4": ("x", "y", "params"),
+    "kernel_s4_scaled": ("X", "Y", "params"),
+    "kernel_scaled": ("beta", "X", "Y", "params"),
+    "l1": ("beta", "X", "Y", "params"),
+    "l2": ("beta", "X", "Y", "params"),
+    "log_gamma": ("z",),
+    "morris_closed": ("m",),
+    "morris_quadrature": ("m",),
+    "orthogonality_check": ("n", "m", "params", "rule"),
+    "partitions_up_to": ("m", "max_weight"),
+    "pochhammer": ("a", "n"),
+    "rho_finite": ("theta", "params", "path"),
+    "rho_limit": ("theta", "params", "path", "max_weight"),
+    "rr_norm": ("n", "c"),
+    "rr_poly": ("n", "c", "x"),
+    "rr_scaled": ("n_minus_k", "k", "X", "params"),
+    "scaled_point_map": ("X", "N"),
+    "skew_constants": ("params",),
+    "tail_integral": ("degree", "upper_X", "params"),
+    "tanh_sinh_rule": ("a", "b", "level"),
+    "tuned_scaling_residual": ("beta", "X", "Y", "params", "N_list"),
+    "weight_cauchy": ("x", "w"),
+    "weight_circle_scaled": ("X", "params"),
+}
+
+
+def test_public_api_is_frozen():
+    import specsing
+
+    assert sorted(specsing.__all__) == sorted(PUBLIC_API)
+    for name, expected in PUBLIC_API.items():
+        obj = getattr(specsing, name)
+        if isinstance(expected, type):
+            assert issubclass(obj, expected) and issubclass(obj, Exception), name
+        else:
+            assert tuple(inspect.signature(obj).parameters) == expected, name

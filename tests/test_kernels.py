@@ -417,9 +417,9 @@ class TestCallCounts:
             value.append((n, complex(z)))
             return series(n, b, c, z, ctrl)
 
-        def count_slope(n, b, c, z, ctrl=None):
+        def count_slope(n, b, c, z):
             slope.append((n, complex(z)))
-            return rule(n, b, c, z, ctrl)
+            return rule(n, b, c, z)
 
         monkeypatch.setattr(polynomials, "hyp2f1_terminating", count_value)
         monkeypatch.setattr(polynomials, "_hyp2f1_slope", count_slope)
