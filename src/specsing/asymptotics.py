@@ -34,25 +34,30 @@ class ResidualReport:
 
 
 def fit_loglog(N_values, residuals) -> tuple[float, float]:
-    """Least-squares slope of log residual vs log N; the smallest N is dropped
-    when it deviates more than 3 sigma from the fit (pre-asymptotic point)."""
-    x = np.log(np.asarray(N_values, dtype=float))
-    y = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
+    """Least-squares slope of log residual vs log N, and its r^2, in closed
+    form; the smallest N is dropped when it deviates more than 3 sigma from
+    the fit of the rest (pre-asymptotic point).  N values that are all equal
+    raise ValueError."""
+    x = [math.log(n) for n in N_values]
+    y = [math.log(max(float(r), 1e-300)) for r in residuals]
 
-    def fit(xv, yv):
-        A = np.vstack([xv, np.ones_like(xv)]).T
-        coef, *_ = np.linalg.lstsq(A, yv, rcond=None)
-        resid = yv - A @ coef
-        ss_res = float(np.sum(resid ** 2))
-        ss_tot = float(np.sum((yv - yv.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        return float(coef[0]), float(coef[1]), r2, resid
+    def fit(xs, ys):
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        sxx = sum((a - mx) ** 2 for a in xs)
+        if not sxx:
+            raise ValueError("fit_loglog needs two distinct N values")
+        slope = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sxx
+        resid = [b - my - slope * (a - mx) for a, b in zip(xs, ys)]
+        ss_tot = sum((b - my) ** 2 for b in ys)
+        r2 = 1.0 - sum(r * r for r in resid) / ss_tot if ss_tot > 0 else 1.0
+        return slope, my - slope * mx, r2, resid
 
-    slope, icept, r2, _ = fit(x, y)
+    slope, _, r2, _ = fit(x, y)
     if len(x) > 3:
         # drop the smallest N when it deviates > 3 sigma from the fit of the rest
         s1, i1, r21, resid1 = fit(x[1:], y[1:])
-        sigma = float(np.std(resid1)) + 1e-3
+        mean = sum(resid1) / len(resid1)
+        sigma = math.sqrt(sum((r - mean) ** 2 for r in resid1) / len(resid1)) + 1e-3
         if abs(y[0] - (s1 * x[0] + i1)) > 3 * sigma:
             return s1, r21
     return slope, r2

@@ -30,10 +30,20 @@ suite):
              with Js prefactor p 2^(8p) |G(2p+1-iq)|^2 / (pi G(4p+1) G(4p+2)).
 
 A(j; X) is the j-th derivative of M(z) = 1F1(pk - iq; 2 pk; z) at z = 2iX
-(DLMF 13.3.16), so one series pass gives the whole family A(0..5; X):
-with T_m the terms of M, A(j) = z^-j sum_m T_m m (m - 1) ... (m - j + 1)
-(series._hyp1f1_derivatives).  Each scalar point, and each Gauss-Jacobi node
-set, is summed once; a jet reads its family from the one at its value.
+(DLMF 13.3.16).  By Kummer's transformation (DLMF 13.2.39) f(X) =
+e^{-iX} M(2iX) is real: the Coulomb series (DLMF 33.6, l + 1 = pk, eta = q)
+f = sum_m d_m X^m, d_0 = 1, m (m - 1 + 2 pk) d_m = 2q d_{m-1} - d_{m-2},
+whose terms cancel by about e^X where those of M(2iX) cancel by e^{2X}.
+One pass (_coulomb) sums T_m = d_m x^m at a point x, and all at x reads it:
+A(j; x) = e^{ix} sum_r C(j, r) 2^(r-j) (2i)^-r f^(r)(x), with x^r f^(r)(x)
+= sum_m m (m - 1) ... (m - r + 1) T_m, and the integrals J_o (x = X), J_s
+(x = 2X) and l2's moment Ix: C_j is a sum of pieces c y^s A(i; y), so
+e^{-iy} C_j(y) is a power series in y, integrated against s^e term by term
+(_series_integral).  An integral is refused (NonConvergenceError) where its
+rounding bound exceeds 1e-6 of its value: at beta = 4 from X near 10 (l2),
+12 (l1) and 13.5 (K), at beta = 1 from X near 23 (l1) and 28 (K), for
+(p, q) = (1.5, 0.7).  Each (block, point) is summed once; a jet reads the
+family at its value.
 
 The derivative identity L1 = p (X d/dX + Y d/dY + 1) K holds with the same
 constant p for all three beta (checked to full precision with forward-mode
@@ -43,6 +53,7 @@ such a term plus (X^2/3) K_inf.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,10 +62,12 @@ import numpy as np
 
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
-from .quadrature import gauss_jacobi_integrate
-from .series import _Jet, _cached_at_points, _hyp1f1_derivatives, log_gamma
+from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY, _Z_SMALL, _Jet,
+                     _cached_at_points, _falling_factorials, _hyp1f1_derivatives,
+                     _is_nonpositive_integer, _small_z, log_gamma)
 
-_DIAG_EPS = 1e-5
+_DIAG_EPS, _DIAG_H = 1e-5, 1e-3
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -84,67 +97,121 @@ class KernelExpansion:
 
 
 def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
-    """A^{(p+k, q)}(j; X)."""
+    """A^{(p+k, q)}(j; X): orders 0..5 as the kernels read them (_A), higher
+    ones from the general 1F1 evaluator."""
     pk, q = block.p + block.k, block.q_eff
+    if 0 <= j <= _TOP:
+        return _A(pk, q, X)[j]
     return _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, j)[j]
 
 
 # C_0, C_1 and C_2 read A(0..0), A(0..2) and A(0..4); a point's family also
 # holds A(5), which the derivative of A(4) along a jet reads
 _TOP = 5
+# A(j) = e^{iX} sum_r _BINOMIAL[j, r] f^(r)(X): M(z) = e^{z/2} f(z/(2i))
+_BINOMIAL = np.array([[math.comb(j, r) * 2.0 ** (r - j) * (2j) ** -r for r in range(_TOP + 1)]
+                      for j in range(_TOP + 1)])
+_ORDERS = np.arange(_TOP + 1.0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _coulomb(pk: float, q: float, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """The terms T_m = d_m x^m of f(x) = e^{-ix} 1F1(pk - iq; 2 pk; 2ix), and
+    S_r = sum_m m (m - 1) ... (m - r + 1) T_m = x^r f^(r)(x), r = 0.._TOP.
+
+    m (m - 1 + 2 pk) T_m = 2q x T_{m-1} - x^2 T_{m-2} (2 pk no pole) runs
+    until _TOP + 3 terms in a row meet the library's rule |T_m| < rel_tol
+    |sum| + _TINY: two for order 0 (a three-term recurrence can pass near
+    zero once), and _TOP + 1 over which the terms fall by about
+    (x/m)^(_TOP + 1), past the (m/x)^r by which order r weighs the last
+    term more than order 0 does.  Overflow (with a RuntimeWarning) or
+    DEFAULT_CONTROL's term budget raise NonConvergenceError.
+    """
+    tol, budget = DEFAULT_CONTROL.rel_tol, DEFAULT_CONTROL.max_terms
+    a, b, c1 = 2 * q * x, x * x, 2 * pk - 1
+    prev, t, s = 0.0, 1.0, 1.0
+    terms = [t]
+    m = quiet = 0
+    while quiet < _TOP + 3:
+        if m == budget:
+            raise NonConvergenceError(f"Coulomb series did not converge in {budget} terms at x={x}")
+        m += 1
+        prev, t = t, (a * t - b * prev) / (m * (m + c1))
+        s += t
+        terms.append(t)
+        quiet = quiet + 1 if abs(t) < tol * abs(s) + _TINY else 0
+    T = np.array(terms)
+    S = _falling_factorials(0, m + 1, _TOP) @ T
+    if not math.isfinite(S.sum()):
+        raise NonConvergenceError("Coulomb series sums overflowed")
+    T.flags.writeable = S.flags.writeable = False
+    return T, S
 
 
 # c_tilde orders 0..2 share one family, and the blocks of K, L1 and L2 share
 # points (also with the jets at them), so each point is summed once
 @_cached_at_points(1024)
 def _A(pk: float, q: float, X):
-    """A^{(pk, q)}(j; X) for j = 0..5, from one 1F1 series pass: A(j; X) is
+    """A^{(pk, q)}(j; X) for j = 0..5, from the Coulomb pass at X: A(j; X) is
     the j-th derivative of 1F1(pk - iq; 2 pk; z) at z = 2iX.
 
-    X may be an ndarray (quadrature nodes), summed once per distinct node
-    set, or a jet: A(j; X + eps d) = A(j; X) + 2i d A(j + 1; X) eps, so a
-    jet's family is the one at its value, one order shorter (a jet of a jet
-    reaches A(3), enough for C_0 and C_1).
+    The joint limit pk = q = 0 (M = 1 + (e^z - 1)/2) and |2X| below
+    series._Z_SMALL (the two-term Taylor series) are exact branches; a pole
+    2 pk raises PoleError.  X may be a jet: A(j; X + eps d) = A(j; X) +
+    2i d A(j + 1; X) eps, so a jet's family is the one at its value, one
+    order shorter (a jet of a jet reaches A(3), enough for C_0 and C_1); or
+    an ndarray, each element a point of the memo.
     """
     if isinstance(X, _Jet):
         base = _A(pk, q, X.v)
         return tuple(_Jet(base[j], 2j * X.d * base[j + 1], X.tag)
                      for j in range(len(base) - 1))
     if isinstance(X, np.ndarray):
-        return _A_nodes(pk, q, X.dtype.str, X.shape, X.tobytes())
-    return _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, _TOP)
+        values = [_A(pk, q, x) for x in X.ravel().tolist()]
+        return np.array(values, complex).T.reshape((_TOP + 1,) + X.shape)
+    if pk == 0 and q == 0:
+        half = cmath.exp(2j * X) / 2
+        return (0.5 + half,) + (half,) * _TOP
+    if _is_nonpositive_integer(2 * pk):
+        raise PoleError(f"1F1 lower parameter pole at c={2 * pk}")
+    if abs(2 * X) < _Z_SMALL:
+        return tuple(_small_z(complex(pk, -q), complex(2 * pk), 2j * X, _TOP))
+    S = _coulomb(pk, q, X)[1]
+    family = cmath.exp(1j * X) * (_BINOMIAL @ (S / X ** _ORDERS))
+    return tuple(family.tolist())
 
 
-# the Gauss-Jacobi integrals of C_0, C_1, C_2 and l2's moment Ix evaluate
-# their integrands on one node set per (p, q, X), so they share its family
-@functools.lru_cache(maxsize=64)
-def _A_nodes(pk: float, q: float, dtype: str, shape: tuple, nodes: bytes) -> np.ndarray:
-    X = np.frombuffer(nodes, dtype).reshape(shape)
-    family = _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, _TOP)
-    family.flags.writeable = False
-    return family
+@functools.lru_cache(maxsize=256)
+def _pieces(order: int, k: int, pk: float, q: float) -> tuple:
+    """C_order^{(pk - k, q, k)} as pieces (c, s, i): C(X) = sum c X^s A(i; X)."""
+    if order == 0:
+        return ((1.0, 0, 0),)
+    w = 1j * k + q
+    c1 = {(2, 1): -2.0, (2, 2): 2.0, (1, 1): -2j * k, (1, 0): w}
+    if order == 1:
+        return tuple((c, s, i) for (s, i), c in c1.items())
+    c2 = {(4, 2): 2.0, (4, 3): -4.0, (4, 4): 2.0,
+          (3, 1): -4j / 3, (3, 2): 4j * (k + 1), (3, 3): -4j * (3 * k + 2) / 3,
+          (2, 1): 2.0 * k, (2, 2): -2.0 * k * (k + 1), (2, 0): -(w * w / 2 + pk / 6)}
+    for (s, i), c in c1.items():  # the (ik + q) X C_1 term
+        c2[s + 1, i] = c2.get((s + 1, i), 0.0) + w * c
+    return tuple((c, s, i) for (s, i), c in c2.items())
+
+
+def _c_value(pieces: tuple, A, X):
+    """sum c X^s A(i) over the pieces; X may be a jet or an ndarray."""
+    powers = (1.0, X, X * X, X * X * X, X * X * X * X)
+    return sum(c * powers[s] * A[i] for c, s, i in pieces)
 
 
 def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
     """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray or a jet."""
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    pk = p + k
-    q = q_eff
-    A = _A(pk, q, X)
+    A = _A(p + k, q_eff, X)
     if order == 0:
         return A[0]
-    A0, A1, A2 = A[:3]
-    u = 2j * X
-    C1 = 0.5 * u * u * (A1 - A2) - k * u * A1 + (1j * k + q) * X * A0
-    if order == 1:
-        return C1
-    A3, A4 = A[3:5]
-    lines = (u ** 4 * (A2 - 2 * A3 + A4) / 8
-             + u ** 3 * (A1 - 3 * (k + 1) * A2 + (3 * k + 2) * A3) / 6
-             + u ** 2 * (-2 * k * A1 + 2 * k * (k + 1) * A2) / 4)
-    w = 1j * k + q
-    return lines + w * X * C1 - (w * w / 2 + pk / 6) * X * X * A0
+    return _c_value(_pieces(order, k, p + k, q_eff), A, X)
 
 
 def j_blocks(k: int, p: float, q_eff: float, X: float, Y: float) -> dict:
@@ -188,16 +255,21 @@ def _pref2(p: float, q: float, k: int, X, Y):
             * (X * Y) ** (p + k + 1) / (X * X))
 
 
-def _over_diff(G, p: float, q: float, X, Y, k: int = 0) -> complex:
-    """_pref2 G(X, Y)/(X - Y) for G antisymmetric in (X, Y).
+def _over_diff(G, p: float, q: float, X, Y, k: int = 0, scale: int = 1) -> complex:
+    """_pref2 G(X, Y)/(X - Y) for G antisymmetric in (X, Y), at arguments
+    scale times the kernel's (X, Y).
 
-    X^2 times it is symmetric, so near the diagonal (M/X)^2 times its value
-    at the midpoint M is second order in X - Y; there G(M, Y)/(M - Y) is
-    -dG/dY, taken along a jet in Y."""
-    if abs(X - Y) < _DIAG_EPS * (1 + abs(X)):
-        M = 0.5 * (X + Y)
-        dG = G(p, q, M, _Jet.seed(M), k).d
-        return -(M / X) ** 2 * _pref2(p, q, k, M, M) * dG
+    X^2 times it is a symmetric W(X, Y), so near the diagonal, |X - Y| below
+    _DIAG_EPS (1 + |X|) in the kernel's variables, W(M + d, M - d) = W(M, M)
+    + W2 d^2 + O(d^4): there G(M, Y)/(M - Y) is -dG/dY, taken along a jet in
+    Y, and W2 is read from W at M +- h, h = _DIAG_H (scale + |M|), where the
+    quotient loses little to cancellation."""
+    if abs(X - Y) < _DIAG_EPS * (scale + abs(X)):
+        M, d = 0.5 * (X + Y), 0.5 * (X - Y)
+        W = -M * M * _pref2(p, q, k, M, M) * G(p, q, M, _Jet.seed(M), k).d
+        h = _DIAG_H * (scale + abs(M))
+        Wh = (M + h) ** 2 * _over_diff(G, p, q, M + h, M - h, k, scale)
+        return (W + (Wh - W) * (d / h) ** 2) / (X * X)
     return _pref2(p, q, k, X, Y) * G(p, q, X, Y, k) / (X - Y)
 
 
@@ -223,38 +295,69 @@ _k2 = functools.partial(_over_diff, _j0)
 _l1_2 = functools.partial(_over_diff, _l1_bracket)
 
 
-def _l2_2(p: float, q: float, X, Y, k: int = 0) -> complex:
-    return _over_diff(_l2_bracket, p, q, X, Y, k) + X * X / 3 * _k2(p, q, X, Y, k)
+def _l2_2(p: float, q: float, X, Y, k: int = 0, scale: int = 1) -> complex:
+    return (_over_diff(_l2_bracket, p, q, X, Y, k, scale)
+            + X * X / 3 * _k2(p, q, X, Y, k, scale))
 
 
 # --- integral operators ------------------------------------------------------
 
-# The integrands are s^(p+1) or s^(2p) times an entire function of s, so a
-# Gauss-Jacobi rule with that power as its weight integrates them; f
-# receives the whole node array at once, or a scalar where X is a jet.
+def _series_integral(pieces: tuple, pk: float, q: float, e: float, lam: float, X,
+                     scale: float = 1.0) -> complex:
+    """scale int_0^X s^e e^{-i lam s} C(lam s) ds for C(y) = sum c y^s A(i; y)
+    over the pieces, term by term from the Coulomb pass at x = lam X.
 
-def j_odd(f, X: float, p: float, q: float) -> complex:
-    """J_o[f](X) = int_0^X e^{-is - q pi} s^(p+1) f(s) ds, f vectorized."""
-    damp = math.exp(-q * math.pi)
-    return gauss_jacobi_integrate(lambda s: damp * np.exp(-1j * s) * f(s), X, p + 1)
-
-
-def j_symp_raw(f, X: float, p: float) -> complex:
-    """int_0^X e^{-2is} s^(2p) f(s) ds (bare beta=4 tail integral), f vectorized."""
-    return gauss_jacobi_integrate(lambda s: np.exp(-2j * s) * f(s), X, 2 * p)
+    A piece's r-th term e^{-iy} c y^s C(i, r) 2^(r-i) (2i)^-r f^(r)(y) is
+    c' sum_m T_m m ... (m - r + 1) y^t (t = s - r >= 0), so the integral is
+    X^(e+1) sum_m T_m W_m, W_m = sum c' x^t m ... (m - r + 1)/(m + t + e + 1).
+    NonConvergenceError where the rounding bound eps sum_m |T_m W_m| (times
+    |scale| X^(e+1)) exceeds 1e-6 |value| + 1e-9.  X may be a jet: the
+    derivative is scale X^e e^{-i lam X} C(lam X).
+    """
+    if isinstance(X, _Jet):
+        def integrand(v):
+            y = lam * v
+            return scale * v ** e * np.exp(-1j * y) * _c_value(pieces, _A(pk, q, y), y)
+        return X.chain(lambda v: _series_integral(pieces, pk, q, e, lam, v, scale), integrand)
+    x = lam * X
+    T = _coulomb(pk, q, x)[0]
+    rows = {}
+    for c, s, i in pieces:
+        for r in range(i + 1):
+            rows[s - r, r] = rows.get((s - r, r), 0.0) + c * _BINOMIAL[i, r]
+    t, r = np.array(list(rows)).T
+    m = np.arange(T.size)
+    W = ((np.array(list(rows.values())) * x ** t)
+         @ (_falling_factorials(0, T.size, _TOP)[r] / (m + (t + e + 1.0)[:, None])))
+    lead = scale * X ** (e + 1)
+    value = complex(lead * (W @ T))
+    bound = _EPS * abs(lead) * float(np.abs(W) @ np.abs(T))
+    if bound > 1e-6 * abs(value) + 1e-9:
+        raise NonConvergenceError(
+            f"Coulomb series integral on [0, {X}]: rounding bound {bound:.2e} "
+            f"against value {abs(value):.2e}")
+    return value
 
 
 # memoised like _A: K, L1 and L2 at one X share these integrals
 @_cached_at_points(256)
 def _jo(j: int, p: float, q: float, X: float) -> complex:
-    """J_o[C_j^{(p, 2q, 2)}](X), the beta = 1 integral."""
-    return j_odd(lambda s: c_tilde(j, 2, p, 2 * q, s), X, p, q)
+    """J_o[C_j^{(p, 2q, 2)}](X) = int_0^X e^{-is - q pi} s^(p+1) C_j(s) ds,
+    the beta = 1 integral."""
+    return _series_integral(_pieces(j, 2, p + 2, 2 * q), p + 2, 2 * q, p + 1, 1, X,
+                            math.exp(-q * math.pi))
 
 
 @_cached_at_points(256)
 def _js(j: int, p: float, q: float, X: float) -> complex:
     """int_0^X e^{-2is} s^(2p) C_j^{(2p, q, 1)}(2s) ds, the beta = 4 integral."""
-    return j_symp_raw(lambda s: c_tilde(j, 1, 2 * p, q, 2 * s), X, p)
+    return _series_integral(_pieces(j, 1, 2 * p + 1, q), 2 * p + 1, q, 2 * p, 2, X)
+
+
+def _ix(p: float, q: float, X: float) -> complex:
+    """l2's moment int_0^X e^{-2is} s^(2p) (2 s^2/3) C_0^{(2p, q, 1)}(2s) ds,
+    the piece y^2/6 A(0; y) at y = 2s."""
+    return _series_integral(((1 / 6, 2, 0),), 2 * p + 1, q, 2 * p, 2, X)
 
 
 def _js_prefactor(p: float, q: float, Y: float) -> complex:
@@ -280,7 +383,7 @@ def k_limit(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         return (Y / X) * _k2(p, qe, X, Y, k=1) + extra
     if beta == 4:
         Js0 = _js_prefactor(p, q, Y) * c_tilde(0, 0, 2 * p, q, 2 * Y) * _js(0, p, q, X)
-        return (Y / X) * _k2(2 * p, q, 2 * X, 2 * Y) - 2 / (X * X) * Js0
+        return (Y / X) * _k2(2 * p, q, 2 * X, 2 * Y, scale=2) - 2 / (X * X) * Js0
     raise ValueError("beta must be 1, 2 or 4")
 
 
@@ -305,7 +408,7 @@ def l1(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         c1Y = c_tilde(1, 0, pe, q, 2 * Y)
         I0, I1 = _js(0, p, q, X), _js(1, p, q, X)
         Js1 = pref * (c1Y * I0 + c0Y * I1 + 2 * p * (4 * p + 1) * c0Y * I0)
-        return (Y / (2 * X)) * _l1_2(pe, q, 2 * X, 2 * Y) - Js1 / (X * X)
+        return (Y / (2 * X)) * _l1_2(pe, q, 2 * X, 2 * Y, scale=2) - Js1 / (X * X)
     raise ValueError("beta must be 1, 2 or 4")
 
 
@@ -321,15 +424,15 @@ def l2(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         c1Y = c_tilde(1, 0, pe, q, 2 * Y)
         c2Y = c_tilde(2, 0, pe, q, 2 * Y)
         I0, I1, I2 = _js(0, p, q, X), _js(1, p, q, X), _js(2, p, q, X)
-        Ix = j_symp_raw(lambda s: (2 * s * s / 3) * c_tilde(0, 1, pe, q, 2 * s), X, p)
+        Ix = _ix(p, q, X)
         a1 = 2 * p * (4 * p + 1)
         a2 = p * (4 * p + 1) * (24 * p * p - 2 * p - 1) / 3
         T2 = (a2 * c0Y * I0 + a1 * (c1Y * I0 + c0Y * I1)
               + (c2Y - 2 * Y * Y / 3 * c0Y) * I0 + c1Y * I1
               + c0Y * (I2 + Ix) + (4 * X * X / 3) * c0Y * I0)
         part2 = -pref * T2 / (2 * X * X)
-        part1 = ((Y / (4 * X)) * _l2_2(pe, q, 2 * X, 2 * Y)
-                 + ((X * X - Y * Y) / 6) * (Y / X) * _k2(pe, q, 2 * X, 2 * Y))
+        part1 = ((Y / (4 * X)) * _l2_2(pe, q, 2 * X, 2 * Y, scale=2)
+                 + ((X * X - Y * Y) / 6) * (Y / X) * _k2(pe, q, 2 * X, 2 * Y, scale=2))
         return part1 + part2
     raise ValueError("l2 is available for beta in {2, 4}")
 

@@ -11,6 +11,7 @@ weights, P and Q carry the beta-specific identifications:
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -168,7 +169,9 @@ def _rr_args(N: int, k: int, X, P: float, Q: float) -> tuple:
     p = P - N
     if p + k <= 0 and not (p + k == 0 and Q == 0):
         raise ValueError("need p + k > 0 (or the circular limit p + k = Q = 0)")
-    return N - k, complex(p + k, -Q), complex(2 * p + 2 * k), 1 - np.exp(2j * (X / N))
+    # a plain scalar takes cmath, so the scalar 2F1 loop runs on Python complex
+    exp = np.exp if isinstance(X, (np.ndarray, _Jet)) else cmath.exp
+    return N - k, complex(p + k, -Q), complex(2 * p + 2 * k), 1 - exp(2j * (X / N))
 
 
 def _rr_scaled_slope(N: int, k: int, X: _Jet, P: float, Q: float) -> complex:

@@ -1,9 +1,9 @@
 """Quadrature utilities: tanh-sinh (double exponential) rules for endpoint
 algebraic singularities and the library's one adaptive 1-D integrator on
 them (levels rise until two agree; each level holds the one below, so only
-its new nodes are evaluated, and the first call covers two levels), a
-Gauss-Jacobi rule for s^expo times a smooth function, the sinc matrix that
-gives ordered double integrals on tanh-sinh nodes, and an ordered-sector
+its new nodes are evaluated, and the first call covers two levels), the
+sinc matrix that gives ordered double integrals on tanh-sinh nodes (its sine
+integrals by a Gauss-Jacobi rule), and an ordered-sector
 iterated scheme for symmetric multidimensional integrands with |diff|-type
 interior kinks (the Morris oracle), whose levels are nested the same way: a
 level evaluates only the grid points with at least one new node.  The
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import NonConvergenceError, _Jet
+from .series import NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -251,33 +251,6 @@ def _gauss_jacobi_pair(expo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for arr in (t, w_coarse, w_fine):
         arr.flags.writeable = False
     return t, w_coarse, w_fine
-
-
-def gauss_jacobi_integrate(h, X: float, expo: float) -> complex:
-    """int_0^X s^expo h(s) ds for a vectorized h smooth on [0, X].
-
-    Gauss-Jacobi rules of 12 and 20 nodes carry s^expo in their weight and
-    share one call of h; the 20-node value is returned.  The difference of
-    the two is the error estimate, held to 1e-6 of int_0^X s^expo |h| ds
-    (plus 1e-9): rounding in h limits an oscillatory integral to that scale.
-    X may be a jet: d/dX int_0^X s^expo h(s) ds = X^expo h(X).
-    """
-    if isinstance(X, _Jet):
-        return X.chain(lambda x: gauss_jacobi_integrate(h, x, expo),
-                       lambda x: x ** expo * h(x))
-    t, w_coarse, w_fine = _gauss_jacobi_pair(float(expo))
-    vals = np.asarray(h(X * t))
-    n = w_coarse.size
-    scale = X ** (expo + 1)
-    coarse = scale * complex(np.sum(vals[:n] * w_coarse))
-    val = scale * complex(np.sum(vals[n:] * w_fine))
-    mass = scale * float(np.sum(np.abs(vals[n:]) * w_fine))
-    err = abs(val - coarse)
-    if err > 1e-6 * mass + 1e-9:
-        raise NonConvergenceError(
-            f"Gauss-Jacobi rules differ by {err:.2e} on [0, {X}] "
-            f"(integral of |integrand| {mass:.2e})")
-    return val
 
 
 @lru_cache(maxsize=4)

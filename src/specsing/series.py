@@ -350,8 +350,24 @@ def _hyp1f1_derivatives(a: complex, c: complex, z, top: int,
         raise PoleError(f"1F1 lower parameter pole at c={c}")
     ctrl = ctrl or DEFAULT_CONTROL
     if not array:
+        if complex(z).real < 0:
+            return tuple(_kummer(_derivatives_scalar(c - a, c, -z, top, ctrl), z))
         return _derivatives_scalar(a, c, z, top, ctrl)
-    return _derivatives_array(a, c, z, top, ctrl)
+    flip = z.real < 0
+    out = np.empty((top + 1,) + z.shape, complex)
+    out[:, ~flip] = _derivatives_array(a, c, z[~flip], top, ctrl)
+    out[:, flip] = np.array(list(_kummer(_derivatives_array(c - a, c, -z[flip], top, ctrl),
+                                         z[flip])))
+    return out
+
+
+def _kummer(family, z):
+    """M^(j)(z) = e^z sum_r C(j, r) (-1)^r N^(r)(-z), j = 0..top, from the
+    family N^(r)(-z) of N = 1F1(c - a; c; .): M(z) = e^z N(-z) (DLMF
+    13.2.39), whose series does not cancel where Re z < 0."""
+    ez = np.exp(z)
+    for j in range(len(family)):
+        yield ez * sum(math.comb(j, r) * (-1) ** r * family[r] for r in range(j + 1))
 
 
 def _derivatives_array(a: complex, c: complex, z: np.ndarray, top: int,

@@ -19,6 +19,13 @@ class TestFitLoglog:
         assert slope == pytest.approx(-2.0, abs=1e-10)
         assert r2 > 0.999999
 
+    def test_degenerate_input(self):
+        # one distinct N has no slope; kernel_residual_scan takes orders 0..2
+        with pytest.raises(ValueError):
+            fit_loglog([100, 100, 100], [1e-4, 2e-4, 3e-4])
+        with pytest.raises(ValueError):
+            kernel_residual_scan(2, 2.0, 0.9, PR2, [100, 200], order=3)
+
     def test_outlier_dropped(self):
         Ns = [50, 100, 200, 400, 800]
         res = [3.0 / n ** 2 for n in Ns]

@@ -3,6 +3,7 @@ derivative identity, validated against the finite-N machinery."""
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,8 +13,8 @@ from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       a_confluent, c_tilde, derivative_identity_residual,
                       j_blocks, k_limit, kernel_expansion, kernel_scaled, l1, l2,
                       limits)
-from specsing.limits import _A, _jo, _js, j_symp_raw
-from specsing.series import _Jet
+from specsing.limits import _A, _ix, _jo, _js
+from specsing.series import PoleError, _hyp1f1_derivatives, _Jet
 
 
 class TestConfluentBlocks:
@@ -40,6 +41,55 @@ class TestConfluentBlocks:
         lhs = 2j * X * (A1 - A2)
         rhs = 2 * pk * A1 - complex(pk, -q) * A0
         assert abs(lhs - rhs) < 1e-10 * (abs(lhs) + 1)
+
+    # the worst relative error of A(0..5) over four (pk, q), measured per
+    # |z| = 2X: 5.6e-16, 2.8e-15, 2.9e-13, 1.0e-9 and 4.2e-7 (the plain 1F1
+    # series reached 3e-4 to 3e-2 at |z| = 32)
+    @pytest.mark.parametrize("X,tol", [(0.3, 1e-14), (3.0, 1e-14), (8.0, 1e-12),
+                                       (16.0, 5e-9), (20.0, 2e-6)])
+    def test_family_matches_mpmath(self, X, tol):
+        for pk, q in ((1.5, 0.7), (0.8, -0.4), (3.2, 1.0), (2.5, 0.0)):
+            a, c = complex(pk, -q), 2 * pk
+            with mpmath.workdps(40):
+                refs = [complex(mpmath.rf(a, j) / mpmath.rf(c, j)
+                                * mpmath.hyp1f1(a + j, c + j, 2j * X)) for j in range(6)]
+            for val, ref in zip(_A(pk, q, X), refs):
+                assert abs(val - ref) < tol * abs(ref), (pk, q, X)
+
+    def test_orders_arrays_and_exact_branches(self):
+        blk = ConfluentBlock(1.5, 0.7, 1)
+        a, c = complex(2.5, -0.7), complex(5.0)
+        # orders above 5 come from the general evaluator, negative ones raise
+        assert a_confluent(7, blk, 2.0) == _hyp1f1_derivatives(a, c, 4j, 7)[7]
+        with pytest.raises(ValueError):
+            a_confluent(-1, blk, 2.0)
+        # an array is a stack of its points' families, for the blocks and C_j
+        X = np.array([[0.5, 2.0], [0.0, 3.5]])
+        for j in (0, 3, 5):
+            vals = a_confluent(j, blk, X)
+            assert vals.shape == X.shape
+            assert all(vals[i] == a_confluent(j, blk, float(X[i])) for i in np.ndindex(X.shape))
+        ref = c_tilde(2, 1, 1.5, 0.7, 2.0)
+        assert abs(c_tilde(2, 1, 1.5, 0.7, X)[0, 1] - ref) < 1e-14 * abs(ref)
+        # below |z| = 1e-20 the two-term Taylor series; the joint limit exactly
+        ratio = 1.0
+        for j, val in enumerate(_A(2.5, 0.7, 1e-30)):
+            assert abs(val - ratio) < 1e-15 * abs(ratio)
+            ratio *= (a + j) / (c + j)
+        half = np.exp(4j) / 2
+        assert _A(0.0, 0.0, 2.0) == (0.5 + half,) + (half,) * 5
+        # a pole 2 pk = 0, on the series path and the Taylor one
+        for X in (1.0, 0.0):
+            with pytest.raises(PoleError):
+                _A(0.0, 0.5, X)
+
+    def test_series_budget_and_overflow(self):
+        # the Coulomb pass refuses a spent term budget (2000 terms) and sums
+        # that overflow, with a RuntimeWarning
+        with pytest.raises(NonConvergenceError):
+            limits._coulomb(1.5, 0.7, 1e4)
+        with pytest.warns(RuntimeWarning), pytest.raises(NonConvergenceError):
+            limits._coulomb(1.5, 0.0, 700.0)
 
     def test_block_validation(self):
         with pytest.raises(ValueError):
@@ -101,30 +151,33 @@ class TestJBlocks:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_l1_needs_orders_zero_and_one(self, beta, monkeypatch):
-        # l1 builds J0 and J1 without C2, from one family pass (A_0..A_5) per
-        # distinct scalar point (pk, q, X): the passes equal the memo's misses
-        # and the points asked for, jets included, whose families are read
-        # from the one at their value; and it gives the same bits as the
-        # bracket taken from j_blocks (the diagonal point runs the jet branch)
+        # l1 builds J0 and J1 without C2, from one Coulomb pass (the terms
+        # behind A_0..A_5) per distinct scalar point (pk, q, X): the passes
+        # are the points the family memo is asked for, jets included, whose
+        # families are read from the one at their value, and the J_o and J_s
+        # integrals add none (each is taken at a point of the family); and it
+        # gives the same bits as the bracket taken from j_blocks (the
+        # diagonal point runs the jet branch)
         params = EnsembleParams(beta, 100, 1.5, 0.7)
         points = [(2.0, 0.9), (0.7, 1.6), (1.3, 1.3)]
         keys, passes = set(), []
-        A, family = limits._A, limits._hyp1f1_derivatives
+        A, coulomb = limits._A, limits._coulomb
 
         def record(pk, q, X):
             if not isinstance(X, (np.ndarray, _Jet)):
                 keys.add((pk, q, X))
             return A(pk, q, X)
 
-        def count(a, c, z, top):
-            if not isinstance(z, np.ndarray):
-                passes.append(z)
-            return family(a, c, z, top)
+        def count(pk, q, x):
+            passes.append((pk, q, x))
+            return coulomb(pk, q, x)
         monkeypatch.setattr(limits, "_A", record)
-        monkeypatch.setattr(limits, "_hyp1f1_derivatives", count)
-        A.cache_clear()
+        monkeypatch.setattr(limits, "_coulomb", count)
+        for cache in (A, coulomb, limits._jo, limits._js):
+            cache.cache_clear()
         values = [l1(beta, X, Y, params) for X, Y in points]
-        assert len(passes) == A.cache_info().misses == len(keys)
+        assert set(passes) == keys
+        assert coulomb.cache_info().misses == A.cache_info().misses == len(keys)
 
         def full_bracket(p, q, X, Y, k):
             b = j_blocks(k, p, q, X, Y)
@@ -135,6 +188,14 @@ class TestJBlocks:
 
 
 class TestLimitKernels:
+    def test_invalid_arguments(self):
+        pr = EnsembleParams(2, 10, 1.5, 0.7)
+        with pytest.raises(ValueError):
+            c_tilde(3, 0, 1.5, 0.7, 1.0)
+        for fn in (k_limit, l1):
+            with pytest.raises(ValueError):
+                fn(3, 2.0, 0.9, pr)
+
     def test_bessel_reduction(self):
         # q = 0: (X/Y) K equals the half-integer Bessel form
         for p in (0.5, 1.5):
@@ -221,26 +282,29 @@ def test_l2_near_diagonal(beta, X):
 
 
 def test_integrals_share_one_node_family(monkeypatch):
-    # l2 at beta = 4 integrates C_0, C_1, C_2 and the moment Ix on one node
-    # set, and l1 at beta = 1 C_0 and C_1: one array pass each, and K and L1
-    # at the same point sum no more
+    # l2 at beta = 4 integrates C_0, C_1, C_2 and the moment Ix from the one
+    # Coulomb pass at (2p + 1, q, 2X), and l1 at beta = 1 C_0 and C_1 from the
+    # one at (p + 2, 2q, X), points that the kernels' families use too: the
+    # passes are the distinct points, and K and L1 at the same point sum no
+    # more
     passes = []
-    family = limits._hyp1f1_derivatives
+    coulomb = limits._coulomb
 
-    def count(a, c, z, top):
-        if isinstance(z, np.ndarray):
-            passes.append(z.shape)
-        return family(a, c, z, top)
-    monkeypatch.setattr(limits, "_hyp1f1_derivatives", count)
-    for cache in (limits._A_nodes, limits._jo, limits._js):
-        cache.cache_clear()
-    for beta, first, then in ((4, l2, (k_limit, l1)), (1, l1, (k_limit,))):
+    def count(pk, q, x):
+        passes.append((pk, q, x))
+        return coulomb(pk, q, x)
+    monkeypatch.setattr(limits, "_coulomb", count)
+    for beta, first, then, point in ((4, l2, (k_limit, l1), (2 * 1.37 + 1, 0.41, 2 * 1.3)),
+                                     (1, l1, (k_limit,), (1.37 + 2, 2 * 0.41, 1.3))):
+        for cache in (coulomb, limits._A, limits._jo, limits._js):
+            cache.cache_clear()
         pr = EnsembleParams(beta, 100, 1.37, 0.41)
         first(beta, 1.3, 0.7, pr)
-        assert len(passes) == 1
+        misses = coulomb.cache_info().misses
+        assert point in passes and misses == len(set(passes))
         for f in then:
             f(beta, 1.3, 0.7, pr)
-        assert len(passes) == 1
+        assert coulomb.cache_info().misses == misses
         passes.clear()
 
 
@@ -289,7 +353,7 @@ class TestLimitIntegrals:
             return (2 * s * s / 3) * c_tilde(0, 1, 2 * p, q, 2 * s)
 
         ref, mass = _oracle(lambda s: np.exp(-2j * s) * s ** (2 * p) * moment(s), X)
-        assert abs(j_symp_raw(moment, X, p) - ref) < 1e-10 * mass
+        assert abs(_ix(p, q, X) - ref) < 1e-10 * mass
 
 
 class TestLargeX:
@@ -304,9 +368,24 @@ class TestLargeX:
         val = fn(beta, X, 1.0, EnsembleParams(beta, 100, 1.5, 0.7))
         assert abs(val - ref) < tol * abs(ref)
 
-    def test_beta4_x8_raises(self):
+    # 30-digit mpmath values at (p, q) = (1.5, 0.7), (X, Y) = (8, 1.9), where
+    # the Gauss-Jacobi rules used to raise; measured 3.3e-11 and 4.5e-10
+    @pytest.mark.parametrize("fn,ref,tol", [
+        (k_limit, -0.00991259398929961830920705276962, 1e-10),
+        (l1, -0.0393819222948937693963244976534, 1.5e-9)])
+    def test_beta4_x8_against_mpmath(self, fn, ref, tol):
+        val = fn(4, 8.0, 1.9, EnsembleParams(4, 100, 1.5, 0.7))
+        assert abs(val - ref) < tol * abs(ref)
+
+    @pytest.mark.parametrize("fn,X", [(k_limit, 13.45), (l1, 11.8), (l2, 10.05)])
+    def test_beta4_raises_where_the_series_check_fires(self, fn, X):
+        # the smallest X on a 0.05 grid from 6 at which the rounding bound of
+        # the J_s series (the terms cancel by about e^{2X}) exceeds 1e-6 of
+        # its value, at Y = 1.9; just below, the values are within 7.5e-7 of
+        # the mpmath ones
         with pytest.raises(NonConvergenceError):
-            k_limit(4, 8.0, 1.9, EnsembleParams(4, 100, 1.5, 0.7))
+            fn(4, X, 1.9, EnsembleParams(4, 100, 1.5, 0.7))
+        fn(4, round(X - 0.05, 2), 1.9, EnsembleParams(4, 100, 1.5, 0.7))
 
 
 class TestFiniteNConsistency:

@@ -1,5 +1,5 @@
 """Quadrature utilities: tanh-sinh rules and the level-escalating
-tanh-sinh integrator, the Gauss-Jacobi rule, the sinc indefinite-integration
+tanh-sinh integrator, the Gauss-Jacobi rules, the sinc indefinite-integration
 matrix, and the ordered-sector multidimensional scheme."""
 import math
 import os
@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import roots_jacobi, sici
 
 from specsing import QuadratureRule, tanh_sinh_rule
 from specsing.quadrature import (_CHUNK_POINTS, _T_CUT, _gauss_jacobi_pair, _sinc_matrix,
-                                 _tanh_sinh_raw, gauss_jacobi_integrate, sector_integrate,
+                                 _tanh_sinh_raw, sector_integrate,
                                  sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
 
@@ -191,25 +190,6 @@ class TestGaussJacobi:
             assert np.max(np.abs(t[start:start + n] - 0.5 * (1 + x_ref))) <= 1e-15
             assert np.max(np.abs(w / (w_ref / 2 ** (expo + 1)) - 1)) <= 1e-12
             start += n
-
-    @pytest.mark.parametrize("expo", [0.0, 0.5, 2.5])
-    def test_power_times_exponential(self, expo):
-        # int_0^X s^expo e^{is} ds against QUADPACK on each part
-        X = 3.0
-        val = gauss_jacobi_integrate(lambda s: np.exp(1j * s), X, expo)
-        ref = complex(*(quad(lambda s: s ** expo * part(s), 0.0, X, epsabs=1e-12,
-                             epsrel=1e-12, limit=200)[0] for part in (np.cos, np.sin)))
-        assert abs(val - ref) < 1e-12 * abs(ref)
-
-    def test_polynomial_exact(self):
-        # int_0^2 s^1.5 (1 + s^3) ds = 2^2.5/2.5 + 2^5.5/5.5
-        val = gauss_jacobi_integrate(lambda s: 1 + s ** 3 + 0j, 2.0, 1.5)
-        assert abs(val - (2 ** 2.5 / 2.5 + 2 ** 5.5 / 5.5)) < 1e-13
-
-    def test_unresolved_raises(self):
-        # e^{40is} has ~13 periods on [0, 2], too many for 12 or 20 nodes
-        with pytest.raises(NonConvergenceError):
-            gauss_jacobi_integrate(lambda s: np.exp(40j * s), 2.0, 1.0)
 
 
 class TestSincMatrix:

@@ -260,6 +260,17 @@ class TestHyp1f1:
         z = 1.7j
         assert abs(hyp1f1(0.0, 0.0, z) - (1 + (np.exp(z) - 1) / 2)) < 1e-15
 
+    @pytest.mark.parametrize("a,c,z", [(2.3, 1.1, -20.0), (2, 3, -30.0)])
+    def test_negative_real_axis(self, a, c, z):
+        # the plain series cancels there (2.4e-4 and 5.9e-5 off before
+        # Kummer's transformation); scalar, and in an array with z's mirror
+        # image, which takes the plain series
+        with mpmath.workdps(40):
+            refs = [complex(mpmath.hyp1f1(a, c, x)) for x in (z, -z)]
+        vals = [hyp1f1(a, c, z)] + list(hyp1f1(a, c, np.array([z, -z])))
+        for val, ref in zip(vals, refs[:1] + refs):
+            assert abs(val - ref) < 1e-12 * abs(ref)
+
     def test_matches_mpmath(self):
         # 40-digit mpmath on a seeded grid: 30 (a, c), among them terminating
         # a and pole c, each at 6 z on the real axis and 6 on the imaginary
