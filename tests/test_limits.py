@@ -43,8 +43,8 @@ class TestConfluentBlocks:
         assert abs(lhs - rhs) < 1e-10 * (abs(lhs) + 1)
 
     # the worst relative error of A(0..5) over four (pk, q), measured per
-    # |z| = 2X: 5.6e-16, 2.8e-15, 2.9e-13, 1.0e-9 and 4.2e-7 (the plain 1F1
-    # series reached 3e-4 to 3e-2 at |z| = 32)
+    # |z| = 2X: 2.7e-16, 2.8e-15, 2.9e-13, 1.0e-9 and 4.2e-7 (the plain 1F1
+    # series reached 3e-4 to 4e-3 at |z| = 32)
     @pytest.mark.parametrize("X,tol", [(0.3, 1e-14), (3.0, 1e-14), (8.0, 1e-12),
                                        (16.0, 5e-9), (20.0, 2e-6)])
     def test_family_matches_mpmath(self, X, tol):
