@@ -16,10 +16,6 @@ from . import asymptotics, density, kernels, limits
 from .polynomials import EnsembleParams, orthogonality_check
 from .series import NonConvergenceError, PoleError
 
-COMMANDS = ("kernel-eval", "kernel-limit", "density-eval", "density-limit",
-            "converge", "verify-identity", "verify-intermediate",
-            "ortho-check", "morris-check")
-
 _DEFAULT_TOL = {
     "identity": 1e-6,
     "ortho": 1e-8,
@@ -201,6 +197,7 @@ _DISPATCH = {
     "ortho-check": _cmd_ortho_check,
     "morris-check": _cmd_morris_check,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 # --- emission -------------------------------------------------------------------

@@ -43,7 +43,8 @@ e^{-iy} C_j(y) is a power series in y, integrated against s^e term by term
 rounding bound exceeds 1e-6 of its value: at beta = 4 from X near 10 (l2),
 12 (l1) and 13.5 (K), at beta = 1 from X near 23 (l1) and 28 (K), for
 (p, q) = (1.5, 0.7).  Each (block, point) is summed once; a jet reads the
-family at its value.
+family at its value.  a_confluent's orders j above 5 read a pass of their
+own that runs j - 5 terms longer (_family).
 
 The derivative identity L1 = p (X d/dX + Y d/dY + 1) K holds with the same
 constant p for all three beta (checked to full precision with forward-mode
@@ -62,9 +63,8 @@ import numpy as np
 
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
-from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY, _Z_SMALL, _Jet,
-                     _cached_at_points, _falling_factorials, _hyp1f1_derivatives,
-                     _is_nonpositive_integer, _small_z, log_gamma)
+from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY, _Jet,
+                     _cached_at_points, _is_nonpositive_integer, log_gamma)
 
 _DIAG_EPS, _DIAG_H = 1e-5, 1e-3
 _EPS = 2.0 ** -52
@@ -97,42 +97,65 @@ class KernelExpansion:
 
 
 def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
-    """A^{(p+k, q)}(j; X): orders 0..5 as the kernels read them (_A), higher
-    ones from the general 1F1 evaluator."""
+    """A^{(p+k, q)}(j; X), X a scalar or an ndarray: orders 0..5 as the
+    kernels read them (_A), higher ones from the family of order j at each
+    point."""
+    if j < 0:
+        raise ValueError("derivative order must be nonnegative")
     pk, q = block.p + block.k, block.q_eff
-    if 0 <= j <= _TOP:
+    if j <= _TOP:
         return _A(pk, q, X)[j]
-    return _hyp1f1_derivatives(complex(pk, -q), complex(2 * pk), 2j * X, j)[j]
+    if isinstance(X, np.ndarray):
+        return np.array([_family(pk, q, x, j)[j] for x in X.ravel().tolist()],
+                        complex).reshape(X.shape)
+    return _family(pk, q, X, j)[j]
 
 
 # C_0, C_1 and C_2 read A(0..0), A(0..2) and A(0..4); a point's family also
 # holds A(5), which the derivative of A(4) along a jet reads
 _TOP = 5
-# A(j) = e^{iX} sum_r _BINOMIAL[j, r] f^(r)(X): M(z) = e^{z/2} f(z/(2i))
-_BINOMIAL = np.array([[math.comb(j, r) * 2.0 ** (r - j) * (2j) ** -r for r in range(_TOP + 1)]
-                      for j in range(_TOP + 1)])
-_ORDERS = np.arange(_TOP + 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _binomial(top: int) -> np.ndarray:
+    """C(j, r) 2^(r-j) (2i)^-r for j, r = 0..top, read-only: A(j; X) =
+    e^{iX} sum_r C(j, r) 2^(r-j) (2i)^-r f^(r)(X), as M(z) = e^{z/2} f(z/(2i))."""
+    out = np.array([[math.comb(j, r) * 2.0 ** (r - j) * (2j) ** -r for r in range(top + 1)]
+                    for j in range(top + 1)])
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _falling_factorials(stop: int, top: int) -> np.ndarray:
+    """m (m - 1) ... (m - r + 1) for r = 0..top (rows) and m = 0..stop - 1
+    (columns), read-only; 0 where m < r."""
+    m = np.arange(stop, dtype=float)
+    out = np.cumprod(np.vstack([np.ones_like(m)] + [m - i for i in range(top)]), axis=0)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=1024)
-def _coulomb(pk: float, q: float, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """The terms T_m = d_m x^m of f(x) = e^{-ix} 1F1(pk - iq; 2 pk; 2ix), and
-    S_r = sum_m m (m - 1) ... (m - r + 1) T_m = x^r f^(r)(x), r = 0.._TOP.
+def _coulomb(pk: float, q: float, x: float, top: int) -> np.ndarray:
+    """The terms T_m = d_m x^m of f(x) = e^{-ix} 1F1(pk - iq; 2 pk; 2ix),
+    read-only, enough for the sums S_r = sum_m m (m - 1) ... (m - r + 1) T_m
+    = x^r f^(r)(x) of the orders r <= top.
 
     m (m - 1 + 2 pk) T_m = 2q x T_{m-1} - x^2 T_{m-2} (2 pk no pole) runs
-    until _TOP + 3 terms in a row meet the library's rule |T_m| < rel_tol
+    until top + 3 terms in a row meet the library's rule |T_m| < rel_tol
     |sum| + _TINY: two for order 0 (a three-term recurrence can pass near
-    zero once), and _TOP + 1 over which the terms fall by about
-    (x/m)^(_TOP + 1), past the (m/x)^r by which order r weighs the last
-    term more than order 0 does.  Overflow (with a RuntimeWarning) or
-    DEFAULT_CONTROL's term budget raise NonConvergenceError.
+    zero once), and top + 1 over which the terms fall by about
+    (x/m)^(top + 1), past the (m/x)^r by which order r weighs the last term
+    more than order 0 does.  DEFAULT_CONTROL's term budget raises
+    NonConvergenceError.
     """
     tol, budget = DEFAULT_CONTROL.rel_tol, DEFAULT_CONTROL.max_terms
     a, b, c1 = 2 * q * x, x * x, 2 * pk - 1
     prev, t, s = 0.0, 1.0, 1.0
     terms = [t]
     m = quiet = 0
-    while quiet < _TOP + 3:
+    while quiet < top + 3:
         if m == budget:
             raise NonConvergenceError(f"Coulomb series did not converge in {budget} terms at x={x}")
         m += 1
@@ -141,26 +164,49 @@ def _coulomb(pk: float, q: float, x: float) -> tuple[np.ndarray, np.ndarray]:
         terms.append(t)
         quiet = quiet + 1 if abs(t) < tol * abs(s) + _TINY else 0
     T = np.array(terms)
-    S = _falling_factorials(0, m + 1, _TOP) @ T
+    T.flags.writeable = False
+    return T
+
+
+def _family(pk: float, q: float, X: float, top: int) -> tuple:
+    """A^{(pk, q)}(j; X) for j = 0..top at a scalar X, from the Coulomb pass
+    at X: A(j; X) is the j-th derivative of 1F1(pk - iq; 2 pk; z) at z = 2iX.
+
+    The joint limit pk = q = 0 (M = 1 + (e^z - 1)/2) is exact, and below
+    |2X| = 1e-20, or where X^top nears the end of the double range, the
+    two-term Taylor series M^(j) = (a)_j/(c)_j (1 + (a + j)/(c + j) z) holds
+    to |z|^2 relative (exactly (a)_j/(c)_j at X = 0).  A pole 2 pk raises
+    PoleError, sums S_r that overflow NonConvergenceError (after numpy's
+    RuntimeWarning).
+    """
+    if pk == 0 and q == 0:
+        half = cmath.exp(2j * X) / 2
+        return (0.5 + half,) + (half,) * top
+    if _is_nonpositive_integer(2 * pk):
+        raise PoleError(f"1F1 lower parameter pole at c={2 * pk}")
+    a, c, z = complex(pk, -q), complex(2 * pk), 2j * X
+    if abs(z) < 1e-20 or abs(X) ** top < 1e-290:
+        out, ratio = [], 1.0 + 0.0j
+        for j in range(top + 1):
+            out.append(ratio * (1 + (a + j) / (c + j) * z))
+            ratio = ratio * (a + j) / (c + j)
+        return tuple(out)
+    T = _coulomb(pk, q, X, top)
+    S = _falling_factorials(T.size, top) @ T
     if not math.isfinite(S.sum()):
         raise NonConvergenceError("Coulomb series sums overflowed")
-    T.flags.writeable = S.flags.writeable = False
-    return T, S
+    family = cmath.exp(1j * X) * (_binomial(top) @ (S / X ** np.arange(top + 1.0)))
+    return tuple(family.tolist())
 
 
 # c_tilde orders 0..2 share one family, and the blocks of K, L1 and L2 share
 # points (also with the jets at them), so each point is summed once
 @_cached_at_points(1024)
 def _A(pk: float, q: float, X):
-    """A^{(pk, q)}(j; X) for j = 0..5, from the Coulomb pass at X: A(j; X) is
-    the j-th derivative of 1F1(pk - iq; 2 pk; z) at z = 2iX.
-
-    The joint limit pk = q = 0 (M = 1 + (e^z - 1)/2) and |2X| below
-    series._Z_SMALL (the two-term Taylor series) are exact branches; a pole
-    2 pk raises PoleError.  X may be a jet: A(j; X + eps d) = A(j; X) +
-    2i d A(j + 1; X) eps, so a jet's family is the one at its value, one
-    order shorter (a jet of a jet reaches A(3), enough for C_0 and C_1); or
-    an ndarray, each element a point of the memo.
+    """A^{(pk, q)}(j; X) for j = 0..5 (_family).  X may be a jet: A(j; X + eps
+    d) = A(j; X) + 2i d A(j + 1; X) eps, so a jet's family is the one at its
+    value, one order shorter (a jet of a jet reaches A(3), enough for C_0
+    and C_1); or an ndarray, each element a point of the memo.
     """
     if isinstance(X, _Jet):
         base = _A(pk, q, X.v)
@@ -169,16 +215,7 @@ def _A(pk: float, q: float, X):
     if isinstance(X, np.ndarray):
         values = [_A(pk, q, x) for x in X.ravel().tolist()]
         return np.array(values, complex).T.reshape((_TOP + 1,) + X.shape)
-    if pk == 0 and q == 0:
-        half = cmath.exp(2j * X) / 2
-        return (0.5 + half,) + (half,) * _TOP
-    if _is_nonpositive_integer(2 * pk):
-        raise PoleError(f"1F1 lower parameter pole at c={2 * pk}")
-    if abs(2 * X) < _Z_SMALL:
-        return tuple(_small_z(complex(pk, -q), complex(2 * pk), 2j * X, _TOP))
-    S = _coulomb(pk, q, X)[1]
-    family = cmath.exp(1j * X) * (_BINOMIAL @ (S / X ** _ORDERS))
-    return tuple(family.tolist())
+    return _family(pk, q, X, _TOP)
 
 
 @functools.lru_cache(maxsize=256)
@@ -320,15 +357,15 @@ def _series_integral(pieces: tuple, pk: float, q: float, e: float, lam: float, X
             return scale * v ** e * np.exp(-1j * y) * _c_value(pieces, _A(pk, q, y), y)
         return X.chain(lambda v: _series_integral(pieces, pk, q, e, lam, v, scale), integrand)
     x = lam * X
-    T = _coulomb(pk, q, x)[0]
-    rows = {}
+    T = _coulomb(pk, q, x, _TOP)
+    binomial, rows = _binomial(_TOP), {}
     for c, s, i in pieces:
         for r in range(i + 1):
-            rows[s - r, r] = rows.get((s - r, r), 0.0) + c * _BINOMIAL[i, r]
+            rows[s - r, r] = rows.get((s - r, r), 0.0) + c * binomial[i, r]
     t, r = np.array(list(rows)).T
     m = np.arange(T.size)
     W = ((np.array(list(rows.values())) * x ** t)
-         @ (_falling_factorials(0, T.size, _TOP)[r] / (m + (t + e + 1.0)[:, None])))
+         @ (_falling_factorials(T.size, _TOP)[r] / (m + (t + e + 1.0)[:, None])))
     lead = scale * X ** (e + 1)
     value = complex(lead * (W @ T))
     bound = _EPS * abs(lead) * float(np.abs(W) @ np.abs(T))

@@ -3,7 +3,7 @@ algebraic singularities and the library's one adaptive 1-D integrator on
 them (levels rise until two agree; each level holds the one below, so only
 its new nodes are evaluated, and the first call covers two levels), the
 sinc matrix that gives ordered double integrals on tanh-sinh nodes (its sine
-integrals by a Gauss-Jacobi rule), and an ordered-sector
+integrals on a tanh-sinh level too), and an ordered-sector
 iterated scheme for symmetric multidimensional integrands with |diff|-type
 interior kinks (the Morris oracle), whose levels are nested the same way: a
 level evaluates only the grid points with at least one new node.  The
@@ -20,10 +20,6 @@ like distance^e, the nodes beyond T hold about exp(-(1 + e) pi sinh T) of the
 integral (Takahasi and Mori, Publ. RIMS 9 (1974) 721-741).  The Morris
 oracle sizes T that way and raises where even the default end leaves out a
 share its level differences could not see.
-
-The Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub and
-Welsch, Math. Comp. 23 (1969) 221-230), polished by one Newton step on the
-three-term recurrence, which also gives the Christoffel weights.
 """
 from __future__ import annotations
 
@@ -57,21 +53,17 @@ _T_CUT = math.asinh(math.log(2e290) / math.pi)
 
 
 @lru_cache(maxsize=64)
-def _tanh_sinh_raw(level: int, odd: bool = False,
-                   tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tanh_sinh_raw(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes on (-1, 1), read-only: returns (x, w, dist) with dist = 1 - |x|
-    computed stably, for the nodes t = k h in the window |t| <= tmax <= _T_CUT.
+    computed stably, for the nodes t = k h in the window |t| <= _T_CUT.
     odd=True keeps the nodes of odd k only: those that level - 1 lacks.
 
     The window is a test on t alone, so each level holds every node of the
-    one below in the same window, whose weights are exactly twice its own (h
-    is a power of two).  A narrower window is the central part of the
-    default arrays (_central), a view.
+    one below, whose weights are exactly twice its own (h is a power of
+    two).
     """
-    if tmax < _T_CUT:
-        return _central(_tanh_sinh_raw(level, odd), level, odd, tmax)
     h = 2.0 ** (1 - level)
-    n = int(tmax / h)
+    n = int(_T_CUT / h)
     k = np.arange(-n, n + 1)
     if odd:
         k = k[k % 2 == 1]
@@ -83,16 +75,6 @@ def _tanh_sinh_raw(level: int, odd: bool = False,
     for arr in (x, w, dist):
         arr.flags.writeable = False
     return x, w, dist
-
-
-def _central(arrays: tuple, level: int, odd: bool, tmax: float) -> tuple:
-    """The nodes |t| <= tmax of a level's default-window arrays (views): the
-    default window holds k = -n..n (odd k only for odd), n = int(_T_CUT / h),
-    so the window drops as many nodes from each end."""
-    h = 2.0 ** (1 - level)
-    full, n = int(_T_CUT / h), int(tmax / h)
-    cut = (full + 1) // 2 - (n + 1) // 2 if odd else full - n
-    return tuple(arr[cut:arr.size - cut] for arr in arrays)
 
 
 def _on_interval(a: float, b: float, x, w, dist) -> QuadratureRule:
@@ -179,80 +161,6 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
         f"tanh-sinh level {level} error estimate {np.max(err):.2e} on ({a}, {b})")
 
 
-# the step of the complex-step derivative in _gauss_jacobi_pair: a power of
-# two, so dividing by it is exact, and small enough that its square vanishes
-# next to every P_k(x)
-_H = 2.0 ** -100
-# the sizes of _gauss_jacobi_pair's two rules, k = 1..19 of its recurrence,
-# and the 4 k^2 of its b_k
-_GJ_SIZES = (12, 20)
-_GJ_K = np.arange(1.0, 20.0)
-_GJ_4KK = 4 * _GJ_K * _GJ_K
-
-
-def _jacobi_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Jacobi matrices of both rules as one (2, 20, 20) stack, lower
-    triangles only (which eigvalsh reads): a_k on the diagonal, sqrt(b_k)
-    below it; the 12 x 12 one padded by a decoupled diagonal of 4s, whose
-    eigenvalues sort after every node in (-1, 1)."""
-    n, m = _GJ_SIZES
-    stack = np.zeros((2, m * m))
-    stack[:, ::m + 1] = a
-    stack[:, m::m + 1] = np.sqrt(b[1:])
-    stack[0, n * (m + 1)::m + 1] = 4.0
-    stack[0, n * (m + 1) - 1::m + 1] = 0.0  # entries (r, r - 1), r >= 12
-    return stack.reshape(2, m, m)
-
-
-@lru_cache(maxsize=64)
-def _gauss_jacobi_pair(expo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 12- and 20-node rules for int_0^1 t^expo g(t) dt: their nodes in
-    (0, 1), concatenated, and the weights of each.
-
-    On (-1, 1) the weight is (1 + x)^expo, whose monic orthogonal polynomials
-    obey P_{k+1} = (x - a_k) P_k - b_k P_{k-1}.  The eigenvalues of the Jacobi
-    matrix are polished by one Newton step x -= P_n / P_n'.  The weights are
-    proportional to 1 / (P_{n-1} P_n'), with P_{n-1} carried to the polished
-    node to first order (the step is a few ulp), and scaled to sum to
-    int_0^1 t^expo dt.  One recurrence pass at x + i h serves the nodes of
-    both rules: its real part is P_k(x) and its imaginary part h P_k'(x)
-    (complex-step differentiation).  The coefficients are formed as arrays
-    and the pass keeps only P_{n-1} and P_n of each rule, so a new exponent
-    costs a few dozen array operations.
-    """
-    e = expo
-    k = _GJ_K
-    two = 2 * k + e
-    a = np.concatenate([[e / (e + 2)], e * e / (two * (two + 2))])
-    # squares by pow (float_power), not x * x: a few round an ulp apart,
-    # which would move the weights by up to 6e-14
-    sq = np.float_power(two, 2)
-    b = np.concatenate([[0.0], _GJ_4KK * np.float_power(k + e, 2) / (sq * (sq - 1))])
-    coarse = _GJ_SIZES[0]
-    eig = np.linalg.eigvalsh(_jacobi_stack(a, b))
-    x = np.concatenate([eig[0, :coarse], eig[1]])
-    shifted = (x + 1j * _H) - a[:, None]
-    prev, cur = np.zeros(x.size, complex), np.ones(x.size, complex)
-    spare = np.empty_like(cur)
-    for j in range(_GJ_SIZES[1]):
-        # P_{j+1} = (x + ih - a_j) P_j - b_j P_{j-1}, into the array of P_{j-1}
-        np.multiply(shifted[j], cur, out=spare)
-        prev *= b[j]
-        np.subtract(spare, prev, out=prev)
-        prev, cur = cur, prev
-        if j == coarse - 1:  # P_12 and P_11 for the 12-node rule
-            top, below = cur[:coarse].copy(), prev[:coarse].copy()
-    top, below = np.concatenate([top, cur[coarse:]]), np.concatenate([below, prev[coarse:]])
-    p_n, dp_n, p_below, dp_below = top.real, top.imag / _H, below.real, below.imag / _H
-    step = p_n / dp_n
-    t = 0.5 * (1.0 + (x - step))
-    w = 1.0 / ((p_below - step * dp_below) * dp_n)
-    w_coarse, w_fine = (part / ((e + 1) * np.sum(part)) for part in (w[:coarse], w[coarse:]))
-    for arr in (t, w_coarse, w_fine):
-        arr.flags.writeable = False
-    return t, w_coarse, w_fine
-
-
 @lru_cache(maxsize=4)
 def _sinc_matrix(n: int) -> np.ndarray:
     """S_ij = 2 Si(pi (j - i)) / pi, n x n, antisymmetric and read-only.  For
@@ -260,12 +168,12 @@ def _sinc_matrix(n: int) -> np.ndarray:
     variable (a tanh-sinh level), int int_{x<y} (u(x) v(y) - v(x) u(y)) is
     u S v^T by sinc indefinite integration (Stenger, Numerical Methods Based
     on Sinc and Analytic Functions, 1993); its constant half weight cancels.
-    Si(pi k) sums int_j^{j+1} sin(pi s) / s ds, j < k, by the 20-node rule.
+    Si(pi k) sums int_j^{j+1} sin(pi s) / s ds, j < k, each on tanh-sinh
+    level 4 of (0, 1), with sin(pi t) taken at the distance to the nearer end.
     """
-    t, _, w = _gauss_jacobi_pair(0.0)
-    t = t[-w.size:]
+    t, rest, w = _unit_nodes(4)
     j = np.arange(n - 1)
-    halves = (-1.0) ** j * ((np.sin(math.pi * t) / (j[:, None] + t)) @ w)
+    halves = (-1.0) ** j * ((np.sin(math.pi * np.minimum(t, rest)) / (j[:, None] + t)) @ w)
     si = np.concatenate([[0.0], np.cumsum(halves)])  # Si(pi k), k = 0..n-1
     row = (2 / math.pi) * np.concatenate([-si[:0:-1], si])  # k = 1-n..n-1
     S = row[np.arange(n - 1, 2 * n - 1) - np.arange(n)[:, None]]  # row[j - i + n - 1]
@@ -297,11 +205,17 @@ class _SectorPoints(list):
 @lru_cache(maxsize=64)
 def _unit_nodes(level: int, odd: bool = False,
                 tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_tanh_sinh_raw(level, odd, tmax) on (0, 1), read-only: (u, 1 - u,
-    weights), u and 1 - u each taken from the stable distance to its nearer
-    end.  A narrower window is the central part of the default arrays."""
+    """_tanh_sinh_raw(level, odd) on (0, 1), read-only: (u, 1 - u, weights),
+    u and 1 - u each taken from the stable distance to its nearer end, for
+    the nodes t = k h in the window |t| <= tmax <= _T_CUT.  A narrower window
+    is the central part of the default arrays, a view: the default window
+    holds k = -n..n (odd k only for odd), n = int(_T_CUT / h), so it drops
+    as many nodes from each end."""
     if tmax < _T_CUT:
-        return _central(_unit_nodes(level, odd), level, odd, tmax)
+        h = 2.0 ** (1 - level)
+        full, n = int(_T_CUT / h), int(tmax / h)
+        cut = (full + 1) // 2 - (n + 1) // 2 if odd else full - n
+        return tuple(arr[cut:arr.size - cut] for arr in _unit_nodes(level, odd))
     x, w, dist = _tanh_sinh_raw(level, odd)
     near, far = 0.5 * dist, 1.0 - 0.5 * dist
     out = np.where(x >= 0, far, near), np.where(x >= 0, near, far), 0.5 * w

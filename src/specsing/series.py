@@ -1,13 +1,10 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
-expansion; the evaluator that sums a terminating 2F1 over a whole node
-array, a block of orders at a time; the one 1F1 evaluator, which gives
-M, M', ..., M^(top) of M = 1F1 from one series pass (hyp1f1 is its order
-0, and SeriesControl.max_terms bounds it for every caller, the limit
-kernels' confluent blocks included); the forward-mode jet that carries
-every derivative in the library (Griewank and Walther, Evaluating
-Derivatives, SIAM 2008); and the memo over scalar points that jets and node
-arrays bypass.
+expansion; the one evaluator that sums a series over a whole node array, a
+block of orders at a time (the 2F1's and the 1F1's); the forward-mode jet
+that carries every derivative in the library (Griewank and Walther,
+Evaluating Derivatives, SIAM 2008); and the memo over scalar points that
+jets and node arrays bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
@@ -42,9 +39,9 @@ class SeriesControl:
     """Truncation policy for hypergeometric series.
 
     rel_tol: term magnitude cutoff relative to the running sum.
-    max_terms: hard cap on the number of summed terms of every 1F1 series,
-        hyp1f1's and the confluent blocks' alike (a terminating 2F1 of
-        degree n sums at most n + 1 terms and does not read it).
+    max_terms: hard cap on the number of summed terms of hyp1f1's series
+        (a terminating 2F1 of degree n sums at most n + 1 terms and does not
+        read it; the limit kernels' Coulomb series reads DEFAULT_CONTROL's).
     """
     rel_tol: float = 1e-15
     max_terms: int = 2000
@@ -276,7 +273,7 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
             if joint and alpha[0] == 0:
                 num[0], den[0] = -0.5 * n, 1.0
             return num, den
-        return _array_series(ratios, np.asarray(z, dtype=complex), ctrl.rel_tol)
+        return _array_series(ratios, np.asarray(z, dtype=complex), ctrl.rel_tol, n + 1)
     _check_finite(z)
     tol = ctrl.rel_tol
     total = 1.0 + 0.0j
@@ -309,169 +306,53 @@ def _hyp2f1_slope(n: int, b: complex, c: complex, z):
 
 
 def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
-    """Kummer 1F1(a; c; z) by its power series, z a scalar or an ndarray:
-    order 0 of _hyp1f1_derivatives, whose rules and errors it shares."""
-    return _hyp1f1_derivatives(a, c, z, 0, ctrl)[0]
+    """Kummer 1F1(a; c; z) by its power series, z a scalar or an ndarray.
 
-
-def _hyp1f1_derivatives(a: complex, c: complex, z, top: int,
-                        ctrl: SeriesControl | None = None):
-    """M, M', ..., M^(top) of M(z) = 1F1(a; c; z), from one series pass.
-
-    M^(j) = (a)_j/(c)_j 1F1(a + j; c + j; z) (DLMF 13.3.16), and with
-    T_m = (a)_m/(c)_m z^m/m!, the terms of M,
-
-        M^(j)(z) = z^-j sum_m T_m m (m - 1) ... (m - j + 1),
-
-    so one term recurrence serves every order, and the sums are one product
-    of the (top + 1) x (terms) falling factorials with the terms.  They stop
-    where every order's last contribution meets the rule of every series,
-    |T_m m ... (m - j + 1)| < rel_tol |sum| + _TINY, tested on every order
-    (a scalar z: _derivatives_scalar) or at the end of each block of
-    _DERIV_BLOCK orders, for every element (an ndarray: _derivatives_array).
-    Below |z| = _Z_SMALL, where z^-j may underflow, M^(j) = (a)_j/(c)_j (1 +
-    (a + j)/(c + j) z), exactly (a)_j/(c)_j at z = 0.
-
-    A scalar z gives a tuple, an ndarray an array of shape (top + 1,) +
-    z.shape.  The joint limit a, c -> 0 (a/c -> 1/2) gives 1 + (e^z - 1)/2
-    and e^z/2.  ctrl (default DEFAULT_CONTROL) gives rel_tol and the term
-    budget max_terms.  A non-finite z raises ValueError, overflow or a spent
-    term budget NonConvergenceError.
+    A scalar z sums the terms in a Python loop, an ndarray every element at
+    once (_array_series); both stop at the first term that meets the rule
+    of every series and refuse more than ctrl.max_terms terms (ctrl defaults
+    to DEFAULT_CONTROL).  Where Re z < 0 the plain series cancels: there
+    1F1(a; c; z) = e^z 1F1(c - a; c; -z) (Kummer's transformation, DLMF
+    13.2.39) is summed instead.  The joint limit a, c -> 0 (a/c -> 1/2)
+    gives 1 + (e^z - 1)/2.  A pole c raises PoleError, a non-finite z
+    ValueError, overflow or a spent term budget NonConvergenceError.
     """
-    if top < 0:
-        raise ValueError("derivative order must be nonnegative")
     _check_finite(z)
     array = isinstance(z, np.ndarray)
     if a == 0 and c == 0:
-        half = np.exp(z) / 2
-        out = [1 + (np.exp(z) - 1) / 2] + [half] * top
-        return np.stack(out) if array else tuple(complex(v) for v in out)
+        out = 1 + (np.exp(z) - 1) / 2
+        return out if array else complex(out)
     if _is_nonpositive_integer(c):
         raise PoleError(f"1F1 lower parameter pole at c={c}")
     ctrl = ctrl or DEFAULT_CONTROL
     if not array:
         if complex(z).real < 0:
-            return tuple(_kummer(_derivatives_scalar(c - a, c, -z, top, ctrl), z))
-        return _derivatives_scalar(a, c, z, top, ctrl)
+            return cmath.exp(z) * _kummer_scalar(c - a, c, -z, ctrl)
+        return _kummer_scalar(a, c, z, ctrl)
+    z = np.asarray(z, dtype=complex)
     flip = z.real < 0
-    out = np.empty((top + 1,) + z.shape, complex)
-    out[:, ~flip] = _derivatives_array(a, c, z[~flip], top, ctrl)
-    out[:, flip] = np.array(list(_kummer(_derivatives_array(c - a, c, -z[flip], top, ctrl),
-                                         z[flip])))
+
+    def series(a1, w):
+        return _array_series(lambda k: (a1 + k, (c + k) * (k + 1)), w, ctrl.rel_tol,
+                             ctrl.max_terms)
+    out = np.empty(z.shape, complex)
+    out[~flip] = series(a, z[~flip])
+    out[flip] = np.exp(z[flip]) * series(c - a, -z[flip])
     return out
 
 
-def _kummer(family, z):
-    """M^(j)(z) = e^z sum_r C(j, r) (-1)^r N^(r)(-z), j = 0..top, from the
-    family N^(r)(-z) of N = 1F1(c - a; c; .): M(z) = e^z N(-z) (DLMF
-    13.2.39), whose series does not cancel where Re z < 0."""
-    ez = np.exp(z)
-    for j in range(len(family)):
-        yield ez * sum(math.comb(j, r) * (-1) ** r * family[r] for r in range(j + 1))
-
-
-def _derivatives_array(a: complex, c: complex, z: np.ndarray, top: int,
-                       ctrl: SeriesControl) -> np.ndarray:
-    """_hyp1f1_derivatives for an ndarray z: blocks of _DERIV_BLOCK orders,
-    each one cumprod of its steps (a + m - 1)/((c + m - 1) m) z for every
-    element and one product of the falling factorials with the terms; the
-    rule is tested at each block's end, on every order and element (the
-    terms past the point where it first held only add below rel_tol)."""
-    flat = np.ascontiguousarray(z, dtype=complex).reshape(-1)
-    tol, max_terms = ctrl.rel_tol, ctrl.max_terms
-    sums = np.zeros((top + 1, flat.size), complex)
-    sums[0] = 1.0
-    term = np.ones_like(flat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, max_terms + 1, _DERIV_BLOCK):
-            stop = min(start + _DERIV_BLOCK, max_terms + 1)
-            m1 = np.arange(start - 1.0, stop - 1.0)  # m - 1
-            terms = np.cumprod(((a + m1) / ((c + m1) * (m1 + 1)))[:, None] * flat, axis=0)
-            terms *= term
-            falling = _falling_factorials(start, stop, top)
-            sums += falling @ terms
-            term = terms[-1]
-            if not np.isfinite(term.view(float)).all():
-                break
-            if stop > top + 1 and (np.abs(falling[:, -1:] * term)
-                                   < tol * np.abs(sums) + _TINY).all():
-                small = np.abs(flat) < _Z_SMALL
-                inverse = 1 / np.where(small, 1.0, flat)
-                power = np.ones_like(flat)
-                for row in sums[1:]:
-                    power *= inverse
-                    row *= power
-                if small.any():
-                    sums[:, small] = np.array(list(_small_z(a, c, flat[small], top)))
-                return _finite(sums).reshape((top + 1,) + z.shape)
-    _finite(sums)
-    raise NonConvergenceError(f"1F1 series did not converge in {max_terms} terms")
-
-
-def _derivatives_scalar(a: complex, c: complex, z: complex, top: int,
-                        ctrl: SeriesControl) -> tuple:
-    """_hyp1f1_derivatives for a scalar z.  A Python loop forms the terms,
-    summing only order 0, until that order meets the rule (at top = 0, the
-    end), and top + 1 terms more; one product of the falling factorials with
-    the terms then gives every order's sum, and the rule is tested on each
-    (a failed test adds top + 1 terms)."""
-    if abs(z) < _Z_SMALL:
-        return tuple(_small_z(a, c, z, top))
-    tol, max_terms = ctrl.rel_tol, ctrl.max_terms
+def _kummer_scalar(a: complex, c: complex, z: complex, ctrl: SeriesControl) -> complex:
+    """The series of hyp1f1 at a scalar z, summed term by term."""
+    tol = ctrl.rel_tol
     t = s = 1.0 + 0.0j
-    terms = [t]
-    m = 0
-    # order 0 meets the rule first; a higher one's contributions carry the
-    # factor m (m - 1) ..., and meet it about top + 1 terms later
-    least, padded = top + 1, False
-    while True:
-        while m < least or abs(t) >= tol * abs(s) + _TINY:
-            if m == max_terms:
-                raise NonConvergenceError(
-                    f"1F1 series did not converge in {max_terms} terms at z={z}")
-            t = t * (a + m) / ((c + m) * (m + 1)) * z
-            s += t
-            terms.append(t)
-            m += 1
-        if not cmath.isfinite(s):
-            raise NonConvergenceError("1F1 terms or sums overflowed")
-        if not top:
-            return (s,)
-        if padded:
-            sums = (_falling_factorials(0, m + 1, top) @ np.array(terms)).tolist()
-            contribution = t  # of order j: t m (m - 1) ... (m - j + 1)
-            for j, total in enumerate(sums):
-                if abs(contribution) >= tol * abs(total) + _TINY:
-                    break
-                contribution *= m - j
-            else:
-                break
-        least, padded = m + top + 1, True
-    out = [sums[0]]
-    power = 1.0 + 0.0j
-    for total in sums[1:]:
-        power = power * z
-        out.append(total / power)
-    return tuple(out)
-
-
-def _small_z(a: complex, c: complex, z, top: int):
-    """(a)_j/(c)_j (1 + (a + j)/(c + j) z), j = 0..top: M^(j) to within
-    |z|^2 relative (times a ratio of the parameters)."""
-    ratio = 1.0 + 0.0j
-    for j in range(top + 1):
-        yield ratio * (1 + (a + j) / (c + j) * z)
-        ratio = ratio * (a + j) / (c + j)
-
-
-@functools.lru_cache(maxsize=256)
-def _falling_factorials(start: int, stop: int, top: int) -> np.ndarray:
-    """m (m - 1) ... (m - j + 1) for j = 0..top (rows) and m = start..stop - 1
-    (columns), read-only; 0 where m < j."""
-    m = np.arange(start, stop, dtype=float)
-    out = np.cumprod(np.vstack([np.ones_like(m)] + [m - i for i in range(top)]), axis=0)
-    out.flags.writeable = False
-    return out
+    for m in range(ctrl.max_terms):
+        t = t * (a + m) / ((c + m) * (m + 1)) * z
+        s += t
+        # a sum that overflowed never counts as converged
+        if abs(t) < tol * abs(s) + _TINY and cmath.isfinite(s):
+            return s
+    raise NonConvergenceError(
+        f"1F1 series did not converge (or overflowed) in {ctrl.max_terms} terms at z={z}")
 
 
 # the stopping rule of every series: |term| < rel_tol |running sum| + _TINY,
@@ -483,12 +364,6 @@ _TINY = 1e-315
 # allocator maps fresh pages for every array
 _BLOCK = 32
 _CHUNK = 4096
-# _hyp1f1_derivatives: the orders m of one block, which hold every term above
-# 1e-16 of the sum up to |z| ~ 12 (at |z| = 8 the sums need 45); the |z|
-# below which z^-j may leave the double range and the two-term Taylor series
-# is exact to 1e-40 relative
-_DERIV_BLOCK = 64
-_Z_SMALL = 1e-20
 
 
 def _check_finite(z) -> None:
@@ -496,11 +371,11 @@ def _check_finite(z) -> None:
         raise ValueError("series argument z must be finite")
 
 
-def _array_series(ratios, z: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Sum of the terminating series t_0 = 1, t_{k+1} = t_k num_k / den_k z
-    for every element of z, to the first order k at which every element has
-    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar loop's rule), or
-    to the first zero num.
+def _array_series(ratios, z: np.ndarray, rel_tol: float, budget: int) -> np.ndarray:
+    """Sum of the series t_0 = 1, t_{k+1} = t_k num_k / den_k z for every
+    element of z, to the first order k <= budget at which every element has
+    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar loops' rule), or
+    to the first zero num; past budget terms it raises NonConvergenceError.
 
     ratios(ks) gives (num, den) over an array of _BLOCK orders at a time.
     The steps num/den z of up to _CHUNK // z.size orders form one array;
@@ -527,8 +402,8 @@ def _array_series(ratios, z: np.ndarray, rel_tol: float) -> np.ndarray:
     # overflow and NaN up to the stop are reported by _finite; steps past the
     # stop are never used
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in itertools.count(0, _BLOCK):
-            num, den = ratios(np.arange(start, start + _BLOCK, dtype=float))
+        for start in range(0, budget, _BLOCK):
+            num, den = ratios(np.arange(start, min(start + _BLOCK, budget), dtype=float))
             cut = np.flatnonzero((den == 0) | (num == 0))
             width = cut[0] if cut.size else len(num)
             ratio = num[:width] / den[:width]
@@ -546,6 +421,8 @@ def _array_series(ratios, z: np.ndarray, rel_tol: float) -> np.ndarray:
                     raise PoleError(f"series parameter pole: a denominator vanished at "
                                     f"order {start + width + 1}")
                 return _finite(total).reshape(z.shape)
+    _finite(total)
+    raise NonConvergenceError(f"series did not converge in {budget} terms")
 
 
 def _finite(total: np.ndarray) -> np.ndarray:

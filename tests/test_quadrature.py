@@ -1,6 +1,6 @@
 """Quadrature utilities: tanh-sinh rules and the level-escalating
-tanh-sinh integrator, the Gauss-Jacobi rules, the sinc indefinite-integration
-matrix, and the ordered-sector multidimensional scheme."""
+tanh-sinh integrator, the sinc indefinite-integration matrix, and the
+ordered-sector multidimensional scheme."""
 import math
 import os
 import subprocess
@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi, sici
+from scipy.special import sici
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (_CHUNK_POINTS, _T_CUT, _gauss_jacobi_pair, _sinc_matrix,
-                                 _tanh_sinh_raw, sector_integrate,
+from specsing.quadrature import (_CHUNK_POINTS, _T_CUT, _sinc_matrix, _tanh_sinh_raw,
+                                 _unit_nodes, sector_integrate,
                                  sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
 
@@ -136,14 +136,14 @@ class TestTanhSinh:
         for level in (3, 4, 5, 8):
             h = 2.0 ** (1 - level)
             n = int(tmax / h)
-            full, part = _tanh_sinh_raw(level), _tanh_sinh_raw(level, tmax=tmax)
+            full, part = _unit_nodes(level), _unit_nodes(level, tmax=tmax)
             mid = full[0].size // 2
             assert n * h <= tmax < (n + 1) * h
             for got, want in zip(part, full):
                 assert np.array_equal(got, want[mid - n:mid + n + 1])
-            odd = _tanh_sinh_raw(level, True, tmax)
-            below = _tanh_sinh_raw(level - 1, tmax=tmax)
-            for got, every, old, scale in zip(odd, part, below, (1, 2, 1)):
+            odd = _unit_nodes(level, True, tmax)
+            below = _unit_nodes(level - 1, tmax=tmax)
+            for got, every, old, scale in zip(odd, part, below, (1, 1, 2)):
                 assert np.array_equal(got, every[1 - n % 2::2])  # every[0] is k = -n
                 assert np.array_equal(old, scale * every[n % 2::2])
 
@@ -179,22 +179,9 @@ class TestTanhSinh:
                            domain=(0, 1))
 
 
-class TestGaussJacobi:
-    @pytest.mark.parametrize("expo", [0.0, 0.37, 1.37, 3.9, 6.2])
-    def test_rules_match_scipy(self, expo):
-        # the 12- and 20-node rules against scipy's roots_jacobi, mapped to (0, 1)
-        t, *weights = _gauss_jacobi_pair(expo)
-        start = 0
-        for n, w in zip((12, 20), weights):
-            x_ref, w_ref = roots_jacobi(n, 0.0, expo)
-            assert np.max(np.abs(t[start:start + n] - 0.5 * (1 + x_ref))) <= 1e-15
-            assert np.max(np.abs(w / (w_ref / 2 ** (expo + 1)) - 1)) <= 1e-12
-            start += n
-
-
 class TestSincMatrix:
     def test_si_row_matches_scipy(self):
-        # row 0 is 2 Si(pi k)/pi, at the size of level 7 (measured 3.8e-15)
+        # row 0 is 2 Si(pi k)/pi, at the size of level 7 (measured 2.0e-15)
         n = _tanh_sinh_raw(7)[0].size
         si = 0.5 * math.pi * _sinc_matrix(n)[0]
         assert np.max(np.abs(si - sici(math.pi * np.arange(n))[0])) < 1e-14
@@ -292,7 +279,7 @@ class TestSector:
                                       max_level=5, rtol=0.0, tmax=tmax)
             sector_integrate(collect(grid), 2, -0.5, 0.5, level=5, tmax=tmax)
             seen, grid = np.concatenate(seen), np.concatenate(grid)
-            n = _tanh_sinh_raw(5, tmax=tmax)[0].size
+            n = _unit_nodes(5, tmax=tmax)[0].size
             assert len(seen) == len(grid) == n * n
             for got, want in zip(np.unique(seen, axis=0, return_counts=True),
                                  np.unique(grid, axis=0, return_counts=True)):

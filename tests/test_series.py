@@ -15,7 +15,7 @@ from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       log_gamma, pochhammer)
 from specsing.kernels import _phi
 from specsing.limits import _A
-from specsing.series import _Jet, _hyp1f1_derivatives
+from specsing.series import _Jet
 
 
 class TestLogGamma:
@@ -254,6 +254,9 @@ class TestHyp1f1:
     def test_non_convergence(self):
         with pytest.raises(NonConvergenceError):
             hyp1f1(1.0, 2.0, 60.0, SeriesControl(rel_tol=1e-15, max_terms=12))
+        # the terms at z = 800 overflow and never meet the rule
+        with pytest.raises(NonConvergenceError):
+            hyp1f1(1.0, 1.0, 800.0)
 
     def test_circular_limit(self):
         # joint a, c -> 0 limit equals 1 + (e^z - 1)/2
@@ -325,8 +328,10 @@ class TestHyp1f1Array:
     def test_matches_scalar(self, a, c):
         # the arithmetic differs in the last bit (numpy may fuse multiply-
         # adds), and the series cancels at large |z|: measured worst
-        # 1.2e-16 of sum |t_k|, up to 1e-10 of the value
-        z = np.concatenate([2j * np.linspace(0.0, 7.2, 33), np.linspace(0.0, 3.0, 4)])
+        # 1.2e-16 of sum |t_k|, up to 1e-10 of the value; at and next to 0
+        # the first term already meets the rule
+        z = np.concatenate([2j * np.linspace(0.0, 7.2, 33), np.linspace(0.0, 3.0, 4),
+                            2j * np.array([0.0, 1e-300, 1e-22, 1e-19])])
         vals = hyp1f1(a, c, z)
         assert vals.shape == z.shape
         for x, v in zip(z, vals):
@@ -380,79 +385,6 @@ class TestHyp1f1Array:
         assert np.all(np.abs(vals - np.expm1(z) / z) <= 1e-14 * np.expm1(z) / z)
         val = hyp1f1(1.0, 2.0, 8.0, SeriesControl(max_terms=39))
         assert abs(val - math.expm1(8.0) / 8.0) <= 1e-14 * math.expm1(8.0) / 8.0
-
-
-class TestHyp1f1Derivatives:
-    """M, M', ..., M^(top) of M = 1F1(a; c; z) from one series pass, on the
-    parameters of the confluent blocks A(j; X) = M^(j)(2iX) with a = pk - iq,
-    c = 2 pk."""
-
-    _X = (0.0, 1e-8, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0)
-
-    @staticmethod
-    def _reference(a, c, z, j):
-        return complex(mpmath.rf(a, j) / mpmath.rf(c, j) * mpmath.hyp1f1(a + j, c + j, z))
-
-    def test_grid_against_mpmath(self):
-        # pk in [0.5, 6], q in [-2, 2], orders 0..5, scalar and node-array
-        # passes against 30-digit values: at each X no worse than twice the
-        # per-order sums (a)_j/(c)_j hyp1f1(a + j; c + j; z), or than 1e-15
-        # where both round at a few units of 1e-16 (the series cancels as X
-        # grows: measured per-order 5.2e-10, family 5.1e-10 and 6.7e-10 at X = 8)
-        rng = np.random.default_rng(18)
-        worst = {"order": np.zeros(len(self._X)), "scalar": np.zeros(len(self._X)),
-                 "array": np.zeros(len(self._X))}
-        with mpmath.workdps(30):
-            for _ in range(10):
-                pk, q = rng.uniform(0.5, 6.0), rng.uniform(-2.0, 2.0)
-                a, c = complex(pk, -q), complex(2 * pk)
-                nodes = _hyp1f1_derivatives(a, c, 2j * np.array(self._X), 5)
-                assert nodes.shape == (6, len(self._X))
-                for i, X in enumerate(self._X):
-                    z = 2j * X
-                    scalar = _hyp1f1_derivatives(a, c, z, 5)
-                    for j in range(6):
-                        ref = self._reference(a, c, z, j)
-                        order = pochhammer(a, j) / pochhammer(c, j) * hyp1f1(a + j, c + j, z)
-                        for key, val in (("order", order), ("scalar", scalar[j]),
-                                         ("array", nodes[j, i])):
-                            worst[key][i] = max(worst[key][i], abs(val - ref) / abs(ref))
-        bound = 2 * np.maximum(worst["order"], 1e-15)
-        assert np.all(worst["scalar"] <= bound) and np.all(worst["array"] <= bound)
-
-    def test_node_array_near_zero(self):
-        # nodes at and next to 0, where z^-j underflows: exactly (a)_j/(c)_j
-        # at 0, and the scalar family (to rounding) elsewhere
-        a, c = 1.5 - 0.7j, 3.0
-        z = 2j * np.array([0.0, 1e-300, 1e-22, 1e-19, 1e-12, 1e-8, 3e-3, 0.7])
-        nodes = _hyp1f1_derivatives(a, c, z, 4)
-        for j in range(5):
-            assert nodes[j, 0] == _hyp1f1_derivatives(a, c, 0.0, 4)[j]
-            assert nodes[j, 0] == pytest.approx(pochhammer(a, j) / pochhammer(c, j), rel=1e-15)
-            for x, v in zip(z[1:], nodes[j, 1:]):
-                ref = _hyp1f1_derivatives(a, c, complex(x), 4)[j]
-                assert abs(v - ref) <= 1e-15 * abs(ref)
-                with mpmath.workdps(30):
-                    assert abs(v - self._reference(a, c, x, j)) <= 1e-15 * abs(ref)
-
-    def test_circular_limit(self):
-        # pk = q = 0: M = 1 + (e^z - 1)/2 and M^(j) = e^z/2 for j >= 1
-        z = 1.3j
-        for vals in (_hyp1f1_derivatives(0.0, 0.0, z, 4),
-                     _hyp1f1_derivatives(0.0, 0.0, np.array([z]), 4)[:, 0]):
-            assert abs(vals[0] - (1 + (np.exp(z) - 1) / 2)) < 1e-15
-            for v in vals[1:]:
-                assert abs(v - np.exp(z) / 2) < 1e-15
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            _hyp1f1_derivatives(1.0, 2.0, 0.5, -1)
-        with pytest.raises(PoleError):
-            _hyp1f1_derivatives(1.0, -2.0, 0.5, 2)
-        with pytest.raises(ValueError):
-            _hyp1f1_derivatives(1.0, 2.0, complex("nan"), 2)
-        with pytest.raises(NonConvergenceError):
-            _hyp1f1_derivatives(1.0, 1.0, 800.0, 2)
 
 
 class TestNonFiniteArgument:
