@@ -13,10 +13,10 @@ integrals (the s~ constants) in closed form.
 
 Each finite-N quantity is computed once per parameter set: the tail
 integrals and the closed forms behind the s~ constants are memoised whole,
-and _phi at scalar points (node arrays bypass its memo).  A jet, the exact
-diagonal's, takes _phi's value from that memo and sums only the slope's
-series.  A kernel grid thus evaluates each tail integral once per X and each
-_phi once per point, on the diagonal too.
+and _phi at scalar points (node arrays bypass its memo).  The exact
+diagonal's slope, _phi_slope, a closed form, takes _phi's value from that
+memo and sums only the slope's series.  A kernel grid thus evaluates each
+tail integral once per X and each _phi once per point, on the diagonal too.
 """
 from __future__ import annotations
 
@@ -26,24 +26,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import EnsembleParams, _rr_scaled_slope, rr_norm, rr_scaled_raw
+from .polynomials import EnsembleParams, _rr_args, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
-from .series import _Jet, _cached_at_points, hyp2f1_terminating, log_gamma
+from .series import _cached_at_points, hyp2f1_terminating, log_gamma
 
 _DIAG_SWITCH = 1e-6
 
 
 def _prefactor(N: int, k: int, P: float, Q: float, X):
-    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N.
-
-    X may be an ndarray or a jet, whose derivative is the prefactor times
-    ((p+k) cot(X/N) + Q + ik)/N - i.
-    """
+    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N;
+    X may be an ndarray."""
     p = P - N
-    if isinstance(X, _Jet):
-        return X.chain(lambda x: _prefactor(N, k, P, Q, x),
-                       lambda x: _prefactor(N, k, P, Q, x)
-                       * (((p + k) / np.tan(x / N) + Q + 1j * k) / N - 1j))
     u = X / N
     sign = -1.0 if (N - k) % 2 else 1.0
     return sign * np.exp((p + k) * np.log(np.sin(u)) + Q * (u - math.pi / 2)
@@ -57,14 +50,21 @@ def _phi(N: int, k: int, P: float, Q: float, X):
 
     F_k(X) = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}),   p = P - N,
 
-    which is rr_scaled_raw; X may be an ndarray or a jet.  A jet takes its
-    value from the point cache and sums one series more, F_k's slope.
+    which is rr_scaled_raw; X may be an ndarray.
     """
-    if isinstance(X, _Jet):
-        value, pref = _phi(N, k, P, Q, X.v), _prefactor(N, k, P, Q, X)
-        slope = value / pref.v * pref.d + pref.v * _rr_scaled_slope(N, k, X, P, Q)
-        return _Jet(value, slope, X.tag)
     return _prefactor(N, k, P, Q, X) * rr_scaled_raw(N, k, X, P, Q)
+
+
+def _phi_slope(N: int, k: int, P: float, Q: float, X: float) -> complex:
+    """d/dX _phi at a scalar X: _phi's memoised value times the prefactor's
+    log-derivative ((p+k) cot(X/N) + Q + ik)/N - i, plus the prefactor times
+    dF_k/dX = (2i/N)(z - 1)(-n b/c) 2F1(-n+1, b+1; c+1; z), one series, with
+    (n, b, c, z) those of F_k and b/c -> 1/2 in the joint limit b = c = 0."""
+    n, b, c, z = _rr_args(N, k, X, P, Q)
+    ratio = 0.5 if b == 0 and c == 0 else b / c
+    dF = 2j / N * (z - 1) * -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z)
+    log_slope = ((P - N + k) / math.tan(X / N) + Q + 1j * k) / N - 1j
+    return _phi(N, k, P, Q, X) * log_slope + _prefactor(N, k, P, Q, X) * dF
 
 
 @lru_cache(maxsize=4096)
@@ -87,10 +87,10 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
         # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips.
         # S(z(X), z(Y)) is symmetric, so its midpoint value is second-order;
         # dz/dX is not, and is taken at X
-        M = _Jet.seed(0.5 * (X + Y))
+        M = 0.5 * (X + Y)
         f0, f1 = _phi(N, k, P, Q, M), _phi(N, k + 1, P, Q, M)
-        return (-(f0.v * f1.d - f0.d * f1.v) / h
-                * (math.sin(M.v / N) / math.sin(uX)) ** 2)
+        d0, d1 = _phi_slope(N, k, P, Q, M), _phi_slope(N, k + 1, P, Q, M)
+        return -(f0 * d1 - d0 * f1) / h * (math.sin(M / N) / math.sin(uX)) ** 2
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)
            - _phi(N, k, P, Q, Y) * _phi(N, k + 1, P, Q, X))
     dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)

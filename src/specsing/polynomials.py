@@ -1,5 +1,6 @@
 """Routh-Romanovski orthogonal polynomials (three-term recurrence; the kernels'
-scaled form by 2F1), Cauchy and circle weights, and line <-> circle maps.
+scaled form by 2F1), their norms and a self-checking orthogonality quadrature,
+Cauchy and circle weights, and line <-> circle maps.
 
 Weight convention: omega2(x) = (1 - ix)^c (1 + ix)^cbar with c = -P + iQ,
 equivalently (1 + x^2)^(-P) exp(2 Q arctan x).  For the ensemble-derived
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PoleError, _hyp2f1_slope, _Jet, hyp2f1_terminating, log_gamma
+from .series import NonConvergenceError, PoleError, hyp2f1_terminating, log_gamma
 
 _ALLOWED_BETA = (1, 2, 4)
 
@@ -170,15 +171,8 @@ def _rr_args(N: int, k: int, X, P: float, Q: float) -> tuple:
     if p + k <= 0 and not (p + k == 0 and Q == 0):
         raise ValueError("need p + k > 0 (or the circular limit p + k = Q = 0)")
     # a plain scalar takes cmath, so the scalar 2F1 loop runs on Python complex
-    exp = np.exp if isinstance(X, (np.ndarray, _Jet)) else cmath.exp
+    exp = np.exp if isinstance(X, np.ndarray) else cmath.exp
     return N - k, complex(p + k, -Q), complex(2 * p + 2 * k), 1 - exp(2j * (X / N))
-
-
-def _rr_scaled_slope(N: int, k: int, X: _Jet, P: float, Q: float) -> complex:
-    """The derivative part of rr_scaled_raw at a jet X, without its value:
-    one 2F1 series, by the 2F1's own rule (series._hyp2f1_slope)."""
-    n, b, c, z = _rr_args(N, k, X, P, Q)
-    return _hyp2f1_slope(n, b, c, z.v) * z.d
 
 
 def rr_scaled(n_minus_k: int, k: int, X: float, params: EnsembleParams) -> complex:
@@ -211,11 +205,13 @@ def rr_norm(n: int, c: complex) -> float:
 def _circle_rule():
     """The default rule of orthogonality_check, level-11 tanh-sinh on
     (0, 2 pi): 9441 nodes, mapped once rather than on every call, with its
-    x = tan((theta - pi)/2), log(1 + x^2) and arctan(x), all read-only."""
+    x = tan((theta - pi)/2), log(1 + x^2), arctan(x) and level 10's weights
+    on its nodes (twice its own at the even-index nodes, 0 elsewhere), all read-only."""
     from .quadrature import tanh_sinh_rule
     rule = tanh_sinh_rule(0.0, 2 * math.pi, level=11)
     x = np.tan((rule.nodes - math.pi) / 2)
-    out = rule, x, np.log1p(x * x), np.arctan(x)
+    level10 = np.where(np.arange(x.size) % 2 == 0, 2 * rule.weights, 0.0)
+    out = rule, x, np.log1p(x * x), np.arctan(x), level10
     for arr in (rule.nodes, rule.weights) + out[1:]:
         arr.flags.writeable = False  # shared
     return out
@@ -230,15 +226,19 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     of the weight).  The tan form stays finite at nodes next to theta = 0, and
     sqrt(omega2 dx/dtheta) is applied to each polynomial factor so that
     neither product overflows; nodes where it underflows to 0 are skipped.
-    ValueError if the integral diverges (n + m >= 2P - 1).
+    ValueError if the integral diverges (n + m >= 2P - 1); NonConvergenceError
+    where the default rule's sum and its level-10 sum (the even-index nodes at
+    twice the weight) differ by more than 1e-12 h_n.  A rule passed in is used
+    as given.
     """
     P, Q = params.weight_params()
     if n + m >= 2 * P - 1:
         raise ValueError(f"int omega2 I_n I_m diverges: n + m = {n + m} >= 2P - 1, P = {P}")
     c = complex(-P, Q)
     if rule is None:
-        rule, x, log1p_x2, arctan_x = _circle_rule()
+        rule, x, log1p_x2, arctan_x, level10 = _circle_rule()
     else:
+        level10 = None
         x = np.tan((rule.nodes - math.pi) / 2)
         log1p_x2, arctan_x = np.log1p(x * x), np.arctan(x)
     root = np.exp(0.5 * ((1 - P) * log1p_x2 + 2 * Q * arctan_x - math.log(2)))
@@ -248,4 +248,9 @@ def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> fl
     vals = left * (left if n == m else rr_poly(m, c, x) * root)
     integral = np.sum(vals * rule.weights[live])
     hn = rr_norm(n, c)
+    if level10 is not None:
+        gap = abs(integral - np.dot(vals, level10[live])) / hn
+        if gap > 1e-12:
+            raise NonConvergenceError(f"int omega2 I_n I_m: levels 10 and 11 differ by "
+                                      f"{gap:.1e} h_n at n + m = {n + m}, P = {P}")
     return float(abs(integral - (hn if n == m else 0.0)) / hn)

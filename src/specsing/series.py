@@ -1,8 +1,8 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
 expansion; the one evaluator that sums a series over a whole node array, a
-block of orders at a time (the 2F1's and the 1F1's); the forward-mode jet
-that carries every derivative in the library (Griewank and Walther,
+block of orders at a time (the 2F1's, and the 1F1's at every argument); the
+forward-mode jet, which serves the limit kernels only (Griewank and Walther,
 Evaluating Derivatives, SIAM 2008); and the memo over scalar points that
 jets and node arrays bypass.
 
@@ -298,24 +298,18 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     return total
 
 
-def _hyp2f1_slope(n: int, b: complex, c: complex, z):
-    """d/dz 2F1(-n, b; c; z) = -n (b/c) 2F1(-n+1, b+1; c+1; z), one series."""
-    # b/c -> 1/2 in the joint limit b, c -> 0; the n = 0 derivative is 0
-    ratio = 0.5 if b == 0 and c == 0 else b / c
-    return -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z)
-
-
 def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
     """Kummer 1F1(a; c; z) by its power series, z a scalar or an ndarray.
 
-    A scalar z sums the terms in a Python loop, an ndarray every element at
-    once (_array_series); both stop at the first term that meets the rule
-    of every series and refuse more than ctrl.max_terms terms (ctrl defaults
-    to DEFAULT_CONTROL).  Where Re z < 0 the plain series cancels: there
-    1F1(a; c; z) = e^z 1F1(c - a; c; -z) (Kummer's transformation, DLMF
-    13.2.39) is summed instead.  The joint limit a, c -> 0 (a/c -> 1/2)
-    gives 1 + (e^z - 1)/2.  A pole c raises PoleError, a non-finite z
-    ValueError, overflow or a spent term budget NonConvergenceError.
+    _array_series sums every element at once (a scalar z as a 0-d array),
+    stops at the first term that meets the rule of every series and refuses
+    more than ctrl.max_terms terms (ctrl defaults to DEFAULT_CONTROL).
+    Where Re z < 0 the plain series cancels: there 1F1(a; c; z) =
+    e^z 1F1(c - a; c; -z) (Kummer's transformation, DLMF 13.2.39) is summed
+    instead.  The joint limit a, c -> 0 (a/c -> 1/2) gives 1 + (e^z - 1)/2.
+    A pole c raises PoleError, a non-finite z ValueError, a spent term
+    budget NonConvergenceError, and overflow a RuntimeWarning and then
+    NonConvergenceError.
     """
     _check_finite(z)
     array = isinstance(z, np.ndarray)
@@ -325,10 +319,6 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
     if _is_nonpositive_integer(c):
         raise PoleError(f"1F1 lower parameter pole at c={c}")
     ctrl = ctrl or DEFAULT_CONTROL
-    if not array:
-        if complex(z).real < 0:
-            return cmath.exp(z) * _kummer_scalar(c - a, c, -z, ctrl)
-        return _kummer_scalar(a, c, z, ctrl)
     z = np.asarray(z, dtype=complex)
     flip = z.real < 0
 
@@ -338,21 +328,7 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
     out = np.empty(z.shape, complex)
     out[~flip] = series(a, z[~flip])
     out[flip] = np.exp(z[flip]) * series(c - a, -z[flip])
-    return out
-
-
-def _kummer_scalar(a: complex, c: complex, z: complex, ctrl: SeriesControl) -> complex:
-    """The series of hyp1f1 at a scalar z, summed term by term."""
-    tol = ctrl.rel_tol
-    t = s = 1.0 + 0.0j
-    for m in range(ctrl.max_terms):
-        t = t * (a + m) / ((c + m) * (m + 1)) * z
-        s += t
-        # a sum that overflowed never counts as converged
-        if abs(t) < tol * abs(s) + _TINY and cmath.isfinite(s):
-            return s
-    raise NonConvergenceError(
-        f"1F1 series did not converge (or overflowed) in {ctrl.max_terms} terms at z={z}")
+    return out if array else complex(out)
 
 
 # the stopping rule of every series: |term| < rel_tol |running sum| + _TINY,
@@ -374,7 +350,7 @@ def _check_finite(z) -> None:
 def _array_series(ratios, z: np.ndarray, rel_tol: float, budget: int) -> np.ndarray:
     """Sum of the series t_0 = 1, t_{k+1} = t_k num_k / den_k z for every
     element of z, to the first order k <= budget at which every element has
-    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar loops' rule), or
+    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar 2F1 loop's rule), or
     to the first zero num; past budget terms it raises NonConvergenceError.
 
     ratios(ks) gives (num, den) over an array of _BLOCK orders at a time.

@@ -11,9 +11,9 @@ from specsing import (EnsembleParams, NonConvergenceError, correlation_det, k_li
                       kernel_s4_scaled, kernel_scaled, rho_finite, rr_norm, rr_poly,
                       skew_constants, tail_integral)
 from specsing import kernels, polynomials
-from specsing.kernels import (_cd_scaled, _h_sub, _phi, _prefactor, _s_tilde,
+from specsing.kernels import (_cd_scaled, _h_sub, _phi, _phi_slope, _s_tilde,
                               _w1_full_line, eta_constants, w1_integral_closed)
-from specsing.polynomials import CauchyWeightParams, rr_scaled_raw, weight_cauchy
+from specsing.polynomials import CauchyWeightParams, scaled_point_map, weight_cauchy
 from specsing.series import hyp2f1_terminating
 
 
@@ -42,6 +42,18 @@ class TestBeta2:
                 cd = kernel_s2(float(x), float(y), pr)
                 ds = direct_sum_kernel(float(x), float(y), pr)
                 assert abs(cd - ds.real) < 1e-10 * (abs(ds) + 1)
+
+    @pytest.mark.parametrize("N", [12, 40])
+    def test_near_diagonal_matches_direct_sum(self, N):
+        # inside the midpoint window |X - Y| < 1e-6 (1 + X), where the CD
+        # kernel is built from _phi_slope, against the direct sum at X of
+        # order 1 (measured worst 2.1e-12)
+        pr = EnsembleParams(2, N, 1.5, 0.7)
+        for X in (1.0, 2.5, 6.0):
+            for d in (0.0, 1e-7, 5e-7 * (1 + X), -5e-7 * (1 + X)):
+                (x, dz), (y, _) = scaled_point_map(X, N), scaled_point_map(X + d, N)
+                ref = direct_sum_kernel(x, y, pr) * dz
+                assert abs(kernel_s2_scaled(X, X + d, pr) - ref) < 1e-11 * abs(ref)
 
     def test_symmetry(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)
@@ -120,21 +132,10 @@ def test_circular_limit_diagonal(beta, N, X):
     assert abs(val - 1 / math.pi) < 1e-12 / math.pi
 
 
-def _phi_slope(N, k, P, Q, X):
-    """Oracle: d/dX of _phi in closed form, the log-derivative of its
-    prefactor times _phi plus the prefactor times the 2F1's z-derivative
-    -n b/c 2F1(-n+1, b+1; c+1; z) at z = 1 - e^{2iX/N}."""
-    p, u, e = P - N, X / N, np.exp(2j * X / N)
-    b, c = complex(p + k, -Q), complex(2 * p + 2 * k)
-    dF = -(N - k) * b / c * hyp2f1_terminating(max(N - k - 1, 0), b + 1, c + 1, 1 - e)
-    pref = _prefactor(N, k, P, Q, X)
-    logamp = (p + k) / (N * math.tan(u)) + complex(Q / N, k / N - 1)
-    return pref * (logamp * rr_scaled_raw(N, k, X, P, Q) + dF * (-2j / N * e))
-
-
 def test_diagonal_matches_closed_form_slope():
-    # the jet diagonal of the CD kernel against the closed-form slopes, for
-    # the (N, k, P, Q) systems of beta = 1, 2 and 4 (measured worst 1.9e-15)
+    # the CD kernel's diagonal against -(phi_k phi'_{k+1} - phi'_k phi_{k+1})/h
+    # from the closed-form slopes of _phi_slope, for the (N, k, P, Q) systems
+    # of beta = 1, 2 and 4
     rng = np.random.default_rng(8)
     for _ in range(200):
         beta = rng.choice([1, 2, 4])
@@ -401,9 +402,10 @@ class TestMemo:
 
 
 class TestCallCounts:
-    """A kernel grid sums each 2F1 series once: a jet reads _phi's point
-    memo and adds only its slope's series, and a tail integral that settles
-    at tanh-sinh level 5 evaluates its integrand in one node-array call."""
+    """A kernel grid sums each 2F1 series once: a diagonal point reads
+    _phi's point memo and adds only its slope's series (_phi_slope), and a
+    tail integral that settles at tanh-sinh level 5 evaluates its integrand
+    in one node-array call."""
 
     PTS = (0.7, 1.9, 3.1)
 
@@ -411,24 +413,22 @@ class TestCallCounts:
         # beta = 2, N = 12: the CD kernel needs _phi at k = 0, 1 for every
         # point; the diagonal adds the slopes, 2F1(-n+1, b+1; c+1; z)
         value, slope = [], []
-        series, rule = polynomials.hyp2f1_terminating, polynomials._hyp2f1_slope
 
-        def count_value(n, b, c, z, ctrl=None):
-            value.append((n, complex(z)))
-            return series(n, b, c, z, ctrl)
+        def counter(calls):
+            def count(n, b, c, z, ctrl=None):
+                calls.append((n, b, c, complex(z)))
+                return hyp2f1_terminating(n, b, c, z, ctrl)
+            return count
 
-        def count_slope(n, b, c, z):
-            slope.append((n, complex(z)))
-            return rule(n, b, c, z)
-
-        monkeypatch.setattr(polynomials, "hyp2f1_terminating", count_value)
-        monkeypatch.setattr(polynomials, "_hyp2f1_slope", count_slope)
+        monkeypatch.setattr(polynomials, "hyp2f1_terminating", counter(value))
+        monkeypatch.setattr(kernels, "hyp2f1_terminating", counter(slope))
         params = EnsembleParams(2, 12, 1.3, 0.4)
         for X in self.PTS:
             for Y in self.PTS:
                 kernel_scaled(2, X, Y, params)
         assert len(value) == len(set(value)) == 2 * len(self.PTS)
         assert len(slope) == len(set(slope)) == 2 * len(self.PTS)
+        assert set(slope) == {(n - 1, b + 1, c + 1, z) for n, b, c, z in value}
 
     def test_tail_integral_one_array_call(self, monkeypatch):
         # levels 4 and 5 share one call of the integrand, and this integral
@@ -447,7 +447,7 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("beta", [2, 4])
     def test_grid_order_does_not_matter(self, beta):
-        # the diagonal's jets read the values the off-diagonal points store,
+        # the diagonal's slopes read the values the off-diagonal points store,
         # and the reverse: either order gives the same bits
         params = EnsembleParams(beta, 12, 1.3, 0.4)
         pairs = [(X, Y) for X in self.PTS for Y in self.PTS]

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from specsing import (CauchyWeightParams, EnsembleParams, PoleError, cayley_to_circle,
-                      circle_to_cayley, orthogonality_check, rr_norm, rr_poly,
-                      rr_scaled, scaled_point_map, weight_cauchy,
+from specsing import (CauchyWeightParams, EnsembleParams, NonConvergenceError, PoleError,
+                      cayley_to_circle, circle_to_cayley, orthogonality_check, rr_norm,
+                      rr_poly, rr_scaled, scaled_point_map, weight_cauchy,
                       weight_circle_scaled)
 from specsing import polynomials
 from specsing.polynomials import rr_scaled_raw
@@ -183,6 +183,11 @@ class TestOrthogonality:
         assert cached is polynomials._circle_rule()
         for arr in (cached[0].nodes, cached[0].weights) + cached[1:]:
             assert not arr.flags.writeable
+        # its truncation check reads level 10 as the even-index nodes at
+        # twice the weight
+        coarse, level10 = tanh_sinh_rule(0, 2 * math.pi, 10), cached[-1]
+        assert np.array_equal(cached[0].nodes[::2], coarse.nodes)
+        assert np.array_equal(level10[::2], coarse.weights) and not level10[1::2].any()
 
     def test_divergent_range_raises(self):
         # P = 3.2: int omega2 I_n I_m converges only for n + m < 2P - 1 = 5.4
@@ -190,6 +195,15 @@ class TestOrthogonality:
         assert orthogonality_check(2, 2, pr) < 1e-10
         with pytest.raises(ValueError):
             orthogonality_check(3, 3, pr)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (1, 4), (0, 5)])
+    def test_truncation_near_divergence_raises(self, n, m):
+        # P = 3.2, n + m = 5 against 2P - 1 = 5.4: levels 10 and 11 of the
+        # default rule differ by 8.2e-8, 1.6e-7 and 4.8e-8 of h_n
+        pr = EnsembleParams(2, 3, 0.2, 0.3)
+        with pytest.raises(NonConvergenceError):
+            orthogonality_check(n, m, pr)
+        assert orthogonality_check(n, m - 1, pr) < 1e-14
 
     def test_node_doubling_stable(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)

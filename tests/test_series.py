@@ -13,7 +13,7 @@ from scipy.special import loggamma
 from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
                       log_gamma, pochhammer)
-from specsing.kernels import _phi
+from specsing.kernels import _phi, _phi_slope
 from specsing.limits import _A
 from specsing.series import _Jet
 
@@ -255,7 +255,7 @@ class TestHyp1f1:
         with pytest.raises(NonConvergenceError):
             hyp1f1(1.0, 2.0, 60.0, SeriesControl(rel_tol=1e-15, max_terms=12))
         # the terms at z = 800 overflow and never meet the rule
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError), pytest.warns(RuntimeWarning):
             hyp1f1(1.0, 1.0, 800.0)
 
     def test_circular_limit(self):
@@ -278,9 +278,8 @@ class TestHyp1f1:
         # 40-digit mpmath on a seeded grid: 30 (a, c), among them terminating
         # a and pole c, each at 6 z on the real axis and 6 on the imaginary
         # axis, |z| <= 20, scalar and as one array; within 8 eps sum |t_k|
-        # (on 600 other seeded cases measured 5.3 scalar and 6.5 array, where
-        # the former Kahan-summed loop and array series gave 4.6 and 6.0), and
-        # PoleError exactly at the poles
+        # (on 600 other seeded cases measured 6.9 scalar, a 0-d array, and
+        # 6.8 array), and PoleError exactly at the poles
         rng = np.random.default_rng(2026102023)
         eps = np.finfo(float).eps
         poles = 0
@@ -466,13 +465,11 @@ class TestJet:
     @pytest.mark.parametrize("N", [12, 400])
     @pytest.mark.parametrize("k", [0, 1])
     def test_phi_slope(self, N, k):
-        # _phi's jet slope (the prefactor's rule and the 2F1's, _hyp2f1_slope)
-        # against central differences of its values
+        # _phi's closed-form slope (the prefactor's log-derivative and the
+        # 2F1's slope series) against central differences of its values
         P, Q, X, h = N + 1.3, 0.4, 1.7, 1e-5
         slope = (_phi(N, k, P, Q, X + h) - _phi(N, k, P, Q, X - h)) / (2 * h)
-        jet = _phi(N, k, P, Q, _Jet.seed(X))
-        assert jet.v == _phi(N, k, P, Q, X)
-        assert abs(jet.d - slope) <= 1e-8 * abs(slope)
+        assert abs(_phi_slope(N, k, P, Q, X) - slope) <= 1e-8 * abs(slope)
 
     def test_a_jet_reads_the_next_order(self):
         # A(j; X + eps d) = A(j; X) + 2i d A(j + 1; X) eps, read from the
