@@ -42,31 +42,36 @@ e^{-iy} C_j(y) is a power series in y, integrated against s^e term by term
 (_series_integral).  An integral is refused (NonConvergenceError) where its
 rounding bound exceeds 1e-6 of its value: at beta = 4 from X near 10 (l2),
 12 (l1) and 13.5 (K), at beta = 1 from X near 23 (l1) and 28 (K), for
-(p, q) = (1.5, 0.7).  Each (block, point) is summed once; a jet reads the
-family at its value.  a_confluent's orders j above 5 read a pass of their
-own that runs j - 5 terms longer (_family).
+(p, q) = (1.5, 0.7).  Each (block, point) is summed once.  a_confluent's
+orders j above 5 read a pass of their own that runs j - 5 terms longer
+(_family).
 
+Derivatives are taken by formula.  As dA(i; X)/dX = 2i A(i + 1; X), the
+slope of a piece c X^s A(i; X) is c s X^(s-1) A(i) + 2i c X^s A(i + 1), so
+C_j's slopes are pieces too (_pieces with r > 0), read from the same family.
 The derivative identity L1 = p (X d/dX + Y d/dY + 1) K holds with the same
-constant p for all three beta (checked to full precision with forward-mode
-jets).  Near the diagonal each beta = 2 term is G(X, Y)/(X - Y) times a
-prefactor, G antisymmetric, taken as -dG/dY at the midpoint; L2 is split into
-such a term plus (X^2/3) K_inf.
+constant p for all three beta; derivative_identity_residual checks it with
+E = X d/dX + Y d/dY in closed form (_euler_k).  Near the diagonal each
+beta = 2 term is G(X, Y)/(X - Y) times a prefactor, G antisymmetric, taken
+as -dG/dY at the midpoint; L2 is split into such a term plus (X^2/3) K_inf.
+The kernels take finite X > 0 and Y >= 0 and raise ValueError elsewhere.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
-from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY, _Jet,
+from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY,
                      _cached_at_points, _is_nonpositive_integer, log_gamma)
 
-_DIAG_EPS, _DIAG_H = 1e-5, 1e-3
+_DIAG_EPS, _DIAG_H = 3e-5, 1e-3
 _EPS = 2.0 ** -52
 
 
@@ -112,7 +117,7 @@ def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
 
 
 # C_0, C_1 and C_2 read A(0..0), A(0..2) and A(0..4); a point's family also
-# holds A(5), which the derivative of A(4) along a jet reads
+# holds A(5), which the slope of C_2 reads
 _TOP = 5
 
 
@@ -199,19 +204,12 @@ def _family(pk: float, q: float, X: float, top: int) -> tuple:
     return tuple(family.tolist())
 
 
-# c_tilde orders 0..2 share one family, and the blocks of K, L1 and L2 share
-# points (also with the jets at them), so each point is summed once
+# c_tilde orders 0..2 and their slopes share one family, and the blocks of K,
+# L1 and L2 share points, so each point is summed once
 @_cached_at_points(1024)
 def _A(pk: float, q: float, X):
-    """A^{(pk, q)}(j; X) for j = 0..5 (_family).  X may be a jet: A(j; X + eps
-    d) = A(j; X) + 2i d A(j + 1; X) eps, so a jet's family is the one at its
-    value, one order shorter (a jet of a jet reaches A(3), enough for C_0
-    and C_1); or an ndarray, each element a point of the memo.
-    """
-    if isinstance(X, _Jet):
-        base = _A(pk, q, X.v)
-        return tuple(_Jet(base[j], 2j * X.d * base[j + 1], X.tag)
-                     for j in range(len(base) - 1))
+    """A^{(pk, q)}(j; X) for j = 0..5 (_family); X may be an ndarray, each
+    element a point of the memo."""
     if isinstance(X, np.ndarray):
         values = [_A(pk, q, x) for x in X.ravel().tolist()]
         return np.array(values, complex).T.reshape((_TOP + 1,) + X.shape)
@@ -219,8 +217,17 @@ def _A(pk: float, q: float, X):
 
 
 @functools.lru_cache(maxsize=256)
-def _pieces(order: int, k: int, pk: float, q: float) -> tuple:
-    """C_order^{(pk - k, q, k)} as pieces (c, s, i): C(X) = sum c X^s A(i; X)."""
+def _pieces(order: int, k: int, pk: float, q: float, r: int = 0) -> tuple:
+    """C_order^{(pk - k, q, k)}, or its r-th derivative, as pieces (c, s, i):
+    C(X) = sum c X^s A(i; X).  The slope of c X^s A(i; X) is c s X^(s-1) A(i)
+    + 2i c X^s A(i + 1), as A(i; X) is the i-th derivative of M at 2iX."""
+    if r:
+        out = {}
+        for c, s, i in _pieces(order, k, pk, q, r - 1):
+            if s:
+                out[s - 1, i] = out.get((s - 1, i), 0.0) + s * c
+            out[s, i + 1] = out.get((s, i + 1), 0.0) + 2j * c
+        return tuple((c, s, i) for (s, i), c in out.items())
     if order == 0:
         return ((1.0, 0, 0),)
     w = 1j * k + q
@@ -235,49 +242,86 @@ def _pieces(order: int, k: int, pk: float, q: float) -> tuple:
     return tuple((c, s, i) for (s, i), c in c2.items())
 
 
-def _c_value(pieces: tuple, A, X):
-    """sum c X^s A(i) over the pieces; X may be a jet or an ndarray."""
+def _c(order: int, k: int, p: float, q: float, X, r: int = 0):
+    """The r-th derivative of C_order^{(p, q, k)} at X, sum c X^s A(i) over
+    its pieces; X may be an ndarray."""
+    A = _A(p + k, q, X)
+    if not (order or r):
+        return A[0]
     powers = (1.0, X, X * X, X * X * X, X * X * X * X)
-    return sum(c * powers[s] * A[i] for c, s, i in pieces)
+    return sum(c * powers[s] * A[i] for c, s, i in _pieces(order, k, p + k, q, r))
 
 
 def c_tilde(order: int, k: int, p: float, q_eff: float, X: float) -> complex:
-    """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray or a jet."""
+    """C_order^{(p, q, k)}(X) for order in {0, 1, 2}; X may be an ndarray."""
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    A = _A(p + k, q_eff, X)
-    if order == 0:
-        return A[0]
-    return _c_value(_pieces(order, k, p + k, q_eff), A, X)
+    return _c(order, k, p, q_eff, X)
+
+
+def _side(order: int, k: int, p: float, q: float, T: float, r: int = 0) -> tuple:
+    """The J blocks' side at T: (T, d, c) with c_a = C_a^{(p, q, k)}(T) and
+    d_a = C_a^{(p, q, k + 1)}(T) for a = 0..order, so that u_a = T d_a; for
+    r > 0 the r-th derivatives in T as (1, u^(r), c^(r)), u^(r) = T d^(r) +
+    r d^(r-1).
+
+    J_n = t_X sum_a d_a(X) c_(n-a)(Y) - t_Y sum_a d_a(Y) c_(n-a)(X) (_j) is
+    linear in each side, so its slope in Y is J_n of the side at X and the
+    slope side at Y."""
+    c = [_c(a, k, p, q, T, r) for a in range(order + 1)]
+    d = [_c(a, k + 1, p, q, T, r) for a in range(order + 1)]
+    if not r:
+        return T, d, c
+    return 1.0, [T * v + r * _c(a, k + 1, p, q, T, r - 1) for a, v in enumerate(d)], c
+
+
+def _j(n: int, fX: tuple, fY: tuple):
+    """J_n from the sides (t, d, c) at X and at Y."""
+    (tX, dX, cX), (tY, dY, cY) = fX, fY
+    if n == 0:
+        return tX * dX[0] * cY[0] - tY * dY[0] * cX[0]
+    return (tX * sum(map(operator.mul, dX[n::-1], cY))
+            - tY * sum(map(operator.mul, dY[n::-1], cX)))
+
+
+def _q(k: int, p: float, X, Y) -> tuple:
+    """The scalars Q1 and Q2 of the L1 and L2 brackets."""
+    return (p * (2 * p + 2 * k + 1),
+            -X * Y / 3 + (p + k) * (2 * p + 2 * k + 1) * (6 * p * p - p - k - 1) / 6)
 
 
 def j_blocks(k: int, p: float, q_eff: float, X: float, Y: float) -> dict:
     """J0, J1, J2 antisymmetrized products and the scalar Q1, Q2."""
-    return _blocks(2, k, p, q_eff, X, Y)
-
-
-def _blocks(order: int, k: int, p: float, q_eff: float, X, Y) -> dict:
-    """J0 .. J_order (order 1 or 2), Q1 and Q2; order 1 evaluates no C2, so
-    no A_3 or A_4."""
-    def c(o, kk, T):
-        return c_tilde(o, kk, p, q_eff, T)
-
-    c0X, c0Y = c(0, k, X), c(0, k, Y)
-    d0X, d0Y = c(0, k + 1, X), c(0, k + 1, Y)
-    c1X, c1Y = c(1, k, X), c(1, k, Y)
-    d1X, d1Y = c(1, k + 1, X), c(1, k + 1, Y)
-    out = {"J0": X * d0X * c0Y - Y * d0Y * c0X,
-           "J1": X * (d0X * c1Y + d1X * c0Y) - Y * (d0Y * c1X + d1Y * c0X),
-           "Q1": p * (2 * p + 2 * k + 1),
-           "Q2": -X * Y / 3 + (p + k) * (2 * p + 2 * k + 1) * (6 * p * p - p - k - 1) / 6}
-    if order == 2:
-        c2X, c2Y = c(2, k, X), c(2, k, Y)
-        d2X, d2Y = c(2, k + 1, X), c(2, k + 1, Y)
-        out["J2"] = (X * (d2X * c0Y + d1X * c1Y + d0X * c2Y)
-                     - Y * (d2Y * c0X + d1Y * c1X + d0Y * c2X))
+    fX, fY = _side(2, k, p, q_eff, X), _side(2, k, p, q_eff, Y)
+    out = {f"J{n}": _j(n, fX, fY) for n in range(3)}
+    out["Q1"], out["Q2"] = _q(k, p, X, Y)
     return out
 
 
+def _bracket(order: int, p: float, q: float, X, Y, k: int, r: int):
+    """J0, J1 + Q1 J0 or J2 + Q1 J1 + Q2 J0 (L2's bracket less its X^2/3 J0
+    term, which is not antisymmetric) at (X, Y) for r = 0; for r = 1 at X = Y
+    its slope in Y (there J0 = 0, so Q2's slope drops out).  Order 1
+    evaluates no C2."""
+    fX, fY = _side(order, k, p, q, X), _side(order, k, p, q, Y, r)
+    if not order:
+        return _j(0, fX, fY)
+    Q = (1.0,) + _q(k, p, X, Y)
+    return sum(Q[order - n] * _j(n, fX, fY) for n in range(order, -1, -1))
+
+
+def _euler_j0(p: float, q: float, X, Y, k: int, r: int):
+    """E J0 = (X d/dX + Y d/dY) J0 = X J0(f'(X), f(Y)) + Y J0(f(X), f'(Y)) for
+    the sides f, antisymmetric as J0 is; for r = 1 at X = Y its slope in Y,
+    J0(f, f') + X J0(f, f'') (the first term's slope vanishes there)."""
+    f = functools.partial(_side, 0, k, p, q)
+    if r:
+        return _j(0, f(X), f(X, 1)) + X * _j(0, f(X), f(X, 2))
+    return X * _j(0, f(X, 1), f(Y)) + Y * _j(0, f(X), f(Y, 1))
+
+
+# K, L1, L2 and their diagonal and Euler terms at one (p, q) share it
+@functools.lru_cache(maxsize=256)
 def h_const(pk: float, q: float) -> float:
     """h^{(pk, q)} = 2^(2 pk - 2) |G(pk - iq)|^2 / (pi G(2 pk) G(2 pk - 1))."""
     lg = 2 * log_gamma(complex(pk, -q)).real - log_gamma(2 * pk).real \
@@ -292,49 +336,38 @@ def _pref2(p: float, q: float, k: int, X, Y):
             * (X * Y) ** (p + k + 1) / (X * X))
 
 
-def _over_diff(G, p: float, q: float, X, Y, k: int = 0, scale: int = 1) -> complex:
-    """_pref2 G(X, Y)/(X - Y) for G antisymmetric in (X, Y), at arguments
-    scale times the kernel's (X, Y).
+def _over_diff(G, p: float, q: float, X, Y, k: int = 0) -> complex:
+    """_pref2 G(X, Y)/(X - Y) for G antisymmetric in (X, Y); G(p, q, X, Y, k,
+    r) is G at (X, Y) for r = 0 and its slope in Y at X = Y for r = 1.
 
     X^2 times it is a symmetric W(X, Y), so near the diagonal, |X - Y| below
-    _DIAG_EPS (1 + |X|) in the kernel's variables, W(M + d, M - d) = W(M, M)
-    + W2 d^2 + O(d^4): there G(M, Y)/(M - Y) is -dG/dY, taken along a jet in
-    Y, and W2 is read from W at M +- h, h = _DIAG_H (scale + |M|), where the
-    quotient loses little to cancellation."""
-    if abs(X - Y) < _DIAG_EPS * (scale + abs(X)):
+    _DIAG_EPS X, W(M + d, M - d) = W(M, M) + W2 d^2 + O(d^4): there G(M, Y)/
+    (M - Y) is -dG/dY, and W2 is read from W at M +- h, h = _DIAG_H M, where
+    the quotient loses little to cancellation.  Window and step are relative,
+    so they hold at any scale of X (an absolute step passes 0 for X << 1)."""
+    if abs(X - Y) < _DIAG_EPS * X:
         M, d = 0.5 * (X + Y), 0.5 * (X - Y)
-        W = -M * M * _pref2(p, q, k, M, M) * G(p, q, M, _Jet.seed(M), k).d
-        h = _DIAG_H * (scale + abs(M))
-        Wh = (M + h) ** 2 * _over_diff(G, p, q, M + h, M - h, k, scale)
+        W = -M * M * _pref2(p, q, k, M, M) * G(p, q, M, M, k, 1)
+        h = _DIAG_H * M
+        Wh = (M + h) ** 2 * _over_diff(G, p, q, M + h, M - h, k)
         return (W + (Wh - W) * (d / h) ** 2) / (X * X)
-    return _pref2(p, q, k, X, Y) * G(p, q, X, Y, k) / (X - Y)
+    return _pref2(p, q, k, X, Y) * G(p, q, X, Y, k, 0) / (X - Y)
 
 
-def _j0(p: float, q: float, X, Y, k: int):
-    """J0 alone, from the four C0 values it needs."""
-    c0X, c0Y = c_tilde(0, k, p, q, X), c_tilde(0, k, p, q, Y)
-    d0X, d0Y = c_tilde(0, k + 1, p, q, X), c_tilde(0, k + 1, p, q, Y)
-    return X * d0X * c0Y - Y * d0Y * c0X
+_k2 = functools.partial(_over_diff, functools.partial(_bracket, 0))
+_l1_2 = functools.partial(_over_diff, functools.partial(_bracket, 1))
 
 
-def _l1_bracket(p: float, q: float, X, Y, k: int):
-    b = _blocks(1, k, p, q, X, Y)
-    return b["J1"] + b["Q1"] * b["J0"]
+def _l2_2(p: float, q: float, X, Y, k: int = 0) -> complex:
+    return (_over_diff(functools.partial(_bracket, 2), p, q, X, Y, k)
+            + X * X / 3 * _k2(p, q, X, Y, k))
 
 
-def _l2_bracket(p: float, q: float, X, Y, k: int):
-    # L2's bracket less its X^2/3 J0 term, which is not antisymmetric
-    b = j_blocks(k, p, q, X, Y)
-    return b["J2"] + b["Q1"] * b["J1"] + b["Q2"] * b["J0"]
-
-
-_k2 = functools.partial(_over_diff, _j0)
-_l1_2 = functools.partial(_over_diff, _l1_bracket)
-
-
-def _l2_2(p: float, q: float, X, Y, k: int = 0, scale: int = 1) -> complex:
-    return (_over_diff(_l2_bracket, p, q, X, Y, k, scale)
-            + X * X / 3 * _k2(p, q, X, Y, k, scale))
+def _euler_k2(p: float, q: float, X, Y, k: int = 0) -> complex:
+    """(X d/dX + Y d/dY) _k2: _pref2 is e^{-i(X+Y)} times a function
+    homogeneous of degree 2(p + k), and 1/(X - Y) of degree -1."""
+    return ((2 * (p + k) - 1 - 1j * (X + Y)) * _k2(p, q, X, Y, k)
+            + _over_diff(_euler_j0, p, q, X, Y, k))
 
 
 # --- integral operators ------------------------------------------------------
@@ -348,14 +381,8 @@ def _series_integral(pieces: tuple, pk: float, q: float, e: float, lam: float, X
     c' sum_m T_m m ... (m - r + 1) y^t (t = s - r >= 0), so the integral is
     X^(e+1) sum_m T_m W_m, W_m = sum c' x^t m ... (m - r + 1)/(m + t + e + 1).
     NonConvergenceError where the rounding bound eps sum_m |T_m W_m| (times
-    |scale| X^(e+1)) exceeds 1e-6 |value| + 1e-9.  X may be a jet: the
-    derivative is scale X^e e^{-i lam X} C(lam X).
+    |scale| X^(e+1)) exceeds 1e-6 |value| + 1e-9.
     """
-    if isinstance(X, _Jet):
-        def integrand(v):
-            y = lam * v
-            return scale * v ** e * np.exp(-1j * y) * _c_value(pieces, _A(pk, q, y), y)
-        return X.chain(lambda v: _series_integral(pieces, pk, q, e, lam, v, scale), integrand)
     x = lam * X
     T = _coulomb(pk, q, x, _TOP)
     binomial, rows = _binomial(_TOP), {}
@@ -407,8 +434,15 @@ def _js_prefactor(p: float, q: float, Y: float) -> complex:
 
 # --- public kernels ----------------------------------------------------------
 
+def _check_point(X: float, Y: float) -> None:
+    """The kernels' domain: finite X > 0 and Y >= 0 (at Y = 0 they vanish)."""
+    if not (0 < X < math.inf and 0 <= Y < math.inf):
+        raise ValueError(f"need finite X > 0 and Y >= 0, got X={X}, Y={Y}")
+
+
 def k_limit(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
     """Limiting kernel K_inf at the spectrum singularity."""
+    _check_point(X, Y)
     p, q = params.p, params.q
     if beta == 2:
         return _k2(p, q, X, Y)
@@ -420,12 +454,13 @@ def k_limit(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         return (Y / X) * _k2(p, qe, X, Y, k=1) + extra
     if beta == 4:
         Js0 = _js_prefactor(p, q, Y) * c_tilde(0, 0, 2 * p, q, 2 * Y) * _js(0, p, q, X)
-        return (Y / X) * _k2(2 * p, q, 2 * X, 2 * Y, scale=2) - 2 / (X * X) * Js0
+        return (Y / X) * _k2(2 * p, q, 2 * X, 2 * Y) - 2 / (X * X) * Js0
     raise ValueError("beta must be 1, 2 or 4")
 
 
 def l1(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
     """First correction term L1 (coefficient of 1/N)."""
+    _check_point(X, Y)
     p, q = params.p, params.q
     if beta == 2:
         return _l1_2(p, q, X, Y)
@@ -445,12 +480,13 @@ def l1(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
         c1Y = c_tilde(1, 0, pe, q, 2 * Y)
         I0, I1 = _js(0, p, q, X), _js(1, p, q, X)
         Js1 = pref * (c1Y * I0 + c0Y * I1 + 2 * p * (4 * p + 1) * c0Y * I0)
-        return (Y / (2 * X)) * _l1_2(pe, q, 2 * X, 2 * Y, scale=2) - Js1 / (X * X)
+        return (Y / (2 * X)) * _l1_2(pe, q, 2 * X, 2 * Y) - Js1 / (X * X)
     raise ValueError("beta must be 1, 2 or 4")
 
 
 def l2(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
     """Second correction term L2 (coefficient of 1/N^2), beta in {2, 4}."""
+    _check_point(X, Y)
     p, q = params.p, params.q
     if beta == 2:
         return _l2_2(p, q, X, Y)
@@ -468,8 +504,8 @@ def l2(beta: int, X: float, Y: float, params: EnsembleParams) -> complex:
               + (c2Y - 2 * Y * Y / 3 * c0Y) * I0 + c1Y * I1
               + c0Y * (I2 + Ix) + (4 * X * X / 3) * c0Y * I0)
         part2 = -pref * T2 / (2 * X * X)
-        part1 = ((Y / (4 * X)) * _l2_2(pe, q, 2 * X, 2 * Y, scale=2)
-                 + ((X * X - Y * Y) / 6) * (Y / X) * _k2(pe, q, 2 * X, 2 * Y, scale=2))
+        part1 = ((Y / (4 * X)) * _l2_2(pe, q, 2 * X, 2 * Y)
+                 + ((X * X - Y * Y) / 6) * (Y / X) * _k2(pe, q, 2 * X, 2 * Y))
         return part1 + part2
     raise ValueError("l2 is available for beta in {2, 4}")
 
@@ -481,15 +517,34 @@ def kernel_expansion(beta: int, X: float, Y: float,
                            L1=l1(beta, X, Y, params), L2=L2, X=X, Y=Y)
 
 
+def _euler_k(beta: int, p: float, q: float, X: float, Y: float) -> complex:
+    """(X d/dX + Y d/dY) K_inf, term by term from k_limit's: (Y/X) is of
+    degree 0, and X J_o'(X), X J_s'(X) are X times the integrands at X."""
+    if beta == 2:
+        return _euler_k2(p, q, X, Y)
+    if beta == 1:
+        qe = 2 * q
+        eta1, eta2 = eta_constants(p, q)
+        c0, c0s = _c(0, 1, p, qe, Y), _c(0, 1, p, qe, Y, 1)
+        x_jo = math.exp(-q * math.pi) * np.exp(-1j * X) * X ** (p + 2) * _c(0, 2, p, qe, X)
+        extra = (eta2 / (X * X) * np.exp(-1j * Y) * Y ** (p + 2)
+                 * (((p - 1j * Y) * c0 + Y * c0s) * (_jo(0, p, q, X) - eta1 / 2) + c0 * x_jo))
+        return (Y / X) * _euler_k2(p, qe, X, Y, 1) + extra
+    c0, c0s = _c(0, 0, 2 * p, q, 2 * Y), _c(0, 0, 2 * p, q, 2 * Y, 1)
+    x_js = np.exp(-2j * X) * X ** (2 * p + 1) * _c(0, 1, 2 * p, q, 2 * X)
+    Js0 = _js_prefactor(p, q, Y) * (((2 * p - 1 - 2j * Y) * c0 + 2 * Y * c0s)
+                                    * _js(0, p, q, X) + c0 * x_js)
+    return (Y / X) * _euler_k2(2 * p, q, 2 * X, 2 * Y) - 2 / (X * X) * Js0
+
+
 def derivative_identity_residual(beta: int, X: float, Y: float,
                                  params: EnsembleParams) -> float:
     """|L1 - c (X dX + Y dY + 1) K_inf| / (|L1| + eps).
 
-    X dX + Y dY is d/dt at t = 1 along (tX, tY), taken exactly by running
-    k_limit on a jet in t.  The identity constant is c = p for beta = 1, 2
-    and 4 alike (the finite-N oracle validates p, not 2p, for beta = 4)."""
-    t = _Jet.seed(1.0)
-    K = k_limit(beta, t * X, t * Y, params)
-    rhs = params.p * (K.d + K.v)
-    lhs = l1(beta, X, Y, params)
+    X dX + Y dY is taken in closed form (_euler_k), from the families and
+    integrals that k_limit and l1 read.  The identity constant is c = p for
+    beta = 1, 2 and 4 alike (the finite-N oracle validates p, not 2p, for
+    beta = 4)."""
+    K, lhs = k_limit(beta, X, Y, params), l1(beta, X, Y, params)
+    rhs = params.p * (_euler_k(beta, params.p, params.q, X, Y) + K)
     return float(abs(lhs - rhs) / (abs(lhs) + 1e-300))

@@ -1,10 +1,8 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
 expansion; the one evaluator that sums a series over a whole node array, a
-block of orders at a time (the 2F1's, and the 1F1's at every argument); the
-forward-mode jet, which serves the limit kernels only (Griewank and Walther,
-Evaluating Derivatives, SIAM 2008); and the memo over scalar points that
-jets and node arrays bypass.
+block of orders at a time (the 2F1's, and the 1F1's at every argument); and
+the memo over scalar points that node arrays bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import operator
 import warnings
@@ -55,99 +52,16 @@ class SeriesControl:
 
 DEFAULT_CONTROL = SeriesControl()
 
-_TAGS = itertools.count(1)
-
-
-def _binary(rule):
-    """A jet operation from its rule on (value, derivative) pairs, taken along
-    the newer direction of the two operands."""
-    def op(x, y):
-        tag = max(t.tag for t in (x, y) if isinstance(t, _Jet))
-        a, da = (x.v, x.d) if isinstance(x, _Jet) and x.tag == tag else (x, 0.0)
-        b, db = (y.v, y.d) if isinstance(y, _Jet) and y.tag == tag else (y, 0.0)
-        return _Jet(*rule(a, da, b, db), tag)
-    return op
-
-
-_add = _binary(lambda a, da, b, db: (a + b, da + db))
-_sub = _binary(lambda a, da, b, db: (a - b, da - db))
-_mul = _binary(lambda a, da, b, db: (a * b, da * b + a * db))
-_div = _binary(lambda a, da, b, db: (a / b, (da - a / b * db) / b))
-
-
-class _Jet:
-    """A forward-mode jet v + d eps (eps^2 = 0) along the direction `tag`.
-
-    Arithmetic, real powers and the numpy ufuncs in _UFUNCS act on the value
-    and carry the derivative; v and d may be numbers, arrays or jets of an
-    older direction.  A jet is a constant to every newer direction, so nested
-    directions do not mix (Siskind and Pearlmutter, Higher-Order Symb.
-    Comput. 21 (2008) 361-376).  Jets are unhashable: no cache takes them.
-    """
-    __slots__ = ("v", "d", "tag")
-    __hash__ = None
-    __add__ = __radd__ = _add
-    __mul__ = __rmul__ = _mul
-    __sub__, __truediv__ = _sub, _div
-
-    def __init__(self, v, d, tag: int):
-        self.v, self.d, self.tag = v, d, tag
-
-    @staticmethod
-    def seed(x) -> "_Jet":
-        """x + eps along a new direction."""
-        return _Jet(x, 1.0, next(_TAGS))
-
-    def chain(self, f, df) -> "_Jet":
-        """f(self), for f with derivative df, both applied to the value."""
-        return _Jet(f(self.v), df(self.v) * self.d, self.tag)
-
-    def __pow__(self, r):
-        # a constant real exponent
-        return self.chain(lambda v: v ** r, lambda v: r * v ** (r - 1))
-
-    def __rsub__(self, other):
-        return _sub(other, self)
-
-    def __rtruediv__(self, other):
-        return _div(other, self)
-
-    def __neg__(self):
-        return _Jet(-self.v, -self.d, self.tag)
-
-    def __abs__(self):
-        # real jets only
-        return -self if self.v < 0 else self
-
-    def __lt__(self, other):
-        return self.v < other
-
-    def __gt__(self, other):
-        return self.v > other
-
-    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
-        # numpy scalars and arrays defer here, so array * jet is a jet
-        if method != "__call__" or kwargs or ufunc not in _UFUNCS:
-            return NotImplemented
-        rule = _UFUNCS[ufunc]
-        return rule(*args) if ufunc.nin == 2 else self.chain(ufunc, rule)
-
-
-# binary ufuncs to their jet operations, unary ones to their derivatives
-_UFUNCS = {np.add: _add, np.subtract: _sub, np.multiply: _mul, np.true_divide: _div,
-           np.exp: np.exp, np.log: lambda v: 1 / v, np.sin: np.cos,
-           np.cos: lambda v: -np.sin(v)}
-
 
 def _cached_at_points(maxsize: int):
-    """lru_cache over scalar points (the last argument); node arrays and jets
-    bypass it.  The wrapper keeps cache_info and cache_clear."""
+    """lru_cache over scalar points (the last argument); node arrays bypass
+    it.  The wrapper keeps cache_info and cache_clear."""
     def wrap(f):
         cached = functools.lru_cache(maxsize=maxsize)(f)
 
         @functools.wraps(f)
         def g(*args):
-            return (f if isinstance(args[-1], (np.ndarray, _Jet)) else cached)(*args)
+            return (f if isinstance(args[-1], np.ndarray) else cached)(*args)
         g.cache_info, g.cache_clear = cached.cache_info, cached.cache_clear
         return g
     return wrap

@@ -41,6 +41,15 @@ class TestValidation:
             cfg.validate()
         assert run(cfg) == 1
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_kernel_limit_point_exit_1(self, tmp_path, beta):
+        # X = 0 wrote a NaN row with exit 0 (beta = 2) or reported a
+        # ZeroDivisionError as a numerical failure, exit 2 (beta = 1, 4)
+        out = tmp_path / "out.json"
+        assert main(["--command", "kernel-limit", "--beta", str(beta),
+                     "--grid-x", "0,1", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_bad_theta_is_validation_error(self, tmp_path):
         cfg = _cfg(tmp_path, command="density-eval", grid_x=[7.0])
         assert run(cfg) == 1  # theta outside (0, 2 pi)

@@ -14,7 +14,7 @@ from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       j_blocks, k_limit, kernel_expansion, kernel_scaled, l1, l2,
                       limits)
 from specsing.limits import _A, _ix, _jo, _js
-from specsing.series import PoleError, _Jet
+from specsing.series import PoleError
 
 
 class TestConfluentBlocks:
@@ -141,6 +141,15 @@ class TestCTilde:
         simpl = p * 2j * X * A1 - p * 1j * X * A0
         assert abs(direct - simpl) < 1e-10 * abs(direct)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_slopes(self, k):
+        # the slope pieces of C_0, C_1 and C_2 against central differences
+        # of c_tilde
+        p, q, X, h = 1.3, 0.6, 2.3, 1e-5
+        for order in (0, 1, 2):
+            slope = (c_tilde(order, k, p, q, X + h) - c_tilde(order, k, p, q, X - h)) / (2 * h)
+            assert abs(limits._c(order, k, p, q, X, 1) - slope) <= 1e-8 * abs(slope)
+
     def test_expansion_against_finite_N(self):
         # N^2 (P_N - C0 - C1/N) stays bounded and approaches C2
         p, q, k, X = 1.5, 0.7, 1, 2.0
@@ -184,18 +193,18 @@ class TestJBlocks:
     def test_l1_needs_orders_zero_and_one(self, beta, monkeypatch):
         # l1 builds J0 and J1 without C2, from one Coulomb pass (the terms
         # behind A_0..A_5) per distinct scalar point (pk, q, X): the passes
-        # are the points the family memo is asked for, jets included, whose
-        # families are read from the one at their value, and the J_o and J_s
-        # integrals add none (each is taken at a point of the family); and it
-        # gives the same bits as the bracket taken from j_blocks (the
-        # diagonal point runs the jet branch)
+        # are the points the family memo is asked for, the diagonal's slopes
+        # included, and the J_o and J_s integrals add none (each is taken at
+        # a point of the family); and it gives the same bits as the bracket
+        # taken from the full sides that j_blocks builds (the diagonal point
+        # runs the slope branch)
         params = EnsembleParams(beta, 100, 1.5, 0.7)
         points = [(2.0, 0.9), (0.7, 1.6), (1.3, 1.3)]
         keys, passes = set(), []
         A, coulomb = limits._A, limits._coulomb
 
         def record(pk, q, X):
-            if not isinstance(X, (np.ndarray, _Jet)):
+            if not isinstance(X, np.ndarray):
                 keys.add((pk, q, X))
             return A(pk, q, X)
 
@@ -210,12 +219,20 @@ class TestJBlocks:
         assert set(passes) == keys
         assert coulomb.cache_info().misses == A.cache_info().misses == len(keys)
 
-        def full_bracket(p, q, X, Y, k):
-            b = j_blocks(k, p, q, X, Y)
-            return b["J1"] + b["Q1"] * b["J0"]
-        monkeypatch.setattr(limits, "_l1_2",
-                            functools.partial(limits._over_diff, full_bracket))
+        side = limits._side
+        monkeypatch.setattr(limits, "_side", lambda order, *args: side(2, *args))
         assert [l1(beta, X, Y, params) for X, Y in points] == values
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_diagonal_bracket_slopes(self, k):
+        # the slope in Y of J0, J1 + Q1 J0 and J2 + Q1 J1 + Q2 J0 at X = Y
+        # (the brackets' r = 1 branch, from the sides' slopes) against
+        # central differences in Y of the brackets' values
+        p, q, M, h = 1.5, 0.7, 1.3, 1e-5
+        for order in (0, 1, 2):
+            G = functools.partial(limits._bracket, order, p, q, M)
+            slope = (G(M + h, k, 0) - G(M - h, k, 0)) / (2 * h)
+            assert abs(G(M, k, 1) - slope) <= 1e-8 * abs(slope)
 
 
 class TestLimitKernels:
@@ -226,6 +243,25 @@ class TestLimitKernels:
         for fn in (k_limit, l1):
             with pytest.raises(ValueError):
                 fn(3, 2.0, 0.9, pr)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("XY", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0),
+                                    (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_point_outside_the_domain(self, beta, XY):
+        # X = 0 gave NaN (beta = 2) or ZeroDivisionError, a negative point a
+        # complex value from whichever branch ran, and a NaN 2000 series terms
+        pr = EnsembleParams(beta, 10, 1.5, 0.7)
+        fns = [k_limit, l1, kernel_expansion, derivative_identity_residual]
+        for fn in fns + ([l2] if beta != 1 else []):
+            with pytest.raises(ValueError):
+                fn(beta, *XY, pr)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_y_zero_gives_zero(self, beta):
+        pr = EnsembleParams(beta, 10, 1.5, 0.7)
+        exp = kernel_expansion(beta, 1.3, 0.0, pr)
+        assert exp.K_inf == exp.L1 == 0 and exp.L2 in (0, None)
+        assert derivative_identity_residual(beta, 1.3, 0.0, pr) == 0
 
     def test_bessel_reduction(self):
         # q = 0: (X/Y) K equals the half-integer Bessel form
@@ -269,7 +305,7 @@ class TestLimitKernels:
                                      (4, (2.5, -0.3))])
 def test_derivative_identity(beta, pq):
     # off, on and next to the diagonal (inside its midpoint window); measured
-    # worst 5.9e-15 / 1.8e-14 / 2.0e-12 at beta = 1 / 2 / 4, where five-point
+    # worst 4.3e-16 / 1.2e-15 / 2.0e-14 at beta = 1 / 2 / 4, where five-point
     # stencils of K_inf reach 2.9e-11 / 3.7e-10 / 4.8e-9
     pr = EnsembleParams(beta, 20, *pq)
     for (X, Y) in ((2.0, 0.9), (1.0, 2.5), (0.6, 1.7), (1.3, 1.3),
@@ -337,6 +373,29 @@ def test_integrals_share_one_node_family(monkeypatch):
             f(beta, 1.3, 0.7, pr)
         assert coulomb.cache_info().misses == misses
         passes.clear()
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("XY", [(2.0, 0.9), (1.3, 1.3), (1.3, 1.3 + 1e-6)])
+def test_identity_sums_no_pass_of_its_own(beta, XY, monkeypatch):
+    # (X d/dX + Y d/dY) K_inf is read from the families and integrals that
+    # k_limit and l1 sum at the same (X, Y), the diagonal's second slopes
+    # included
+    passes = []
+    coulomb = limits._coulomb
+
+    def count(pk, q, x, top):
+        passes.append((pk, q, x))
+        return coulomb(pk, q, x, top)
+    monkeypatch.setattr(limits, "_coulomb", count)
+    for cache in (coulomb, limits._A, limits._jo, limits._js):
+        cache.cache_clear()
+    pr = EnsembleParams(beta, 100, 1.37, 0.41)
+    k_limit(beta, *XY, pr)
+    l1(beta, *XY, pr)
+    misses = coulomb.cache_info().misses
+    derivative_identity_residual(beta, *XY, pr)
+    assert coulomb.cache_info().misses == misses == len(set(passes))
 
 
 def _oracle(g, X):
@@ -417,6 +476,37 @@ class TestLargeX:
         with pytest.raises(NonConvergenceError):
             fn(4, X, 1.9, EnsembleParams(4, 100, 1.5, 0.7))
         fn(4, round(X - 0.05, 2), 1.9, EnsembleParams(4, 100, 1.5, 0.7))
+
+
+# mpmath values at 50 digits (bench/reference.py's formulas, which share no
+# code with the library) at (p, q) = (1.5, 0.7): (beta, X, Y/X - 1, K_inf, L1,
+# L2) at Y = X (1 + that), the point the test passes in double precision
+_SMALL_X = [
+    (2, 1e-4, 1e-3, 2.74418607057427537975282170409e-15, 1.64653470392228317637954278242e-14, 3.01874304817379959874164309708e-14),
+    (2, 1e-4, 1e-2, 2.80628584535890410422467097235e-15, 1.6837951967341657822185575377e-14, 3.08705656810935711243498913268e-14),
+    (2, 1e-3, 1e-3, 2.74556981406771887351115121111e-12, 1.64757252047996275053122187984e-11, 3.02151069525987938670099104589e-11),
+    (2, 1e-3, 1e-2, 2.80770726686068477614459736424e-12, 1.68486127208026602422189991869e-11, 3.08989957546114633314185060822e-11),
+    (2, 1e-2, 1e-3, 2.75941251393995898169795931248e-9, 1.65795540658258927587605472274e-8, 3.04921187985716905491291147486e-8),
+    (2, 1e-2, 1e-2, 2.82192691254894329134307970021e-9, 1.69552689457147283309569808165e-8, 3.11835506793767736307951614383e-8),
+    (4, 1e-4, 1e-3, 3.14851524209305088658703394338e-28, 3.30596747598932464664936457276e-27, 1.37750321387842849864626361551e-26),
+    (4, 1e-4, 1e-2, 3.38029674469643832508308525061e-28, 3.54934025393000532825862200616e-27, 1.47890993149040574257663341635e-26),
+    (4, 1e-3, 1e-3, 3.15010337099501369464941307946e-22, 3.30787319789233005055526225896e-21, 1.37844812421481244647116186352e-20),
+    (4, 1e-3, 1e-2, 3.38201686939649482026440674838e-22, 3.55140436773823294289716327073e-21, 1.47993337666619980001552837543e-20),
+    (4, 1e-2, 1e-3, 3.16596474668434158680280372137e-16, 3.32690348885913643420213680798e-15, 1.38788290858547817135946338275e-14),
+    (4, 1e-2, 1e-2, 3.39919634639810625008150350653e-16, 3.57201606663717410419853506361e-15, 1.49015215511368292138801947367e-14),
+]
+
+
+@pytest.mark.parametrize("beta,X,rel,K,L1,L2", _SMALL_X,
+                         ids=[f"{b}-{X}-{rel}" for b, X, rel, *_ in _SMALL_X])
+def test_small_x_next_to_the_diagonal(beta, X, rel, K, L1, L2):
+    # an absolute diagonal window and step (1e-5 (1 + X), 1e-3 (1 + M))
+    # took these points for diagonal ones and stepped past 0: off by 5e-9
+    # (beta = 2, X = 1e-2) up to 90 times the value (beta = 4, X = 1e-4)
+    pr = EnsembleParams(beta, 100, 1.5, 0.7)
+    Y = X * (1 + rel)
+    for fn, ref in ((k_limit, K), (l1, L1), (l2, L2)):
+        assert abs(fn(beta, X, Y, pr) - ref) < 1e-10 * abs(ref)
 
 
 class TestFiniteNConsistency:

@@ -14,8 +14,6 @@ from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
                       log_gamma, pochhammer)
 from specsing.kernels import _phi, _phi_slope
-from specsing.limits import _A
-from specsing.series import _Jet
 
 
 class TestLogGamma:
@@ -438,47 +436,11 @@ class TestConfluentLimit:
         assert 0.4 < res[200] / res[100] < 0.6
 
 
-class TestJet:
-    def test_nested_directions_do_not_mix(self):
-        # d/dx [x d/dy (x + y)] at x = 1 is 1; a jet type without tags
-        # confuses the two directions and gives 2 (Siskind and Pearlmutter)
-        x = _Jet.seed(1.0)
-        inner = x + _Jet.seed(1.0)
-        assert (x * inner.d).d == 1.0
-
-    def test_special_function_rules(self):
-        # the ufunc and power rules against central differences
-        def slope(f, z, h=1e-6):
-            return (f(z + h) - f(z - h)) / (2 * h)
-
-        def f(v):
-            return np.log(np.sin(v)) * np.exp(v) / v ** 1.5
-
-        z = 0.3 - 0.2j
-        assert abs(f(_Jet.seed(z)).d - slope(f, z)) < 1e-8 * abs(slope(f, z))
-
-    def test_ufunc_outside_the_table(self):
-        # a ufunc with no jet rule is not applied to the value alone
-        with pytest.raises(TypeError):
-            np.tan(_Jet.seed(0.3))
-
-    @pytest.mark.parametrize("N", [12, 400])
-    @pytest.mark.parametrize("k", [0, 1])
-    def test_phi_slope(self, N, k):
-        # _phi's closed-form slope (the prefactor's log-derivative and the
-        # 2F1's slope series) against central differences of its values
-        P, Q, X, h = N + 1.3, 0.4, 1.7, 1e-5
-        slope = (_phi(N, k, P, Q, X + h) - _phi(N, k, P, Q, X - h)) / (2 * h)
-        assert abs(_phi_slope(N, k, P, Q, X) - slope) <= 1e-8 * abs(slope)
-
-    def test_a_jet_reads_the_next_order(self):
-        # A(j; X + eps d) = A(j; X) + 2i d A(j + 1; X) eps, read from the
-        # family at the value, which central differences confirm
-        pk, q, X, h = 1.8, 0.6, 2.3, 1e-5
-        t = _Jet.seed(1.0)
-        jet, base = _A(pk, q, X * t), _A(pk, q, X)
-        assert len(jet) == len(base) - 1
-        for j, part in enumerate(jet):
-            assert part.v == base[j] and part.d == 2j * X * base[j + 1]
-            slope = (_A(pk, q, X + h)[j] - _A(pk, q, X - h)[j]) / (2 * h)
-            assert abs(part.d / X - slope) <= 1e-8 * abs(slope)
+@pytest.mark.parametrize("N", [12, 400])
+@pytest.mark.parametrize("k", [0, 1])
+def test_phi_slope(N, k):
+    # _phi's closed-form slope (the prefactor's log-derivative and the
+    # 2F1's slope series) against central differences of its values
+    P, Q, X, h = N + 1.3, 0.4, 1.7, 1e-5
+    slope = (_phi(N, k, P, Q, X + h) - _phi(N, k, P, Q, X - h)) / (2 * h)
+    assert abs(_phi_slope(N, k, P, Q, X) - slope) <= 1e-8 * abs(slope)
