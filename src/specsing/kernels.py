@@ -20,6 +20,7 @@ tail integral once per X and each _phi once per point, on the diagonal too.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,12 +36,13 @@ _DIAG_SWITCH = 1e-6
 
 def _prefactor(N: int, k: int, P: float, Q: float, X):
     """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N;
-    X may be an ndarray."""
+    X may be an ndarray (numpy), else a scalar (math and cmath)."""
     p = P - N
     u = X / N
     sign = -1.0 if (N - k) % 2 else 1.0
-    return sign * np.exp((p + k) * np.log(np.sin(u)) + Q * (u - math.pi / 2)
-                         + 1j * (k * u - X))
+    real, exp = (np, np.exp) if isinstance(X, np.ndarray) else (math, cmath.exp)
+    return sign * exp((p + k) * real.log(real.sin(u)) + Q * (u - math.pi / 2)
+                      + 1j * (k * u - X))
 
 
 # the CD, rank-one and sgn terms of a kernel grid share their points
@@ -149,6 +151,7 @@ class SkewConstants:
     s_tilde: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=256)  # k_limit, l1 and the Euler term at one (p, q) share them
 def eta_constants(p: float, q: float) -> tuple[float, float]:
     """(eta1, eta2) for the beta = 1 scaled-limit kernel.
 

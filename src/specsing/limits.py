@@ -426,10 +426,14 @@ def _ix(p: float, q: float, X: float) -> complex:
 
 def _js_prefactor(p: float, q: float, Y: float) -> complex:
     """p 2^(8p) |G(2p+1-iq)|^2/(pi G(4p+1) G(4p+2)) e^{-q pi - 2iY} Y^(2p+1)."""
+    return _js_const(p, q) * np.exp(-2j * Y) * Y ** (2 * p + 1)
+
+
+@functools.lru_cache(maxsize=256)  # as h_const
+def _js_const(p: float, q: float) -> float:
     lg = (2 * log_gamma(complex(2 * p + 1, -q)).real
           - log_gamma(4 * p + 1).real - log_gamma(4 * p + 2).real)
-    c = p * math.exp(8 * p * math.log(2) + lg - math.log(math.pi) - q * math.pi)
-    return c * np.exp(-2j * Y) * Y ** (2 * p + 1)
+    return p * math.exp(8 * p * math.log(2) + lg - math.log(math.pi) - q * math.pi)
 
 
 # --- public kernels ----------------------------------------------------------
@@ -539,12 +543,12 @@ def _euler_k(beta: int, p: float, q: float, X: float, Y: float) -> complex:
 
 def derivative_identity_residual(beta: int, X: float, Y: float,
                                  params: EnsembleParams) -> float:
-    """|L1 - c (X dX + Y dY + 1) K_inf| / (|L1| + eps).
+    """|L1 - c (X dX + Y dY + 1) K_inf| / (|L1| + |K_inf| + tiny): at p = 0,
+    where L1 and c vanish, L1's rounding noise scales with K_inf.
 
     X dX + Y dY is taken in closed form (_euler_k), from the families and
     integrals that k_limit and l1 read.  The identity constant is c = p for
-    beta = 1, 2 and 4 alike (the finite-N oracle validates p, not 2p, for
-    beta = 4)."""
+    beta = 1, 2 and 4 alike (the finite-N oracle validates p, not 2p, at 4)."""
     K, lhs = k_limit(beta, X, Y, params), l1(beta, X, Y, params)
     rhs = params.p * (_euler_k(beta, params.p, params.q, X, Y) + K)
-    return float(abs(lhs - rhs) / (abs(lhs) + 1e-300))
+    return float(abs(lhs - rhs) / (abs(lhs) + abs(K) + 1e-300))

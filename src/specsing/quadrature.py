@@ -9,9 +9,9 @@ interior kinks (the Morris oracle), whose levels are nested the same way: a
 level evaluates only the grid points with at least one new node.  The
 sector points come with their distances to both ends and the gaps between
 successive axes, free of cancellation.  The tanh-sinh nodes and weights on
-(-1, 1) are built once per level and kept read-only, as are their maps onto
-each interval the adaptive integrator sees (per level, and levels 4 and 5
-joined; least recently used first out) and the sinc matrix once per size.
+(-1, 1) are built once per level and kept read-only, as is the sinc matrix
+once per size; the adaptive integrator maps the levels it reaches onto its
+interval on every call.
 
 A tanh-sinh level keeps its nodes t = k h in one window |t| <= T.  By default
 T ends where the distance to an end falls to 1e-290.  The sector rules take a
@@ -24,6 +24,7 @@ share its level differences could not see.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,41 +78,23 @@ def _tanh_sinh_raw(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarra
     return x, w, dist
 
 
-def _on_interval(a: float, b: float, x, w, dist) -> QuadratureRule:
-    """The rule (x, w, dist) on (-1, 1) mapped onto (a, b)."""
+def _on_interval(a: float, b: float, x, w, dist) -> tuple:
+    """The unit rule (x, w, dist) mapped onto (a, b): nodes, weights, kept mask."""
     half = 0.5 * (b - a)
     # nodes are placed from the nearer endpoint, with the distance evaluated
     # stably; only those that round onto an endpoint are dropped
     nodes = np.where(x >= 0, b - half * dist, a + half * dist)
     keep = (nodes > a) & (nodes < b)
-    return QuadratureRule(nodes=nodes[keep], weights=w[keep] * half, domain=(a, b))
+    return nodes[keep], w[keep] * half, keep
 
 
 def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
     """Tanh-sinh rule on (a, b); handles integrable algebraic endpoint
     singularities.  Node count roughly doubles per level."""
-    return _on_interval(a, b, *_tanh_sinh_raw(level))
+    return QuadratureRule(*_on_interval(a, b, *_tanh_sinh_raw(level))[:2], domain=(a, b))
 
 
-@lru_cache(maxsize=128)
-def _level_rule(a: float, b: float, level: int, odd: bool = False) -> QuadratureRule:
-    """_tanh_sinh_raw(level, odd) mapped onto (a, b), built once per interval
-    and level and kept read-only: the callers of tanh_sinh_adaptive integrate
-    over a few intervals many times."""
-    rule = _on_interval(a, b, *_tanh_sinh_raw(level, odd))
-    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
-    return rule
-
-
-@lru_cache(maxsize=128)
-def _first_rule(a: float, b: float) -> QuadratureRule:
-    """Levels 4 and 5 of (a, b) in one read-only rule: the nodes and weights
-    of _level_rule(a, b, 4) followed by those of _level_rule(a, b, 5, odd=True)."""
-    low, new = _level_rule(a, b, 4), _level_rule(a, b, 5, odd=True)
-    rule = QuadratureRule(nodes=np.concatenate([low.nodes, new.nodes]),
-                          weights=np.concatenate([low.weights, new.weights]), domain=(a, b))
-    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
-    return rule
+_Nodes = namedtuple("_Nodes", "nodes weights")  # what tanh_sinh_adaptive hands terms
 
 
 def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
@@ -129,20 +112,25 @@ def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
     317-329): level L + 1 calls terms only on the nodes level L lacks, and
     its sum is half the sum of level L plus theirs, so terms sees each node
     once.  sum |terms| and the summed noise bound are carried the same way.
-    The first call covers levels 4 and 5 at once, on _first_rule: level 4's
-    nodes, then level 5's new ones, split after the former on the last axis.
-    An integrand whose cost is mostly per call (a series summed order by
-    order over the node array) pays once for both.  Every rule is read-only
-    and built once per (a, b); noise sees the rules of single levels.
+    The first call covers levels 4 and 5 at once, on level 5, whose nodes of
+    even k are level 4's at half its weights: an integrand whose cost is
+    mostly per call (a series summed order by order over the node array)
+    pays once for both.  The rules are those of tanh_sinh_rule, node for
+    node, and read-only; noise sees single levels.
     """
-    rules, first = [_level_rule(a, b, 4)], _first_rule(a, b)
-    vals = np.asarray(terms(first))
-    cut = rules[0].nodes.size
-    cur, mass = vals[..., :cut].sum(axis=-1), np.abs(vals[..., :cut]).sum(axis=-1)
-    vals = vals[..., cut:]
+    nodes, weights, keep = _on_interval(a, b, *_tanh_sinh_raw(5))
+    nodes.flags.writeable = weights.flags.writeable = False
+    even = (keep.size // 2 - int(np.argmax(keep))) % 2  # k = -(size // 2) first
+    vals = np.asarray(terms(_Nodes(nodes, weights)))
+    rules = [_Nodes(nodes[even::2], 2 * weights[even::2]),
+             _Nodes(nodes[1 - even::2], weights[1 - even::2])]
+    cur, mass = 2 * vals[..., even::2].sum(axis=-1), 2 * np.abs(vals[..., even::2]).sum(axis=-1)
+    vals = vals[..., 1 - even::2]
     for level in range(5, 13):
-        rules.append(_level_rule(a, b, level, odd=True))
         if level > 5:
+            nodes, weights, _ = _on_interval(a, b, *_tanh_sinh_raw(level, True))
+            nodes.flags.writeable = weights.flags.writeable = False
+            rules.append(_Nodes(nodes, weights))
             vals = np.asarray(terms(rules[-1]))
         prev = cur
         cur = 0.5 * prev + vals.sum(axis=-1)

@@ -1,8 +1,8 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
-expansion; the one evaluator that sums a series over a whole node array, a
-block of orders at a time (the 2F1's, and the 1F1's at every argument); and
-the memo over scalar points that node arrays bypass.
+expansion; the one evaluator that sums a series over a whole node array by
+Horner's rule (the 2F1's, and the 1F1's at every argument); and the memo
+over scalar points that node arrays bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
@@ -165,8 +165,8 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
 
     Truncates early once a term drops below ctrl.rel_tol of the running sum
     (safe when |n z| stays O(1), as in the scaled-kernel use).  z may be an
-    ndarray: _array_series then sums the series for every element at once,
-    to the first order at which every element meets rel_tol, or to the end.
+    ndarray: _node_series then sums the series for every element, to the
+    first order at which every element meets rel_tol, or to order n.
     A non-finite z raises ValueError, a non-finite sum NonConvergenceError.
     """
     if operator.index(n) < 0:
@@ -177,17 +177,15 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
     joint = b == 0 and c == 0
 
     if isinstance(z, np.ndarray):
-        def ratios(alpha):
+        def ratio(alpha):
             # t_{alpha+1} = t_alpha num / den z; alpha = n, the last order,
             # gives num = 0, which ends the sum, whatever b and c are
-            num = (alpha - n) * (b + alpha)
-            den = (c + alpha) * (alpha + 1.0)
-            last = alpha == n
-            num[last], den[last] = 0.0, 1.0
-            if joint and alpha[0] == 0:
-                num[0], den[0] = -0.5 * n, 1.0
-            return num, den
-        return _array_series(ratios, np.asarray(z, dtype=complex), ctrl.rel_tol, n + 1)
+            if alpha == n:
+                return 0.0, 1.0
+            if joint and not alpha:
+                return -0.5 * n, 1.0
+            return (alpha - n) * (b + alpha), (c + alpha) * (alpha + 1.0)
+        return _node_series(ratio, np.asarray(z, dtype=complex), ctrl.rel_tol, n + 1)[0]
     _check_finite(z)
     tol = ctrl.rel_tol
     total = 1.0 + 0.0j
@@ -215,8 +213,8 @@ def hyp2f1_terminating(n: int, b: complex, c: complex, z,
 def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
     """Kummer 1F1(a; c; z) by its power series, z a scalar or an ndarray.
 
-    _array_series sums every element at once (a scalar z as a 0-d array),
-    stops at the first term that meets the rule of every series and refuses
+    _node_series sums every element (a scalar z as a 0-d array), stops at
+    the first order at which every element meets the rule and refuses
     more than ctrl.max_terms terms (ctrl defaults to DEFAULT_CONTROL).
     Where Re z < 0 the plain series cancels: there 1F1(a; c; z) =
     e^z 1F1(c - a; c; -z) (Kummer's transformation, DLMF 13.2.39) is summed
@@ -237,8 +235,8 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
     flip = z.real < 0
 
     def series(a1, w):
-        return _array_series(lambda k: (a1 + k, (c + k) * (k + 1)), w, ctrl.rel_tol,
-                             ctrl.max_terms)
+        return _node_series(lambda k: (a1 + k, (c + k) * (k + 1)), w, ctrl.rel_tol,
+                            ctrl.max_terms)[0]
     out = np.empty(z.shape, complex)
     out[~flip] = series(a, z[~flip])
     out[flip] = np.exp(z[flip]) * series(c - a, -z[flip])
@@ -248,12 +246,6 @@ def hyp1f1(a: complex, c: complex, z, ctrl: SeriesControl | None = None):
 # the stopping rule of every series: |term| < rel_tol |running sum| + _TINY,
 # where _TINY (1e-15 of 1e-300) stops a series whose sum is 0 or nearly so
 _TINY = 1e-315
-# _array_series forms the ratios of 32 orders at a time (a typical series
-# needs one or two such blocks), and the steps of as many orders as fit in
-# 4096 complex values: 64 kB stay in cache and below the size from which the
-# allocator maps fresh pages for every array
-_BLOCK = 32
-_CHUNK = 4096
 
 
 def _check_finite(z) -> None:
@@ -261,58 +253,71 @@ def _check_finite(z) -> None:
         raise ValueError("series argument z must be finite")
 
 
-def _array_series(ratios, z: np.ndarray, rel_tol: float, budget: int) -> np.ndarray:
-    """Sum of the series t_0 = 1, t_{k+1} = t_k num_k / den_k z for every
-    element of z, to the first order k <= budget at which every element has
-    |t_k| < rel_tol |t_0 + ... + t_k| + _TINY (the scalar 2F1 loop's rule), or
-    to the first zero num; past budget terms it raises NonConvergenceError.
+def _node_series(ratio, z: np.ndarray, rel_tol: float, budget: int) -> tuple[np.ndarray, int]:
+    """Sum of the series t_0 = 1, t_{k+1} = t_k num_k / den_k z at every
+    element of z, ratio(k) giving (num_k, den_k) as Python scalars, and the
+    order K of its last term.
 
-    ratios(ks) gives (num, den) over an array of _BLOCK orders at a time.
-    The steps num/den z of up to _CHUNK // z.size orders form one array;
-    each order then costs two in-place array operations, the term times its
-    step and the sum plus the term, so no term past the stop is computed.
-    (numpy's complex cumprod and cumsum cost about six times an in-place
-    product per element.)  Every element meets the rule only where the probe
-    element does, so only there is the whole array tested; the worst
-    element of a failed test becomes the probe.  A zero num ends the sum,
-    as every later term is 0; a zero den reached first raises PoleError.  A
-    non-finite z raises ValueError, a non-finite sum NonConvergenceError.
+    With r the power of two at or below max |z|, t_k = d_k w^k for the exact
+    w = z / r, and the Python scalars d_k are at most the largest element's
+    terms in modulus: they overflow only where those do.  K is the first
+    order k <= budget at which that element's terms meet the rule |t_k| <
+    rel_tol |t_0 + ... + t_k| + _TINY (the scalar 2F1 loop's), or the last
+    before a zero num.  Every element is summed by Horner's rule, whose
+    rounding bound is that of forward summation (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 5.1), and then tested;
+    while one misses the rule, the terms go on.  A zero den reached first
+    raises PoleError, a non-finite z ValueError, a spent budget
+    NonConvergenceError, and overflow a RuntimeWarning and then
+    NonConvergenceError.
     """
-    if not z.size:
-        return np.ones_like(z)
-    flat = np.ascontiguousarray(z).reshape(-1)
-    parts = np.abs(flat.view(float))  # |Re z|, |Im z| of each element
-    top = int(np.argmax(parts))  # a NaN if there is one, else the largest part
-    if not math.isfinite(parts[top]):
+    flat = z.reshape(-1)
+    if not flat.size:
+        return np.ones_like(z), 0
+    mod = np.abs(flat)
+    top = int(np.argmax(mod))  # a NaN if there is one
+    if not math.isfinite(mod[top]):
         raise ValueError("series argument z must be finite")
-    probe = top // 2  # |z| near the largest: its terms fall below rel_tol late
-    total = np.ones_like(flat)
-    term = total.copy()
-    rows = max(1, _CHUNK // flat.size)
-    # overflow and NaN up to the stop are reported by _finite; steps past the
-    # stop are never used
+    r = math.ldexp(1.0, math.frexp(mod[top])[1] - 1)
+
+    def scaled():  # d_1, d_2, ...
+        d = 1.0 + 0.0j
+        for k in range(budget):
+            num, den = ratio(k)
+            if den == 0:
+                raise PoleError(f"series parameter pole: a denominator vanished at order {k + 1}")
+            if num == 0:
+                return
+            d *= num / den * r
+            yield d
+        _finite(np.array([d]))  # overflowed terms: a RuntimeWarning first
+        raise NonConvergenceError(f"series did not converge in {budget} terms")
+
+    d, coefs = [1.0], scaled()
+    w_top, power, total = complex(flat[top]) / r, 1.0, 1.0
+    for d_k in coefs:
+        d.append(d_k)
+        power *= w_top
+        total += d_k * power
+        if abs(d_k * power) < rel_tol * abs(total) + _TINY:
+            break
+    else:
+        coefs = ()  # the series ended: every later term is 0
+    K, w = len(d) - 1, flat / r
+    # overflow and NaN are reported by _finite; past the stop no term is formed
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, budget, _BLOCK):
-            num, den = ratios(np.arange(start, min(start + _BLOCK, budget), dtype=float))
-            cut = np.flatnonzero((den == 0) | (num == 0))
-            width = cut[0] if cut.size else len(num)
-            ratio = num[:width] / den[:width]
-            for lo in range(0, width, rows):
-                for step in ratio[lo:lo + rows, None] * flat:
-                    term *= step
-                    total += term
-                    if abs(term[probe]) < rel_tol * abs(total[probe]) + _TINY:
-                        excess = np.abs(term) - (rel_tol * np.abs(total) + _TINY)
-                        probe = int(np.argmax(excess))
-                        if excess[probe] < 0:
-                            return _finite(total).reshape(z.shape)
-            if cut.size:
-                if den[width] == 0:
-                    raise PoleError(f"series parameter pole: a denominator vanished at "
-                                    f"order {start + width + 1}")
-                return _finite(total).reshape(z.shape)
-    _finite(total)
-    raise NonConvergenceError(f"series did not converge in {budget} terms")
+        acc = np.full(flat.shape, d[K], complex)
+        for d_k in reversed(d[:K]):
+            acc *= w
+            acc += d_k
+        if coefs and np.any(abs(d[K]) * (mod / r) ** K >= rel_tol * np.abs(acc) + _TINY):
+            w_k = w ** K
+            for K, d_k in enumerate(coefs, K + 1):
+                w_k *= w
+                acc += (term := d_k * w_k)
+                if np.all(np.abs(term) < rel_tol * np.abs(acc) + _TINY):
+                    break
+    return _finite(acc).reshape(z.shape), K
 
 
 def _finite(total: np.ndarray) -> np.ndarray:

@@ -93,6 +93,15 @@ class TestCommands:
         assert [row[1:3] for row in rep["rows"]] == [[1.3, 1.3], [2.0, 1.3]]
         assert rep["max_residual"] <= 1e-6
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_verify_identity_circular(self, tmp_path, beta):
+        # p = q = 0 on the default grids: L1 vanishes, and its rounding noise
+        # no longer fails the gate (exit 3 before)
+        out = tmp_path / "out.json"
+        assert main(["--command", "verify-identity", "--beta", str(beta), "--p", "0",
+                     "--q", "0", "--out", str(out)]) == 0
+        assert load_report(str(out))["max_residual"] <= 1e-6
+
     def test_converge_circular(self, tmp_path):
         # p = q = 0: order-0 slope is already near -2
         cfg = _cfg(tmp_path, command="converge", p=0.0, q=0.0,

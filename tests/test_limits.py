@@ -13,6 +13,7 @@ from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       a_confluent, c_tilde, derivative_identity_residual,
                       j_blocks, k_limit, kernel_expansion, kernel_scaled, l1, l2,
                       limits)
+from specsing.kernels import eta_constants
 from specsing.limits import _A, _ix, _jo, _js
 from specsing.series import PoleError
 
@@ -311,6 +312,30 @@ def test_derivative_identity(beta, pq):
     for (X, Y) in ((2.0, 0.9), (1.0, 2.5), (0.6, 1.7), (1.3, 1.3),
                    (1.3, 1.3 + 1e-6)):
         assert derivative_identity_residual(beta, X, Y, pr) < 1e-11
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_derivative_identity_at_p_zero(beta):
+    # at p = q = 0, L1 is exactly 0 and so is the right side, c = p; L1's
+    # rounding noise read 1.0 relative to |L1| alone.  Against |L1| + |K_inf|
+    # measured worst 2.8e-15 / 1.6e-11 / 1.9e-8 at beta = 1 / 2 / 4, the
+    # last at X = 5 just outside the diagonal window, where the direct
+    # quotient cancels
+    pr = EnsembleParams(beta, 20, 0.0, 0.0)
+    for (X, Y) in ((2.0, 0.9), (1.0, 2.5), (1.3, 1.3), (5.0, 5.0005), (0.3, 7.0)):
+        assert derivative_identity_residual(beta, X, Y, pr) < 1e-7
+
+
+@pytest.mark.parametrize("beta", [1, 4])
+def test_pq_constants_computed_once(beta):
+    # the (p, q) constants of the beta = 1 and beta = 4 terms (eta1, eta2
+    # and the J_s prefactor's log-gammas) are shared by k_limit, l1, l2 and
+    # the identity's Euler term at every point
+    pr = EnsembleParams(beta, 20, 1.5, 0.7)
+    kernel_expansion(beta, 2.0, 0.9, pr)
+    derivative_identity_residual(beta, 1.0, 2.5, pr)
+    info = (eta_constants if beta == 1 else limits._js_const).cache_info()
+    assert info.misses == 1 and info.hits >= 4
 
 
 def _near_diagonal_misses(f, beta, X):

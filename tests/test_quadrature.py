@@ -147,24 +147,48 @@ class TestTanhSinh:
                 assert np.array_equal(got, every[1 - n % 2::2])  # every[0] is k = -n
                 assert np.array_equal(old, scale * every[n % 2::2])
 
-    def test_level_rules_built_once_per_interval(self):
-        # a second integral over the same interval is handed the same mapped
-        # rules, whose arrays are read-only: the first rule (levels 4 and 5)
-        # and that of level 6, which this oscillation needs
-        def run():
-            rules = []
+    @staticmethod
+    def _new_nodes(a, b, level):
+        # the nodes and weights of tanh_sinh_rule(a, b, level) that level - 1
+        # lacks: a node of level - 1 comes back with half its weight
+        full, below = tanh_sinh_rule(a, b, level), tanh_sinh_rule(a, b, level - 1)
+        old = set(zip(below.nodes.tolist(), below.weights.tolist()))
+        new = np.array([(x, 2 * w) not in old
+                        for x, w in zip(full.nodes.tolist(), full.weights.tolist())])
+        assert np.count_nonzero(~new) == below.nodes.size
+        return full.nodes[new], full.weights[new]
 
-            def terms(rule):
-                rules.append(rule)
-                return np.cos(10 * rule.nodes) * rule.weights
+    @pytest.mark.parametrize("a,b", [(0.25, 1.75), (0.0, 7.3)])
+    def test_rules_are_those_of_tanh_sinh_rule(self, a, b):
+        # bit for bit tanh_sinh_rule's nodes and weights, read-only: terms
+        # gets level 5 (level 4 and the nodes it lacks), then the new nodes
+        # of each level; noise gets level 4, then the new nodes of each level.
+        # On (0.25, 1.75) an odd number of level 5's nodes round onto 0.25
+        # and are dropped, so level 4's are those of odd index; on (0, 7.3)
+        # none are dropped at 0, and distinct nodes next to 7.3 round to one
+        # value.  The jitter keeps every level apart at 1e-13, so that noise
+        # is asked for every level
+        calls, bounds = [], []
 
-            tanh_sinh_adaptive(terms, 0.25, 1.75)
-            return rules
+        def terms(rule):
+            calls.append(rule)
+            jitter = 1e-9 * np.cos(1e4 * rule.nodes * rule.nodes.size)
+            return (np.cos(10 * rule.nodes) + jitter) * rule.weights
 
-        first, second = run(), run()
-        assert len(first) == len(second) >= 2
-        assert all(r is s for r, s in zip(first, second))
-        for rule in first:
+        def noise(rule):
+            bounds.append(rule)
+            return np.zeros(rule.nodes.size)
+
+        tanh_sinh_adaptive(terms, a, b, noise)
+        assert len(calls) == len(bounds) - 1 == 8
+        first = tanh_sinh_rule(a, b, 5)
+        level4 = tanh_sinh_rule(a, b, 4)
+        new = [self._new_nodes(a, b, level) for level in range(5, 13)]
+        for rule, want in zip(calls + bounds, [(first.nodes, first.weights)] + new[1:]
+                              + [(level4.nodes, level4.weights)] + new):
+            assert np.array_equal(rule.nodes, want[0])
+            assert np.array_equal(rule.weights, want[1])
+        for rule in calls:
             for arr in (rule.nodes, rule.weights):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):

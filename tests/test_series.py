@@ -14,6 +14,7 @@ from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
                       log_gamma, pochhammer)
 from specsing.kernels import _phi, _phi_slope
+from specsing.series import _TINY, _node_series
 
 
 class TestLogGamma:
@@ -372,7 +373,7 @@ class TestHyp1f1Array:
 
     def test_term_budget_off_the_block_size(self):
         # 1F1(1; 2; z) = (e^z - 1)/z needs 39 terms at z = 8, scalar or array;
-        # 38 and 39 are not multiples of the 64-order blocks
+        # 38 are refused
         z = np.array([8.0, 3.0])
         with pytest.raises(NonConvergenceError):
             hyp1f1(1.0, 2.0, z, SeriesControl(max_terms=38))
@@ -382,6 +383,115 @@ class TestHyp1f1Array:
         assert np.all(np.abs(vals - np.expm1(z) / z) <= 1e-14 * np.expm1(z) / z)
         val = hyp1f1(1.0, 2.0, 8.0, SeriesControl(max_terms=39))
         assert abs(val - math.expm1(8.0) / 8.0) <= 1e-14 * math.expm1(8.0) / 8.0
+
+
+class TestNodeSeries:
+    """The node-array evaluator behind the array 2F1 and every 1F1: scaled
+    scalar coefficients, Horner's rule, and the stop rule read at the largest
+    element and checked at every element."""
+
+    @staticmethod
+    def _reference(n, b, c, z):
+        # the terminating sum and sum_k |t_k|, term by term in mpmath, at
+        # enough digits for the cancellation of degree 400 at |z| = 2
+        with mpmath.workdps(60 + n // 2):
+            z, b, c = mpmath.mpc(z), mpmath.mpc(b), mpmath.mpc(c)
+            t = total = mass = mpmath.mpf(1)
+            for k in range(n):
+                if k == 0 and b == 0 and c == 0:
+                    t = -mpmath.mpf(n) / 2 * z  # the joint limit b = c -> 0
+                else:
+                    t *= (k - n) * (b + k) / ((c + k) * (k + 1)) * z
+                total += t
+                mass += abs(t)
+            return complex(total), float(mass)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 49, 127, 400])
+    @pytest.mark.parametrize("b,c", [(1.3 - 0.4j, 2.6), (0.5 - 0.7j, 1.0), (0.0, 0.0)])
+    def test_hyp2f1_matches_mpmath(self, n, b, c):
+        # |z| up to 2: the kernels' points 1 - e^{2iu}, real points and
+        # points inside the disc of radius 2.  Within (4 + n/4) eps sum |t_k|
+        # (measured worst 0.6, 2.2, 4.8, 12.5 and 48 eps at n = 1, 9, 49,
+        # 127 and 400 on three seeds; the parent's evaluator 0.6, 1.9, 7.8,
+        # 10.9 and 44)
+        rng = np.random.default_rng(20261020 + n)
+        z = np.concatenate([1 - np.exp(2j * np.sort(rng.uniform(1e-3, math.pi - 1e-3, 16))),
+                            rng.uniform(-2, 2, 4),
+                            2 * np.sqrt(rng.uniform(0, 1, 4))
+                            * np.exp(2j * math.pi * rng.uniform(0, 1, 4))])
+        vals = hyp2f1_terminating(n, b, c, z)
+        eps = np.finfo(float).eps
+        for x, v in zip(z, vals):
+            ref, mass = self._reference(n, b, c, complex(x))
+            assert abs(v - ref) <= (4 + n / 4) * eps * mass, (n, b, c, x)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -5.0])
+    def test_hyp2f1_pole_above_minus_n(self, c):
+        # (c)_alpha vanishes at alpha = 1 - c <= n, which a z of modulus 2
+        # reaches; a non-finite z raises ValueError first
+        z = 1 - np.exp(2j * np.linspace(0.1, 1.5, 9))
+        with pytest.raises(PoleError):
+            hyp2f1_terminating(9, 1.3 - 0.4j, c, z)
+        with pytest.raises(ValueError):
+            hyp2f1_terminating(9, 1.3 - 0.4j, c, np.append(z, math.nan))
+
+    @pytest.mark.parametrize("z", [708.0, 709.0])
+    def test_hyp1f1_exponential_at_the_end_of_the_range(self, z):
+        # 1F1(a; a; z) = e^z, near 8e307 at z = 709: the scaled coefficients
+        # and Horner's partial sums stay finite where the terms do; with -z
+        # in the same array (the Re z < 0 flip) and a small point, and as a
+        # 0-d array (measured 4.9e-15 relative at most)
+        for a in (1.0, 2.5 - 0.5j):
+            assert abs(hyp1f1(a, a, z) / math.exp(z) - 1) < 1e-14
+            vals = hyp1f1(a, a, np.array([z, 3.0, -z, 2j - z]))
+            refs = np.exp(np.array([z, 3.0, -z, 2j - z]))
+            assert np.all(np.abs(vals / refs - 1) < 1e-14)
+
+    def test_hyp1f1_past_the_end_of_the_range(self):
+        # e^710 overflows: a RuntimeWarning, then NonConvergenceError
+        for z in (710.0, np.array([1.0, 710.0])):
+            with pytest.warns(RuntimeWarning):
+                with pytest.raises(NonConvergenceError):
+                    hyp1f1(1.0, 1.0, z)
+
+    @staticmethod
+    def _first_order_all_meet(ratio, z, rel_tol, budget):
+        # the loop reference: every element term by term, in Python complex
+        terms, sums = [1.0 + 0j] * len(z), [1.0 + 0j] * len(z)
+        for k in range(budget):
+            num, den = ratio(k)
+            if num == 0:
+                return k
+            terms = [t * (num / den) * x for t, x in zip(terms, z)]
+            sums = [s + t for s, t in zip(sums, terms)]
+            if all(abs(t) < rel_tol * abs(s) + _TINY for t, s in zip(terms, sums)):
+                return k + 1
+        raise AssertionError("budget spent")
+
+    @pytest.mark.parametrize("case", ["2f1_rule", "2f1_to_n", "exp_cancels", "exp_both"])
+    def test_stop_order_is_the_first_every_element_meets(self, case):
+        # 2f1_rule: every element meets the rule where the largest does;
+        # 2f1_to_n: the sum runs to order n; exp_cancels: e^z at rel_tol 1e-6
+        # on z = (10, -9) without Kummer's flip, where -9's sum cancels to
+        # 1.2e-4 and needs 12 orders past 10's stop (29 -> 41); exp_both:
+        # two elements of about the same modulus
+        n, b, c = 49, 1.3 - 0.4j, 2.6
+
+        def f21(k):
+            return (0.0, 1.0) if k == n else ((k - n) * (b + k), (c + k) * (k + 1.0))
+
+        def exp(k):
+            return 1.0, k + 1.0
+        ratio, z, tol, budget = {
+            "2f1_rule": (f21, 1 - np.exp(2j * np.linspace(0.001, 0.05, 7)), 1e-15, n + 1),
+            "2f1_to_n": (f21, 1 - np.exp(2j * np.linspace(0.1, 1.5, 7)), 1e-15, n + 1),
+            "exp_cancels": (exp, np.array([10.0, -9.0 + 0j]), 1e-6, 200),
+            "exp_both": (exp, np.array([10.0, 9.5 + 1j]), 1e-15, 200)}[case]
+        vals, K = _node_series(ratio, z, tol, budget)
+        assert K == self._first_order_all_meet(ratio, list(z), tol, budget)
+        assert (K == n) == (case == "2f1_to_n")
+        if ratio is exp:
+            assert np.all(np.abs(vals - np.exp(z)) <= 2 * tol * np.abs(np.exp(z)))
 
 
 class TestNonFiniteArgument:
