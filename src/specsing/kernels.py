@@ -7,16 +7,21 @@ obtained from the scaled ones through the coordinate map.
 
 beta = 1 (N even and odd) and beta = 4 kernels follow the skew-orthogonal
 reduction to the beta = 2 Christoffel-Darboux kernel plus one-dimensional
-integral terms; the tail integrals are evaluated by adaptive tanh-sinh
-quadrature on the circle side (_phi on whole node arrays), the full-line
-integrals (the s~ constants) in closed form.
+integral terms.  The tail integrals are closed forms by the Pearson
+reduction of the weight w1 (Adler, Forrester, Nagao and van Moerbeke,
+J. Stat. Phys. 99 (2000) 141): a boundary term, one series pass that
+raises NonConvergenceError where its rounding bound exceeds
+1e-6 |value| + 1e-8 (in the bulk, where the series cancels), plus for
+even degrees a multiple of the w1 mass below z(X), one adaptive tanh-sinh
+quadrature of an elementary positive integrand.  The full-line integrals
+(the s~ constants) are closed forms too.
 
 Each finite-N quantity is computed once per parameter set: the tail
-integrals and the closed forms behind the s~ constants are memoised whole,
-and _phi at scalar points (node arrays bypass its memo).  The exact
-diagonal's slope, _phi_slope, a closed form, takes _phi's value from that
-memo and sums only the slope's series.  A kernel grid thus evaluates each
-tail integral once per X and each _phi once per point, on the diagonal too.
+integrals, the w1 masses and the closed forms behind the s~ constants are
+memoised whole, and _phi per point.  The exact diagonal's slope,
+_phi_slope, a closed form, takes _phi's value from that memo and sums only
+the slope's series.  A kernel grid thus evaluates each tail integral once
+per X and each _phi once per point, on the diagonal too.
 """
 from __future__ import annotations
 
@@ -29,30 +34,28 @@ import numpy as np
 
 from .polynomials import EnsembleParams, _rr_args, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
-from .series import _cached_at_points, hyp2f1_terminating, log_gamma
+from .series import _TINY, DEFAULT_CONTROL, NonConvergenceError, hyp2f1_terminating, log_gamma
 
 _DIAG_SWITCH = 1e-6
 
 
-def _prefactor(N: int, k: int, P: float, Q: float, X):
-    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N;
-    X may be an ndarray (numpy), else a scalar (math and cmath)."""
+def _prefactor(N: int, k: int, P: float, Q: float, X: float) -> complex:
+    """(-1)^(N-k) (sin(X/N))^(p+k) e^{-iX} e^{(ik+Q)X/N} e^{-Q pi/2},  p = P - N."""
     p = P - N
     u = X / N
     sign = -1.0 if (N - k) % 2 else 1.0
-    real, exp = (np, np.exp) if isinstance(X, np.ndarray) else (math, cmath.exp)
-    return sign * exp((p + k) * real.log(real.sin(u)) + Q * (u - math.pi / 2)
-                      + 1j * (k * u - X))
+    return sign * cmath.exp((p + k) * math.log(math.sin(u)) + Q * (u - math.pi / 2)
+                            + 1j * (k * u - X))
 
 
 # the CD, rank-one and sgn terms of a kernel grid share their points
-@_cached_at_points(4096)
-def _phi(N: int, k: int, P: float, Q: float, X):
+@lru_cache(maxsize=4096)
+def _phi(N: int, k: int, P: float, Q: float, X: float) -> complex:
     """omega2(z(X))^{1/2} I_{N-k}(z(X)) in stable pieces: the prefactor times
 
     F_k(X) = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}),   p = P - N,
 
-    which is rr_scaled_raw; X may be an ndarray.
+    which is rr_scaled_raw.
     """
     return _prefactor(N, k, P, Q, X) * rr_scaled_raw(N, k, X, P, Q)
 
@@ -194,35 +197,79 @@ def skew_constants(params: EnsembleParams) -> SkewConstants:
 # a kernel grid repeats each X for every Y
 @lru_cache(maxsize=1024)
 def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> complex:
-    """int_{-inf}^{z(upper_X)} I_degree(t) w1(t) dt via the circle substitution.
+    """int_{-inf}^{z(upper_X)} I_degree(t) w1(t) dt in closed form.
 
     w1 is the beta-specific square-root weight; degrees are taken in the
     polynomial system of the params (size N for beta=1, 2N for beta=4).
+
+    With t = -cot v, w1 dt = omega(v) dv, omega = sin^{P-1} v e^{Q(v - pi/2)},
+    and d/dv [omega g] = omega L[g], L = d/dv + (P-1) cot v + Q.  So
+    I_n = L[g_n] + c_n, g_n of degree n - 1, gives (u = upper_X/N)
+
+        tail = omega(u) g_n(u) + c_n W(u),   W(u) = int_0^u omega dv,
+
+    c_n the ratio of the full-line integrals of I_n w1 and w1 (0 for odd
+    n).  In rr_scaled_raw's variable w = 1 - e^{2iu}, with f_j the
+    coefficients of 2F1(-n, b; c; w), g_n = G(w) (2i/w)^(n-1),
+    G = sum_{j<n} gamma_j w^j, and
+
+        gamma_j = ((Q + i(2j + P - 2n - 1)) gamma_{j-1} - 2i f_j) / (2i(j + P - n)),
+
+    gamma_{-1} = 0.  One pass sums the terms f_j w^j and gamma_j w^j to the
+    series' stop rule; where eps sum |gamma_j w^j|, the rounding bound of G
+    (in the bulk, where the terms cancel), exceeds 1e-6 |tail| + 1e-8 it
+    raises NonConvergenceError.  ValueError unless the integral converges
+    (degree < P).
     """
     N = params.size
     P, Q = params.weight_params()
     M = 2 * N if params.beta == 4 else N
-    shift = M - degree
-    if shift < 0:
+    if degree > M:
         raise ValueError("degree exceeds the polynomial system size")
+    n, r = degree, P - degree
+    if r <= 0:
+        raise ValueError(f"int I_n w1 diverges: need degree < P, got {n} >= {P}")
     if upper_X <= 0:
         return 0.0 + 0.0j
     if upper_X >= N * math.pi:
         raise ValueError("upper_X/N must lie in (0, pi)")
-    scale = 2.0 if params.beta == 4 else 1.0
+    u = upper_X / N
+    w = 1 - cmath.exp(2j * u)
+    b, tol = complex(r, -Q), DEFAULT_CONTROL.rel_tol
+    f = F = 1.0 + 0.0j
+    g = G = 0.0j
+    mass = 0.0
+    for j in range(n):
+        if j:
+            f *= (j - 1 - n) * (b + j - 1) / ((2 * r + j - 1) * j) * w
+            F += f
+        g = ((j + (r - n - 1) / 2 - 0.5j * Q) * w * g - f) / (j + r)
+        G += g
+        mass += abs(g)
+        if abs(f) < tol * abs(F) + _TINY and abs(g) < tol * abs(G) + _TINY:
+            break
+    # omega(u) (2i/w)^(n-1), with 2i/w = -e^{-iu}/sin u
+    scale = (-1) ** (n - 1) * cmath.exp((P - n) * math.log(math.sin(u))
+                                        + Q * (u - math.pi / 2) - 1j * (n - 1) * u)
+    value = scale * G
+    c = _w1_full_line(n, P, Q)
+    if c:
+        value += c / w1_integral_closed(P, Q) * _w1_mass(P, Q, u)
+    bound = np.finfo(float).eps * mass * abs(scale)
+    if not bound <= 1e-6 * abs(value) + 1e-8:
+        raise NonConvergenceError(
+            f"tail integral rounding bound {bound:.1e} at degree {n}, u = {u}")
+    return value
 
+
+@lru_cache(maxsize=1024)  # the even degrees at one upper limit share it
+def _w1_mass(P: float, Q: float, u: float) -> float:
+    """W(u) = int_0^u sin^{P-1} v e^{Q(v - pi/2)} dv, the w1 mass of
+    (-inf, -cot u), by adaptive tanh-sinh quadrature."""
     def terms(rule):
-        s = rule.nodes
-        return _phi(M, shift, P, Q, scale * s) / (N * np.sin(s / N)) * rule.weights
-
-    def noise(rule):
-        # 2F1 rounding: about eps sum |t_k| <= eps 2F1(-degree, |b|; c; -2 sin(s/N))
-        s, pk = rule.nodes, P - M + shift
-        mass = hyp2f1_terminating(degree, abs(complex(pk, -Q)), 2 * pk, -2 * np.sin(s / N))
-        return (np.finfo(float).eps * mass.real / (N * np.sin(s / N)) * rule.weights
-                * np.abs(_prefactor(M, shift, P, Q, scale * s)))
-
-    return complex(tanh_sinh_adaptive(terms, 0.0, upper_X, noise))
+        v = rule.nodes
+        return np.exp((P - 1) * np.log(np.sin(v)) + Q * (v - math.pi / 2)) * rule.weights
+    return float(tanh_sinh_adaptive(terms, 0.0, u))
 
 
 @lru_cache(maxsize=1024)

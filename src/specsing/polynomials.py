@@ -155,24 +155,23 @@ def rr_poly(n: int, c: complex, x) -> complex:
     return cur.item() if cur.ndim == 0 else cur
 
 
-def rr_scaled_raw(N: int, k: int, X, P: float, Q: float):
+def rr_scaled_raw(N: int, k: int, X: float, P: float, Q: float) -> complex:
     """Prefactored scaled polynomial ((1-e^{2iX/N})/(2i))^{N-k} I_{N-k}(z(X))
-    = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}) with p = P - N; X may be an
-    ndarray.  p + k = 0 is admitted at Q = 0 (the circular limit).
+    = 2F1(-N+k, p+k-iQ; 2p+2k; 1-e^{2iX/N}) with p = P - N.  p + k = 0 is
+    admitted at Q = 0 (the circular limit).
 
     The confluent limit of this quantity (N -> infinity) is C0^{(p,Q,k)}(X).
     """
     return hyp2f1_terminating(*_rr_args(N, k, X, P, Q))
 
 
-def _rr_args(N: int, k: int, X, P: float, Q: float) -> tuple:
+def _rr_args(N: int, k: int, X: float, P: float, Q: float) -> tuple:
     """(n, b, c, z) of rr_scaled_raw's 2F1(-n, b; c; z)."""
     p = P - N
     if p + k <= 0 and not (p + k == 0 and Q == 0):
         raise ValueError("need p + k > 0 (or the circular limit p + k = Q = 0)")
-    # a plain scalar takes cmath, so the scalar 2F1 loop runs on Python complex
-    exp = np.exp if isinstance(X, np.ndarray) else cmath.exp
-    return N - k, complex(p + k, -Q), complex(2 * p + 2 * k), 1 - exp(2j * (X / N))
+    # cmath, so the scalar 2F1 loop runs on Python complex
+    return N - k, complex(p + k, -Q), complex(2 * p + 2 * k), 1 - cmath.exp(2j * (X / N))
 
 
 def rr_scaled(n_minus_k: int, k: int, X: float, params: EnsembleParams) -> complex:
@@ -189,15 +188,14 @@ def rr_norm(n: int, c: complex) -> float:
     """Squared norm h_n = int omega2 I_n^2 dx, via log-gamma.
 
     h_n = 2^(2n+2-2P) pi G(n+1) G(2P-2n) G(2P-2n-1)
-          / (G(2P-n) G(P-n-iQ) G(P-n+iQ)),  c = -P + iQ;  ValueError if the
+          / (G(2P-n) |G(P-n+iQ)|^2),  c = -P + iQ;  ValueError if the
     integral diverges (n >= P - 1/2).
     """
     P, Q = -c.real, c.imag
     if n >= P - 0.5:
         raise ValueError(f"h_n diverges: need n < P - 1/2, got n = {n}, P = {P}")
     lg = (log_gamma(n + 1) + log_gamma(2 * P - 2 * n) + log_gamma(2 * P - 2 * n - 1)
-          - log_gamma(2 * P - n) - log_gamma(complex(P - n, -Q))
-          - log_gamma(complex(P - n, Q))).real
+          - log_gamma(2 * P - n) - 2 * log_gamma(complex(P - n, Q))).real
     return math.exp((2 * n + 2 - 2 * P) * math.log(2) + math.log(math.pi) + lg)
 
 

@@ -97,53 +97,38 @@ def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
 _Nodes = namedtuple("_Nodes", "nodes weights")  # what tanh_sinh_adaptive hands terms
 
 
-def tanh_sinh_adaptive(terms, a: float, b: float, noise=None):
+def tanh_sinh_adaptive(terms, a: float, b: float):
     """Integrals over (a, b) on tanh-sinh levels 4, 5, ..., 12.
 
     terms(rule) returns f(rule.nodes) * rule.weights, or a stack of such
     rows; the last axis runs over the rule's nodes in their order.  The sums
     are returned once two successive levels agree to 1e-13 of sum |terms| in
-    every row.  Otherwise, given noise(rule), a bound on the rounding error
-    of each term, the last level is returned if its change from level 11 and
-    the summed bound are within 1e-6 |sum| + 1e-8; else NonConvergenceError
-    is raised.
+    every row; otherwise NonConvergenceError is raised.
 
     The levels are nested (Bailey, Jeyabalan and Li, Exp. Math. 14 (2005)
     317-329): level L + 1 calls terms only on the nodes level L lacks, and
     its sum is half the sum of level L plus theirs, so terms sees each node
-    once.  sum |terms| and the summed noise bound are carried the same way.
-    The first call covers levels 4 and 5 at once, on level 5, whose nodes of
-    even k are level 4's at half its weights: an integrand whose cost is
-    mostly per call (a series summed order by order over the node array)
-    pays once for both.  The rules are those of tanh_sinh_rule, node for
-    node, and read-only; noise sees single levels.
+    once.  sum |terms| is carried the same way.  The first call covers
+    levels 4 and 5 at once, on level 5, whose nodes of even k are level 4's
+    at half its weights.  The rules are those of tanh_sinh_rule, node for
+    node, and read-only.
     """
     nodes, weights, keep = _on_interval(a, b, *_tanh_sinh_raw(5))
     nodes.flags.writeable = weights.flags.writeable = False
     even = (keep.size // 2 - int(np.argmax(keep))) % 2  # k = -(size // 2) first
     vals = np.asarray(terms(_Nodes(nodes, weights)))
-    rules = [_Nodes(nodes[even::2], 2 * weights[even::2]),
-             _Nodes(nodes[1 - even::2], weights[1 - even::2])]
     cur, mass = 2 * vals[..., even::2].sum(axis=-1), 2 * np.abs(vals[..., even::2]).sum(axis=-1)
     vals = vals[..., 1 - even::2]
     for level in range(5, 13):
         if level > 5:
             nodes, weights, _ = _on_interval(a, b, *_tanh_sinh_raw(level, True))
             nodes.flags.writeable = weights.flags.writeable = False
-            rules.append(_Nodes(nodes, weights))
-            vals = np.asarray(terms(rules[-1]))
+            vals = np.asarray(terms(_Nodes(nodes, weights)))
         prev = cur
         cur = 0.5 * prev + vals.sum(axis=-1)
         mass = 0.5 * mass + np.abs(vals).sum(axis=-1)
         err = np.abs(cur - prev)
         if np.all(err <= 1e-13 * mass):
-            return cur
-    if noise is not None:
-        bound = 0.0
-        for rule in rules:
-            bound = 0.5 * bound + np.sum(noise(rule), axis=-1)
-        err = np.maximum(err, bound)
-        if np.all(err <= 1e-6 * np.abs(cur) + 1e-8):
             return cur
     raise NonConvergenceError(
         f"tanh-sinh level {level} error estimate {np.max(err):.2e} on ({a}, {b})")

@@ -263,7 +263,8 @@ def _node_series(ratio, z: np.ndarray, rel_tol: float, budget: int) -> tuple[np.
     terms in modulus: they overflow only where those do.  K is the first
     order k <= budget at which that element's terms meet the rule |t_k| <
     rel_tol |t_0 + ... + t_k| + _TINY (the scalar 2F1 loop's), or the last
-    before a zero num.  Every element is summed by Horner's rule, whose
+    before a zero num.  A single element (every scalar 1F1) takes that
+    forward sum.  Otherwise every element is summed by Horner's rule, whose
     rounding bound is that of forward summation (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, sec. 5.1), and then tested;
     while one misses the rule, the terms go on.  A zero den reached first
@@ -303,7 +304,10 @@ def _node_series(ratio, z: np.ndarray, rel_tol: float, budget: int) -> tuple[np.
             break
     else:
         coefs = ()  # the series ended: every later term is 0
-    K, w = len(d) - 1, flat / r
+    K = len(d) - 1
+    if flat.size == 1:
+        return _finite(np.array([total], complex)).reshape(z.shape), K
+    w = flat / r
     # overflow and NaN are reported by _finite; past the stop no term is formed
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.full(flat.shape, d[K], complex)

@@ -14,6 +14,7 @@ from specsing import kernels, polynomials
 from specsing.kernels import (_cd_scaled, _h_sub, _phi, _phi_slope, _s_tilde,
                               _w1_full_line, eta_constants, w1_integral_closed)
 from specsing.polynomials import CauchyWeightParams, scaled_point_map, weight_cauchy
+from specsing.quadrature import tanh_sinh_adaptive
 from specsing.series import hyp2f1_terminating
 
 
@@ -317,9 +318,75 @@ class TestEtaConstants:
             assert abs(approx - exact) < 30.0 / N ** 2 * exact
 
 
+# (beta, N, p, q, degree, X, value): tail integrals by mpmath.quad at 40
+# digits of int_0^{X/N} sin^{P-1} v e^{Q(v - pi/2)} I_n(-cot v) dv, I_n from
+# the three-term recurrence, on seeded (p, q) and u = X/N in (0.01, 0.9):
+# beta = 1 at even N (degree N - 2) and odd N (N - 1, N - 2, N - 3), and
+# beta = 4 (2N - 1)
+_TAILS = [
+    (1, 10, 2.370084, 0.036546, 8, 0.41521, "1.86456658391904712705427176272e-7"),
+    (1, 24, 0.42877, -0.922885, 22, 2.088528, "4.72611157592064991389715537821e-3"),
+    (1, 40, 1.982729, -0.697363, 38, 28.30488, "3.0787903188113358985313539523e-5"),
+    (1, 64, 1.874774, -0.26081, 62, 34.46016, "5.04186506181721916864502791432e-6"),
+    (1, 16, 0.44473, 0.461464, 14, 10.80656, "5.78561912346303162410712744013e-3"),
+    (1, 30, 0.865698, -0.95535, 28, 5.90268, "7.73339880597910508350737947904e-4"),
+    (1, 50, 0.728921, 0.483687, 48, 38.85985, "2.0569476496147656473421576121e-4"),
+    (1, 12, 2.156792, 0.295437, 10, 4.453728, "1.06137022061988851204419638705e-3"),
+    (1, 36, 1.132348, -0.553306, 34, 21.69054, "2.26713678220045494123581706874e-4"),
+    (1, 20, 0.747377, 0.73667, 18, 5.51638, "2.21276813796184284946241379769e-3"),
+    (1, 9, 1.471014, 0.886618, 8, 5.290983, "2.45958979632783343790567733006e-2"),
+    (1, 9, 1.471014, 0.886618, 7, 0.689661, "-3.19130112985717123103486249101e-6"),
+    (1, 9, 1.471014, 0.886618, 6, 6.52239, "5.70310148769079210890538987301e-3"),
+    (1, 17, 0.799294, 0.648485, 16, 14.749727, "2.16699156267915800795070504022e-2"),
+    (1, 17, 0.799294, 0.648485, 15, 7.404707, "-4.44679217741944484998237042488e-3"),
+    (1, 17, 0.799294, 0.648485, 14, 13.964242, "1.07583732069298002921717722e-3"),
+    (1, 33, 0.302402, -0.76942, 32, 0.753654, "3.60209471039845605819118725196e-2"),
+    (1, 33, 0.302402, -0.76942, 31, 27.688386, "-2.04524529844084883254917176606e-3"),
+    (1, 33, 0.302402, -0.76942, 30, 29.527839, "2.47285393646574568380876044186e-4"),
+    (1, 51, 1.850753, -0.495259, 50, 12.723276, "1.22686184080797807007132125485e-4"),
+    (1, 51, 1.850753, -0.495259, 49, 38.437323, "-1.34271568782799264314305563497e-5"),
+    (1, 51, 1.850753, -0.495259, 48, 23.723313, "2.05659725166470631658489307075e-6"),
+    (1, 25, 0.808864, -0.170418, 24, 19.916125, "7.10531724883076538066774608129e-3"),
+    (1, 25, 0.808864, -0.170418, 23, 8.80325, "-8.80850065985103687284785976349e-4"),
+    (1, 25, 0.808864, -0.170418, 22, 16.18795, "1.94679121357142093645353066399e-4"),
+    (1, 63, 2.438613, 0.785921, 62, 39.748968, "1.94269578055262957077009942575e-5"),
+    (1, 63, 2.438613, 0.785921, 61, 30.742614, "-2.02578952421477723676268077127e-6"),
+    (1, 63, 2.438613, 0.785921, 60, 20.297718, "2.39495694238780132076246451586e-7"),
+    (4, 5, 1.206535, 0.151264, 9, 0.67579, "-2.36874201505130844903886424144e-4"),
+    (4, 10, 0.659291, -0.184959, 19, 3.14444, "-3.46407308196018677061547723845e-3"),
+    (4, 20, 0.555566, -0.894756, 39, 8.37264, "-1.51074777960397775606293429858e-3"),
+    (4, 32, 1.203576, 0.573721, 63, 3.700384, "-1.8410971750926487381800708781e-5"),
+    (4, 8, 0.359581, -0.350121, 15, 4.163264, "-1.96526943777558855328226946241e-2"),
+    (4, 14, 0.601072, -0.659273, 27, 3.23687, "-2.10836997434864112501162561387e-3"),
+    (4, 26, 1.666083, -0.192421, 51, 10.44797, "-3.72076224255364104604810659666e-6"),
+    (4, 40, 1.429893, -0.827743, 79, 7.99192, "-2.31783454507173656321361403672e-6"),
+    (4, 3, 0.736477, -0.050403, 5, 1.659852, "-4.39920452963829571660325213188e-2"),
+    (4, 12, 0.397993, 0.659729, 23, 1.923096, "-8.28624323360323255774093352004e-3"),
+]
+
+
 class TestTailIntegral:
     """The tail integrals against 30-digit mpmath: the terminating 2F1 and the
     integrand built from their definitions, integrated by mpmath.quad."""
+
+    @pytest.mark.parametrize("beta, N, p, q, degree, X, ref", _TAILS)
+    def test_grid_matches_mpmath(self, beta, N, p, q, degree, X, ref):
+        # a value within 1e-6 |ref| + 1e-8, or NonConvergenceError where the
+        # series cancels (X/N > 0.4 here); near the singularity every tail returns
+        ref = float(ref)
+        try:
+            val = tail_integral(degree, X, EnsembleParams(beta, N, p, q))
+        except NonConvergenceError:
+            assert X / N > 0.15
+            return
+        assert abs(val - ref) <= 1e-6 * abs(ref) + 1e-8
+
+    @pytest.mark.parametrize("beta, N, p, q, degree, X", [
+        (1, 51, 1.4, 0.3, 50, 51 * math.pi / 2), (4, 30, 1.1, -0.5, 59, 30 * math.pi / 2)])
+    def test_bulk_cancellation_raises(self, beta, N, p, q, degree, X):
+        # |w| = 2 at X/N = pi/2: the series' terms cancel far beyond 1e-6
+        with pytest.raises(NonConvergenceError):
+            tail_integral(degree, X, EnsembleParams(beta, N, p, q))
 
     @pytest.mark.parametrize("degree, X, params, ref", [
         (48, 0.3, EnsembleParams(1, 50, 0.5068, 0.3559), 3.718539970792485873537291e-7),
@@ -329,30 +396,21 @@ class TestTailIntegral:
         assert abs(val - ref) < 1e-11 * abs(ref)
 
     def test_bulk_returns_value(self):
-        # in the bulk the 2F1 cancels to ~1e-9 of sum |terms|; the bound on
-        # its rounding, integrated, is ~1e-2 of 1e-6 |value| + 1e-8 here
+        # at X/N = 0.95 pi, |w| = 2 sin(X/N) = 0.31 is small again: the
+        # series does not cancel, and its rounding bound is 2e-9 of
+        # 1e-6 |value| + 1e-8
         val = tail_integral(15, 0.95 * 17 * math.pi, EnsembleParams(1, 17, 1.0786, 0.923))
         ref = -3.503813198305242696623714e-3
         assert abs(val - ref) < 1e-7 * abs(ref)
 
     def test_bulk_rounding_beyond_bound_raises(self):
-        # levels 11 and 12 agree to 0.87 of 1e-6 |value| + 1e-8, yet level 12
-        # is 28 times that bound off 40-digit mpmath; the rounding bound is
-        # 7.7e-6, 710 times it, so NonConvergenceError is raised
+        # |w| = 1.6 and the series' terms cancel: the value would be 60
+        # times 1e-6 |value| + 1e-8 off 40-digit mpmath, and the rounding
+        # bound eps sum |gamma_j w^j| is 310 times it, so NonConvergenceError
+        # is raised
         params = EnsembleParams(4, 17, 0.7715110427241669, -0.6607615005859033)
         with pytest.raises(NonConvergenceError):
             tail_integral(33, 0.3 * 17 * math.pi, params)
-
-    @pytest.mark.parametrize("N, k, p, q", [(12, 0, 1.5, 0.7), (30, 2, 0.4, -0.3),
-                                            (9, 0, 0.0, 0.0)])
-    def test_phi_array_matches_scalar(self, N, k, p, q):
-        # the two 2F1 loops round differently where the series cancels (sum
-        # |t_k| / |F| reaches 1e4 at N = 30, X = 6: measured 7e-13); a wrong
-        # sign, phase or power in the prefactor would be off by O(1)
-        X = np.linspace(0.05, 6.0, 17)
-        vals = _phi(N, k, N + p, q, X)
-        ref = np.array([_phi(N, k, N + p, q, float(x)) for x in X])
-        assert np.all(np.abs(vals - ref) <= 1e-11 * np.abs(ref))
 
     def test_upper_limit_validated(self):
         with pytest.raises(ValueError):
@@ -360,9 +418,9 @@ class TestTailIntegral:
 
 
 class TestMemo:
-    """tail_integral, _phi and the s~ closed forms are memoised per point: a
-    repeated call returns the stored value, bit for bit what the uncached
-    function computes, and an error is never stored."""
+    """tail_integral, _phi, the w1 masses and the s~ closed forms are
+    memoised per point: a repeated call returns the stored value, bit for
+    bit what the uncached function computes, and an error is never stored."""
 
     def test_tail_integral_repeat_is_uncached_value(self):
         params = EnsembleParams(1, 9, 1.3, 0.4)
@@ -371,13 +429,11 @@ class TestMemo:
         assert tail_integral.cache_info().hits == 1
         assert again == first == tail_integral.__wrapped__(7, 5.0, params)
 
-    def test_phi_scalar_memo_arrays_bypass(self):
+    def test_phi_scalar_memo(self):
         args = (12, 1, 13.5, 0.7)
         first = _phi(*args, 2.5)
         assert _phi(*args, 2.5) == first == _phi.__wrapped__(*args, 2.5)
         assert _phi.cache_info().hits == 1
-        _phi(*args, np.array([2.5, 3.0]))
-        assert _phi.cache_info().currsize == 1
 
     def test_raising_tail_integral_raises_again(self):
         params = EnsembleParams(4, 17, 0.7715110427241669, -0.6607615005859033)
@@ -403,9 +459,9 @@ class TestMemo:
 
 class TestCallCounts:
     """A kernel grid sums each 2F1 series once: a diagonal point reads
-    _phi's point memo and adds only its slope's series (_phi_slope), and a
-    tail integral that settles at tanh-sinh level 5 evaluates its integrand
-    in one node-array call."""
+    _phi's point memo and adds only its slope's series (_phi_slope).  The
+    tail integrals run one quadrature per upper limit, the w1 mass that the
+    even degrees share; the beta = 4 degree is odd and runs none."""
 
     PTS = (0.7, 1.9, 3.1)
 
@@ -430,20 +486,35 @@ class TestCallCounts:
         assert len(slope) == len(set(slope)) == 2 * len(self.PTS)
         assert set(slope) == {(n - 1, b + 1, c + 1, z) for n, b, c, z in value}
 
-    def test_tail_integral_one_array_call(self, monkeypatch):
-        # levels 4 and 5 share one call of the integrand, and this integral
-        # settles at level 5
+    @staticmethod
+    def _count_quadratures(monkeypatch):
         calls = []
-        phi = kernels._phi
 
-        def count(N, k, P, Q, X):
-            if isinstance(X, np.ndarray):
-                calls.append(X.size)
-            return phi(N, k, P, Q, X)
+        def count(terms, a, b):
+            calls.append((a, b))
+            return tanh_sinh_adaptive(terms, a, b)
 
-        monkeypatch.setattr(kernels, "_phi", count)
-        tail_integral(19, 1.9, EnsembleParams(4, 10, 1.3, 0.4))
-        assert len(calls) == 1
+        monkeypatch.setattr(kernels, "tanh_sinh_adaptive", count)
+        return calls
+
+    def test_beta4_grid_runs_no_quadrature(self, monkeypatch):
+        calls = self._count_quadratures(monkeypatch)
+        params = EnsembleParams(4, 10, 1.3, 0.4)
+        for X in self.PTS:
+            for Y in self.PTS:
+                kernel_scaled(4, X, Y, params)
+        assert tail_integral.cache_info().misses == len(self.PTS)
+        assert calls == []
+
+    def test_odd_n_degrees_share_one_quadrature(self, monkeypatch):
+        # degrees N - 1 and N - 3 are even and share the w1 mass below z(X);
+        # degree N - 2 is odd and needs none
+        calls = self._count_quadratures(monkeypatch)
+        params = EnsembleParams(1, 9, 1.3, 0.4)
+        for Y in self.PTS:
+            kernel_scaled(1, 1.9, Y, params)
+        assert tail_integral.cache_info().misses == 3
+        assert calls == [(0.0, 1.9 / 9)]
 
     @pytest.mark.parametrize("beta", [2, 4])
     def test_grid_order_does_not_matter(self, beta):
