@@ -1,8 +1,9 @@
 """Complex special-function primitives: log-gamma, Pochhammer symbols,
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
 expansion; the one evaluator that sums a series over a whole node array by
-Horner's rule (the 2F1's, and the 1F1's at every argument); and the memo
-over scalar points that node arrays bypass.
+Horner's rule (the 2F1's, and the 1F1's at every argument; a single
+element by its forward sum); and the memo over scalar points that node
+arrays bypass.
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is

@@ -550,7 +550,8 @@ def test_diagonal_is_jack_density(beta, N, p, q):
     lambda pr: kernel_s4_scaled(1.0, 2.0, pr[2]),
     lambda pr: kernel_scaled(3, 1.0, 2.0, pr[2]),
     lambda pr: skew_constants(pr[2]),
-    lambda pr: tail_integral(11, 1.0, pr[1])])  # degree beyond the size-10 system
+    lambda pr: tail_integral(11, 1.0, pr[1]),  # degree beyond the size-10 system
+    lambda pr: tail_integral(10, 1.0, EnsembleParams(1, 10, 0.0))])  # degree P: diverges
 def test_argument_checks(call):
     with pytest.raises(ValueError):
         call({beta: EnsembleParams(beta, 10, 1.3, 0.4) for beta in (1, 2, 4)})
