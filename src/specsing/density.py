@@ -26,7 +26,7 @@ import numpy as np
 
 from .jack import _hyp2f1_unit, _pfq_shells, hyper_pfq_alpha
 from .polynomials import EnsembleParams
-from .quadrature import _T_CUT, _sinc_matrix, _tanh_sinh_raw, sector_integrate_adaptive
+from .quadrature import _T_CUT, _sinc_matrix, _unit_nodes, sector_integrate_adaptive
 from .series import NonConvergenceError, PoleError, log_gamma
 
 _REALITY_TOL = 1e-8  # relative imaginary residue the densities accept
@@ -242,17 +242,19 @@ def _check_normalization(td: DensityTilde, beta: int):
 def _contour(level: int) -> tuple:
     """A tanh-sinh level on _b_integral's contour t = s + i (1 + cos s),
     built once per process and read-only: t, 2 cos(t/2), its log, e^{it},
-    the weights pi w dt/ds, and the e^{imt} (m = 0, 1, -1; columns) and
-    e^{ikt/2} (k = -3, -1, 1, 3; rows) of beta = 2 and 4.  s = +-pi (1 - dist)
-    and 2 cos(t/2) = 2 sin((pi dist -+ i (1 + cos s))/2) keep their relative
-    precision at s = +-pi, where 2 cos(t/2) vanishes."""
-    x, w, dist = _tanh_sinh_raw(level)
-    s = np.copysign(math.pi * (1 - dist), x)
+    the weights 2 pi w dt/ds, and the e^{imt} (m = 0, 1, -1; columns) and
+    e^{ikt/2} (k = -3, -1, 1, 3; rows) of beta = 2 and 4.  s = 2 pi u - pi
+    for the unit nodes u (_unit_nodes); s = +-pi (1 - dist), with
+    dist = 2 min(u, 1 - u), and 2 cos(t/2) = 2 sin((pi dist -+ i (1 + cos s))/2)
+    keep their relative precision at s = +-pi, where 2 cos(t/2) vanishes."""
+    u, rest, w = _unit_nodes(level)
+    dist, sign = 2 * np.minimum(u, rest), np.where(u < rest, -1.0, 1.0)
+    s = sign * (math.pi * (1 - dist))
     y = 2 * np.sin(0.5 * math.pi * dist) ** 2  # 1 + cos s, stably
     t = s + 1j * y
-    two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * np.copysign(y, x)))
+    two_cos = 2 * np.sin(0.5 * (math.pi * dist - 1j * (sign * y)))
     z = np.exp(1j * t)
-    arrays = (t, two_cos, np.log(two_cos), z, math.pi * w * (1 - 1j * np.sin(s)),
+    arrays = (t, two_cos, np.log(two_cos), z, math.pi * (2 * w) * (1 - 1j * np.sin(s)),
               np.array([np.ones(t.size), z, np.exp(-1j * t)]).T,
               np.exp(1j * np.outer(np.arange(4) - 1.5, t)))
     for arr in arrays:

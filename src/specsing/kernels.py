@@ -36,7 +36,9 @@ from .polynomials import EnsembleParams, _rr_args, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
 from .series import _TINY, DEFAULT_CONTROL, NonConvergenceError, hyp2f1_terminating, log_gamma
 
-_DIAG_SWITCH = 1e-6
+# the CD kernel takes its midpoint form for |X - Y| < _DIAG_SWITCH X, a window
+# relative to X, as the quotient's cancellation is
+_DIAG_SWITCH = 2e-6
 
 
 def _prefactor(N: int, k: int, P: float, Q: float, X: float) -> complex:
@@ -88,7 +90,7 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
     if not (0 < uX < math.pi and 0 < uY < math.pi):
         raise ValueError("X/N and Y/N must lie in (0, pi)")
     h = _h_sub(N - k - 1, P, Q)
-    if abs(X - Y) < _DIAG_SWITCH * (1 + abs(X)):
+    if abs(X - Y) < _DIAG_SWITCH * X:
         # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips.
         # S(z(X), z(Y)) is symmetric, so its midpoint value is second-order;
         # dz/dX is not, and is taken at X
@@ -254,7 +256,7 @@ def tail_integral(degree: int, upper_X: float, params: EnsembleParams) -> comple
     value = scale * G
     c = _w1_full_line(n, P, Q)
     if c:
-        value += c / w1_integral_closed(P, Q) * _w1_mass(P, Q, u)
+        value += c / _w1_full_line(0, P, Q) * _w1_mass(P, Q, u)
     bound = np.finfo(float).eps * mass * abs(scale)
     if not bound <= 1e-6 * abs(value) + 1e-8:
         raise NonConvergenceError(
@@ -281,7 +283,7 @@ def _w1_full_line(n: int, P: float, Q: float) -> float:
         G(r/2) G(r+1/2) G((r+1)/2) G((n+1)/2)
             / (|G((r+1)/2 + iQ/2)|^2 G((2P-n+1)/2)).
 
-    (Term by term a sum of Cauchy beta integrals; n = 0 is w1_integral_closed.)
+    (Term by term a sum of Cauchy beta integrals; n = 0 is the w1 mass.)
     """
     if n % 2:
         return 0.0
@@ -290,15 +292,6 @@ def _w1_full_line(n: int, P: float, Q: float) -> float:
            - 2 * log_gamma(complex((r + 1) / 2, Q / 2)).real
            + log_gamma((n + 1) / 2) - log_gamma((2 * P - n + 1) / 2))
     return math.exp(num.real)
-
-
-def w1_integral_closed(P: float, Q: float) -> float:
-    """int_{-inf}^{inf} w1(t) dt = 2^(1-P1) pi G(P1...)/|G((P1+1)/2 + i Q1)|^2
-    for the weight w1(t) = (1+t^2)^(-P1) exp(2 Q1 arctan t) with
-    P1 = (P+1)/2, Q1 = Q/2 (Cauchy beta integral)."""
-    P1, Q1 = (P + 1) / 2, Q / 2
-    lg = (log_gamma(2 * P1 - 1) - 2 * log_gamma(complex(P1, Q1)).real)
-    return math.exp((2 - 2 * P1) * math.log(2) + math.log(math.pi) + lg.real)
 
 
 # --- beta = 1 ----------------------------------------------------------------

@@ -69,7 +69,7 @@ import numpy as np
 from .kernels import eta_constants
 from .polynomials import EnsembleParams
 from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY,
-                     _cached_at_points, _is_nonpositive_integer, log_gamma)
+                     _is_nonpositive_integer, log_gamma)
 
 _DIAG_EPS, _DIAG_H = 3e-5, 1e-3
 _EPS = 2.0 ** -52
@@ -107,13 +107,11 @@ def a_confluent(j: int, block: ConfluentBlock, X: float) -> complex:
     point."""
     if j < 0:
         raise ValueError("derivative order must be nonnegative")
-    pk, q = block.p + block.k, block.q_eff
-    if j <= _TOP:
-        return _A(pk, q, X)[j]
     if isinstance(X, np.ndarray):
-        return np.array([_family(pk, q, x, j)[j] for x in X.ravel().tolist()],
+        return np.array([a_confluent(j, block, x) for x in X.ravel().tolist()],
                         complex).reshape(X.shape)
-    return _family(pk, q, X, j)[j]
+    pk, q = block.p + block.k, block.q_eff
+    return _A(pk, q, X)[j] if j <= _TOP else _family(pk, q, X, j)[j]
 
 
 # C_0, C_1 and C_2 read A(0..0), A(0..2) and A(0..4); a point's family also
@@ -206,13 +204,9 @@ def _family(pk: float, q: float, X: float, top: int) -> tuple:
 
 # c_tilde orders 0..2 and their slopes share one family, and the blocks of K,
 # L1 and L2 share points, so each point is summed once
-@_cached_at_points(1024)
-def _A(pk: float, q: float, X):
-    """A^{(pk, q)}(j; X) for j = 0..5 (_family); X may be an ndarray, each
-    element a point of the memo."""
-    if isinstance(X, np.ndarray):
-        values = [_A(pk, q, x) for x in X.ravel().tolist()]
-        return np.array(values, complex).T.reshape((_TOP + 1,) + X.shape)
+@functools.lru_cache(maxsize=1024)
+def _A(pk: float, q: float, X: float) -> tuple:
+    """A^{(pk, q)}(j; X) for j = 0..5 (_family) at a scalar X."""
     return _family(pk, q, X, _TOP)
 
 
@@ -244,8 +238,12 @@ def _pieces(order: int, k: int, pk: float, q: float, r: int = 0) -> tuple:
 
 def _c(order: int, k: int, p: float, q: float, X, r: int = 0):
     """The r-th derivative of C_order^{(p, q, k)} at X, sum c X^s A(i) over
-    its pieces; X may be an ndarray."""
-    A = _A(p + k, q, X)
+    its pieces; X may be an ndarray, each element a point of _A's memo."""
+    if isinstance(X, np.ndarray):
+        A = np.array([_A(p + k, q, x) for x in X.ravel().tolist()],
+                     complex).T.reshape((_TOP + 1,) + X.shape)
+    else:
+        A = _A(p + k, q, X)
     if not (order or r):
         return A[0]
     powers = (1.0, X, X * X, X * X * X, X * X * X * X)
@@ -404,7 +402,7 @@ def _series_integral(pieces: tuple, pk: float, q: float, e: float, lam: float, X
 
 
 # memoised like _A: K, L1 and L2 at one X share these integrals
-@_cached_at_points(256)
+@functools.lru_cache(maxsize=256)
 def _jo(j: int, p: float, q: float, X: float) -> complex:
     """J_o[C_j^{(p, 2q, 2)}](X) = int_0^X e^{-is - q pi} s^(p+1) C_j(s) ds,
     the beta = 1 integral."""
@@ -412,7 +410,7 @@ def _jo(j: int, p: float, q: float, X: float) -> complex:
                             math.exp(-q * math.pi))
 
 
-@_cached_at_points(256)
+@functools.lru_cache(maxsize=256)
 def _js(j: int, p: float, q: float, X: float) -> complex:
     """int_0^X e^{-2is} s^(2p) C_j^{(2p, q, 1)}(2s) ds, the beta = 4 integral."""
     return _series_integral(_pieces(j, 1, 2 * p + 1, q), 2 * p + 1, q, 2 * p, 2, X)

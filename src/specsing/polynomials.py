@@ -1,6 +1,6 @@
 """Routh-Romanovski orthogonal polynomials (three-term recurrence; the kernels'
-scaled form by 2F1), their norms and a self-checking orthogonality quadrature,
-Cauchy and circle weights, and line <-> circle maps.
+scaled form by 2F1), their norms and an orthogonality check on the adaptive
+tanh-sinh integrator, Cauchy and circle weights, and line <-> circle maps.
 
 Weight convention: omega2(x) = (1 - ix)^c (1 + ix)^cbar with c = -P + iQ,
 equivalently (1 + x^2)^(-P) exp(2 Q arctan x).  For the ensemble-derived
@@ -13,13 +13,13 @@ weights, P and Q carry the beta-specific identifications:
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import NonConvergenceError, PoleError, hyp2f1_terminating, log_gamma
+from .quadrature import tanh_sinh_adaptive
+from .series import PoleError, hyp2f1_terminating, log_gamma
 
 _ALLOWED_BETA = (1, 2, 4)
 
@@ -199,56 +199,35 @@ def rr_norm(n: int, c: complex) -> float:
     return math.exp((2 * n + 2 - 2 * P) * math.log(2) + math.log(math.pi) + lg)
 
 
-@functools.lru_cache(maxsize=1)
-def _circle_rule():
-    """The default rule of orthogonality_check, level-11 tanh-sinh on
-    (0, 2 pi): 9441 nodes, mapped once rather than on every call, with its
-    x = tan((theta - pi)/2), log(1 + x^2), arctan(x) and level 10's weights
-    on its nodes (twice its own at the even-index nodes, 0 elsewhere), all read-only."""
-    from .quadrature import tanh_sinh_rule
-    rule = tanh_sinh_rule(0.0, 2 * math.pi, level=11)
-    x = np.tan((rule.nodes - math.pi) / 2)
-    level10 = np.where(np.arange(x.size) % 2 == 0, 2 * rule.weights, 0.0)
-    out = rule, x, np.log1p(x * x), np.arctan(x), level10
-    for arr in (rule.nodes, rule.weights) + out[1:]:
-        arr.flags.writeable = False  # shared
-    return out
-
-
 def orthogonality_check(n: int, m: int, params: EnsembleParams, rule=None) -> float:
     """Relative residual | int omega2 I_n I_m dx - h_n delta_nm | / h_n.
 
     The line integral is mapped to theta in (0, 2 pi) via
     x = -cot(theta/2) = tan((theta - pi)/2), dx/dtheta = (1 + x^2)/2, and
-    evaluated with a tanh-sinh rule (handles the algebraic endpoint behaviour
-    of the weight).  The tan form stays finite at nodes next to theta = 0, and
-    sqrt(omega2 dx/dtheta) is applied to each polynomial factor so that
-    neither product overflows; nodes where it underflows to 0 are skipped.
-    ValueError if the integral diverges (n + m >= 2P - 1); NonConvergenceError
-    where the default rule's sum and its level-10 sum (the even-index nodes at
-    twice the weight) differ by more than 1e-12 h_n.  A rule passed in is used
-    as given.
+    evaluated on tanh-sinh levels (they handle the algebraic endpoint
+    behaviour of the weight): by default by tanh_sinh_adaptive, which raises
+    NonConvergenceError where no two successive levels up to 12 agree; a
+    rule passed in is used as given.  The tan form stays finite at nodes
+    next to theta = 0, and sqrt(omega2 dx/dtheta) is applied to each
+    polynomial factor so that neither product overflows; nodes where it
+    underflows to 0 are skipped.  ValueError if the integral diverges
+    (n + m >= 2P - 1).
     """
     P, Q = params.weight_params()
     if n + m >= 2 * P - 1:
         raise ValueError(f"int omega2 I_n I_m diverges: n + m = {n + m} >= 2P - 1, P = {P}")
     c = complex(-P, Q)
-    if rule is None:
-        rule, x, log1p_x2, arctan_x, level10 = _circle_rule()
-    else:
-        level10 = None
+
+    def terms(rule):
         x = np.tan((rule.nodes - math.pi) / 2)
-        log1p_x2, arctan_x = np.log1p(x * x), np.arctan(x)
-    root = np.exp(0.5 * ((1 - P) * log1p_x2 + 2 * Q * arctan_x - math.log(2)))
-    live = root != 0  # where root underflows, the term is 0 * finite
-    x, root = x[live], root[live]
-    left = rr_poly(n, c, x) * root
-    vals = left * (left if n == m else rr_poly(m, c, x) * root)
-    integral = np.sum(vals * rule.weights[live])
+        root = np.exp(0.5 * ((1 - P) * np.log1p(x * x) + 2 * Q * np.arctan(x) - math.log(2)))
+        live = root != 0  # where root underflows, the term is 0 * finite
+        x, root = x[live], root[live]
+        left = rr_poly(n, c, x) * root
+        out = np.zeros(live.size)
+        out[live] = left * (left if n == m else rr_poly(m, c, x) * root) * rule.weights[live]
+        return out
+
+    integral = tanh_sinh_adaptive(terms, 0.0, 2 * math.pi) if rule is None else terms(rule).sum()
     hn = rr_norm(n, c)
-    if level10 is not None:
-        gap = abs(integral - np.dot(vals, level10[live])) / hn
-        if gap > 1e-12:
-            raise NonConvergenceError(f"int omega2 I_n I_m: levels 10 and 11 differ by "
-                                      f"{gap:.1e} h_n at n + m = {n + m}, P = {P}")
     return float(abs(integral - (hn if n == m else 0.0)) / hn)

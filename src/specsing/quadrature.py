@@ -8,10 +8,12 @@ iterated scheme for symmetric multidimensional integrands with |diff|-type
 interior kinks (the Morris oracle), whose levels are nested the same way: a
 level evaluates only the grid points with at least one new node.  The
 sector points come with their distances to both ends and the gaps between
-successive axes, free of cancellation.  The tanh-sinh nodes and weights on
-(-1, 1) are built once per level and kept read-only, as is the sinc matrix
-once per size; the adaptive integrator maps the levels it reaches onto its
-interval on every call.
+successive axes, free of cancellation.  One table holds the tanh-sinh
+levels, on (0, 1) with each node's distance to the nearer end: built once
+per level and kept read-only, as is the sinc matrix once per size.  Every
+rule reads it: tanh_sinh_rule and the adaptive integrator map the levels
+they reach onto their interval on every call, and the sector rules, the
+sinc matrix and the density contour take them as they are.
 
 A tanh-sinh level keeps its nodes t = k h in one window |t| <= T.  By default
 T ends where the distance to an end falls to 1e-290.  The sector rules take a
@@ -54,44 +56,53 @@ _T_CUT = math.asinh(math.log(2e290) / math.pi)
 
 
 @lru_cache(maxsize=64)
-def _tanh_sinh_raw(level: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes on (-1, 1), read-only: returns (x, w, dist) with dist = 1 - |x|
-    computed stably, for the nodes t = k h in the window |t| <= _T_CUT.
-    odd=True keeps the nodes of odd k only: those that level - 1 lacks.
+def _unit_nodes(level: int, odd: bool = False,
+                tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tanh-sinh level `level` on (0, 1), read-only: (u, 1 - u, weights) for
+    the nodes t = k h, h = 2^(1 - level), in the window |t| <= tmax <= _T_CUT,
+    u = (1 + tanh(pi/2 sinh t)) / 2.  u and 1 - u are each taken from the
+    stable distance to the nearer end, 1 / (e^{pi sinh |t|} + 1).  odd=True
+    keeps the nodes of odd k only: those that level - 1 lacks.
 
     The window is a test on t alone, so each level holds every node of the
     one below, whose weights are exactly twice its own (h is a power of
-    two).
-    """
+    two).  A narrower window is the central part of the default arrays, a
+    view: the default window holds k = -n..n (odd k only for odd),
+    n = int(_T_CUT / h), so it drops as many nodes from each end."""
     h = 2.0 ** (1 - level)
-    n = int(_T_CUT / h)
-    k = np.arange(-n, n + 1)
+    full = int(_T_CUT / h)
+    if tmax < _T_CUT:
+        n = int(tmax / h)
+        cut = (full + 1) // 2 - (n + 1) // 2 if odd else full - n
+        return tuple(arr[cut:arr.size - cut] for arr in _unit_nodes(level, odd))
+    k = np.arange(-full, full + 1)
     if odd:
         k = k[k % 2 == 1]
     t = k * h
-    u = 0.5 * math.pi * np.sinh(t)
-    x = np.tanh(u)
-    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-    dist = 1.0 / (np.exp(2 * np.abs(u)) + 1.0) * 2.0  # 1 - |tanh(u)|
-    for arr in (x, w, dist):
+    near = 1.0 / (np.exp(math.pi * np.sinh(np.abs(t))) + 1.0)
+    far = 1.0 - near
+    w = h * 0.25 * math.pi * np.cosh(t) / np.cosh(0.5 * math.pi * np.sinh(t)) ** 2
+    out = np.where(t < 0, near, far), np.where(t < 0, far, near), w
+    for arr in out:
         arr.flags.writeable = False
-    return x, w, dist
+    return out
 
 
-def _on_interval(a: float, b: float, x, w, dist) -> tuple:
-    """The unit rule (x, w, dist) mapped onto (a, b): nodes, weights, kept mask."""
-    half = 0.5 * (b - a)
-    # nodes are placed from the nearer endpoint, with the distance evaluated
-    # stably; only those that round onto an endpoint are dropped
-    nodes = np.where(x >= 0, b - half * dist, a + half * dist)
+def _on_interval(a: float, b: float, u, rest, w) -> tuple:
+    """The unit rule (u, 1 - u, w) of _unit_nodes mapped onto (a, b): nodes,
+    weights, kept mask."""
+    span = b - a
+    # nodes are placed from the nearer endpoint, at the stable distance;
+    # only those that round onto an endpoint are dropped
+    nodes = np.where(u < rest, a + span * u, b - span * rest)
     keep = (nodes > a) & (nodes < b)
-    return nodes[keep], w[keep] * half, keep
+    return nodes[keep], w[keep] * span, keep
 
 
 def tanh_sinh_rule(a: float, b: float, level: int = 8) -> QuadratureRule:
     """Tanh-sinh rule on (a, b); handles integrable algebraic endpoint
     singularities.  Node count roughly doubles per level."""
-    return QuadratureRule(*_on_interval(a, b, *_tanh_sinh_raw(level))[:2], domain=(a, b))
+    return QuadratureRule(*_on_interval(a, b, *_unit_nodes(level))[:2], domain=(a, b))
 
 
 _Nodes = namedtuple("_Nodes", "nodes weights")  # what tanh_sinh_adaptive hands terms
@@ -113,7 +124,7 @@ def tanh_sinh_adaptive(terms, a: float, b: float):
     at half its weights.  The rules are those of tanh_sinh_rule, node for
     node, and read-only.
     """
-    nodes, weights, keep = _on_interval(a, b, *_tanh_sinh_raw(5))
+    nodes, weights, keep = _on_interval(a, b, *_unit_nodes(5))
     nodes.flags.writeable = weights.flags.writeable = False
     even = (keep.size // 2 - int(np.argmax(keep))) % 2  # k = -(size // 2) first
     vals = np.asarray(terms(_Nodes(nodes, weights)))
@@ -121,7 +132,7 @@ def tanh_sinh_adaptive(terms, a: float, b: float):
     vals = vals[..., 1 - even::2]
     for level in range(5, 13):
         if level > 5:
-            nodes, weights, _ = _on_interval(a, b, *_tanh_sinh_raw(level, True))
+            nodes, weights, _ = _on_interval(a, b, *_unit_nodes(level, True))
             nodes.flags.writeable = weights.flags.writeable = False
             vals = np.asarray(terms(_Nodes(nodes, weights)))
         prev = cur
@@ -173,28 +184,6 @@ class _SectorPoints(list):
 
         super().__init__(shaped(ts))
         self.to_a, self.to_b, self.gaps = shaped(to_a), shaped(to_b), shaped(gaps)
-
-
-@lru_cache(maxsize=64)
-def _unit_nodes(level: int, odd: bool = False,
-                tmax: float = _T_CUT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_tanh_sinh_raw(level, odd) on (0, 1), read-only: (u, 1 - u, weights),
-    u and 1 - u each taken from the stable distance to its nearer end, for
-    the nodes t = k h in the window |t| <= tmax <= _T_CUT.  A narrower window
-    is the central part of the default arrays, a view: the default window
-    holds k = -n..n (odd k only for odd), n = int(_T_CUT / h), so it drops
-    as many nodes from each end."""
-    if tmax < _T_CUT:
-        h = 2.0 ** (1 - level)
-        full, n = int(_T_CUT / h), int(tmax / h)
-        cut = (full + 1) // 2 - (n + 1) // 2 if odd else full - n
-        return tuple(arr[cut:arr.size - cut] for arr in _unit_nodes(level, odd))
-    x, w, dist = _tanh_sinh_raw(level, odd)
-    near, far = 0.5 * dist, 1.0 - 0.5 * dist
-    out = np.where(x >= 0, far, near), np.where(x >= 0, near, far), 0.5 * w
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 def _sector_sum(fvec, axes, a: float, b: float) -> complex:

@@ -2,8 +2,7 @@
 terminating Gauss 2F1, Kummer 1F1, and the large-argument gamma-ratio
 expansion; the one evaluator that sums a series over a whole node array by
 Horner's rule (the 2F1's, and the 1F1's at every argument; a single
-element by its forward sum); and the memo over scalar points that node
-arrays bypass.
+element by its forward sum).
 
 All gamma evaluations go through the principal-branch log-gamma so that
 ratios with large arguments can be formed as exp of log differences.  It is
@@ -15,7 +14,6 @@ exactly.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 import warnings
@@ -52,20 +50,6 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
-
-
-def _cached_at_points(maxsize: int):
-    """lru_cache over scalar points (the last argument); node arrays bypass
-    it.  The wrapper keeps cache_info and cache_clear."""
-    def wrap(f):
-        cached = functools.lru_cache(maxsize=maxsize)(f)
-
-        @functools.wraps(f)
-        def g(*args):
-            return (f if isinstance(args[-1], np.ndarray) else cached)(*args)
-        g.cache_info, g.cache_clear = cached.cache_info, cached.cache_clear
-        return g
-    return wrap
 
 
 def _is_nonpositive_integer(z: complex) -> bool:

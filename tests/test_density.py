@@ -248,17 +248,17 @@ class TestIntegralPathPass:
         # built once per process, and both betas read the same arrays
         density._contour.cache_clear()
         built, read = [], []
-        raw, contour = density._tanh_sinh_raw, density._contour
+        unit, contour = density._unit_nodes, density._contour
 
-        def counted_raw(level):
+        def counted_unit(level):
             built.append(level)
-            return raw(level)
+            return unit(level)
 
         def counted(level):
             read.append(contour(level))
             return read[-1]
 
-        monkeypatch.setattr(density, "_tanh_sinh_raw", counted_raw)
+        monkeypatch.setattr(density, "_unit_nodes", counted_unit)
         monkeypatch.setattr(density, "_contour", counted)
         call(2)
         call(4)
@@ -282,7 +282,7 @@ class TestIntegralPathPass:
 
         monkeypatch.setattr(density, "_sinc_matrix", counted)
         call()
-        coarse, fine = (density._tanh_sinh_raw(level)[0].size for level in (6, 7))
+        coarse, fine = (density._unit_nodes(level)[0].size for level in (6, 7))
         assert sizes == [coarse, fine]
 
     def test_seeded_grid_matches_jack(self):

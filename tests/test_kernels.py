@@ -12,7 +12,7 @@ from specsing import (EnsembleParams, NonConvergenceError, correlation_det, k_li
                       skew_constants, tail_integral)
 from specsing import kernels, polynomials
 from specsing.kernels import (_cd_scaled, _h_sub, _phi, _phi_slope, _s_tilde,
-                              _w1_full_line, eta_constants, w1_integral_closed)
+                              _w1_full_line, eta_constants)
 from specsing.polynomials import CauchyWeightParams, scaled_point_map, weight_cauchy
 from specsing.quadrature import tanh_sinh_adaptive
 from specsing.series import hyp2f1_terminating
@@ -46,7 +46,7 @@ class TestBeta2:
 
     @pytest.mark.parametrize("N", [12, 40])
     def test_near_diagonal_matches_direct_sum(self, N):
-        # inside the midpoint window |X - Y| < 1e-6 (1 + X), where the CD
+        # inside the midpoint window |X - Y| < 2e-6 X, where the CD
         # kernel is built from _phi_slope, against the direct sum at X of
         # order 1 (measured worst 2.1e-12)
         pr = EnsembleParams(2, N, 1.5, 0.7)
@@ -55,6 +55,18 @@ class TestBeta2:
                 (x, dz), (y, _) = scaled_point_map(X, N), scaled_point_map(X + d, N)
                 ref = direct_sum_kernel(x, y, pr) * dz
                 assert abs(kernel_s2_scaled(X, X + d, pr) - ref) < 1e-11 * abs(ref)
+
+    def test_near_diagonal_window_relative_at_small_X(self):
+        # at X = 1e-4 the midpoint window is |X - Y| < 2e-6 X: a gap of 1e-2 X
+        # takes the quotient, one of 5e-7 X the midpoint (an absolute window
+        # of 1e-6 sent the first to the midpoint, 6e-5 off); at N = 12 the
+        # double-precision direct sum still resolves this X
+        pr = EnsembleParams(2, 12, 1.5, 0.7)
+        X = 1e-4
+        for Y in (X * (1 + 1e-2), X * (1 + 5e-7)):
+            (x, dz), (y, _) = scaled_point_map(X, 12), scaled_point_map(Y, 12)
+            ref = direct_sum_kernel(x, y, pr) * dz
+            assert abs(kernel_s2_scaled(X, Y, pr) - ref) < 1e-9 * abs(ref)
 
     def test_symmetry(self):
         pr = EnsembleParams(2, 8, 1.5, 0.7)
@@ -110,7 +122,7 @@ def test_diagonal_is_offdiagonal_limit(beta, N, X):
 @pytest.mark.parametrize("N", [20, 200])
 @pytest.mark.parametrize("X", [0.6, 2.0])
 def test_near_diagonal_branch(beta, N, X):
-    # inside the midpoint window |X - Y| < 1e-6 (1 + X), against the exact
+    # inside the midpoint window |X - Y| < 2e-6 X, against the exact
     # diagonal plus the central slope over +-1e-4; a first-order branch
     # misses by ~1e-6 (measured worst after the fix 5e-11)
     pr = EnsembleParams(beta, N, 1.5, 0.7)
@@ -191,7 +203,7 @@ class TestBeta1:
                 qd = tail_integral(N - shift, N * math.pi * (1 - 1e-12), pr)
                 if (N - shift) % 2:
                     assert closed == 0
-                    assert abs(qd) < 1e-9 * w1_integral_closed(P, Q)
+                    assert abs(qd) < 1e-9 * _w1_full_line(0, P, Q)
                 else:
                     assert abs(qd.real - closed) < 1e-8 * abs(closed)
 
@@ -200,7 +212,7 @@ class TestBeta1:
         N, p, q = 6, 1.5, 0.3
         pr = EnsembleParams(1, N, p, q)
         P, Q = pr.weight_params()
-        closed = w1_integral_closed(P, Q)
+        closed = _w1_full_line(0, P, Q)
         qd = tail_integral(0, N * math.pi * (1 - 1e-12), pr)
         assert abs(qd.real - closed) < 1e-8 * abs(closed)
 

@@ -12,8 +12,8 @@ import pytest
 from scipy.special import sici
 
 from specsing import QuadratureRule, tanh_sinh_rule
-from specsing.quadrature import (_CHUNK_POINTS, _T_CUT, _sinc_matrix, _tanh_sinh_raw,
-                                 _unit_nodes, sector_integrate,
+from specsing.quadrature import (_CHUNK_POINTS, _T_CUT, _sinc_matrix, _unit_nodes,
+                                 sector_integrate,
                                  sector_integrate_adaptive, tanh_sinh_adaptive)
 from specsing.series import NonConvergenceError
 
@@ -95,7 +95,7 @@ class TestTanhSinh:
                       <= 1e-15 * np.abs(direct).sum(axis=-1))
 
     def test_cached_rules_read_only(self):
-        for arr in _tanh_sinh_raw(6) + _tanh_sinh_raw(6, odd=True):
+        for arr in _unit_nodes(6) + _unit_nodes(6, odd=True) + _unit_nodes(6, tmax=2.5):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -103,7 +103,8 @@ class TestTanhSinh:
     @pytest.mark.parametrize("level", range(3, 13))
     def test_default_window_ends_at_1e290(self, level):
         # the default rule is the one that kept every node of |t| <= 6.8 with
-        # dist > 1e-290: bit for bit, and its last node is the last such one
+        # 1 - |tanh(pi/2 sinh t)| > 1e-290: bit for bit, each node's distance
+        # to its nearer end taken stably, and its last node is the last such one
         h = 2.0 ** (1 - level)
 
         def dist(t):
@@ -114,12 +115,14 @@ class TestTanhSinh:
         t = k * h
         u = 0.5 * math.pi * np.sinh(t)
         with np.errstate(over="ignore"):
-            ref = (np.tanh(u), h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2,
-                   1.0 / (np.exp(2 * np.abs(u)) + 1.0) * 2.0)
-        keep = ref[2] > 1e-290
-        x, w, d = _tanh_sinh_raw(level)
-        for got, want in zip((x, w, d), ref):
-            assert np.array_equal(got, want[keep])
+            w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+            near = 1.0 / (np.exp(2 * np.abs(u)) + 1.0)
+        keep = 2 * near > 1e-290
+        left = t[keep] < 0
+        x, rest, weights = _unit_nodes(level)
+        assert np.array_equal(np.where(left, x, rest), near[keep])
+        assert np.array_equal(np.where(left, rest, x), 1.0 - near[keep])
+        assert np.array_equal(weights, 0.5 * w[keep])
         last = (x.size // 2) * h
         assert dist(last) > 1e-290 >= dist(last + h)
 
@@ -194,7 +197,7 @@ class TestTanhSinh:
 class TestSincMatrix:
     def test_si_row_matches_scipy(self):
         # row 0 is 2 Si(pi k)/pi, at the size of level 7 (measured 2.0e-15)
-        n = _tanh_sinh_raw(7)[0].size
+        n = _unit_nodes(7)[0].size
         si = 0.5 * math.pi * _sinc_matrix(n)[0]
         assert np.max(np.abs(si - sici(math.pi * np.arange(n))[0])) < 1e-14
 
@@ -208,10 +211,8 @@ class TestSincMatrix:
     def test_ordered_double_integral(self):
         # int int_{0<x<y<1} (u(x) v(y) - v(x) u(y)) = 1/3 - 1/6 for u = 1,
         # v = x, on the tanh-sinh nodes mapped onto (0, 1)
-        x, w, dist = _tanh_sinh_raw(6)
-        t = np.where(x >= 0, 1 - 0.5 * dist, 0.5 * dist)
-        u, v = 0.5 * w, 0.5 * w * t
-        assert abs(u @ _sinc_matrix(t.size) @ v - 1 / 6) < 1e-14
+        t, _, w = _unit_nodes(6)
+        assert abs(w @ _sinc_matrix(t.size) @ (w * t) - 1 / 6) < 1e-14
 
     def test_import_builds_none(self):
         code = ("import specsing, specsing.cli; "
@@ -307,7 +308,7 @@ class TestSector:
         val, _ = sector_integrate_adaptive(f, 3, 0.0, 1.0, start_level=3, max_level=5,
                                            rtol=0.0)
         assert abs(val - 1.0) < 1e-12
-        n = _tanh_sinh_raw(5)[0].size
+        n = _unit_nodes(5)[0].size
         assert sum(sizes) == n ** 3
         assert max(sizes) <= _CHUNK_POINTS
 
