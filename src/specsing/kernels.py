@@ -36,8 +36,8 @@ from .polynomials import EnsembleParams, _rr_args, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
 from .series import _TINY, DEFAULT_CONTROL, NonConvergenceError, hyp2f1_terminating, log_gamma
 
-# the CD kernel takes its midpoint form for |X - Y| < _DIAG_SWITCH X, a window
-# relative to X, as the quotient's cancellation is
+# the CD kernel takes its midpoint form for |X - Y| < _DIAG_SWITCH X: the
+# quotient loses digits as |X - Y| / X falls, at every scale of X
 _DIAG_SWITCH = 2e-6
 
 
