@@ -18,10 +18,10 @@ quadrature of an elementary positive integrand.  The full-line integrals
 
 Each finite-N quantity is computed once per parameter set: the tail
 integrals, the w1 masses and the closed forms behind the s~ constants are
-memoised whole, and _phi per point.  The exact diagonal's slope,
-_phi_slope, a closed form, takes _phi's value from that memo and sums only
-the slope's series.  A kernel grid thus evaluates each tail integral once
-per X and each _phi once per point, on the diagonal too.
+memoised whole, and _phi per point.  The near-diagonal rule (_over_diff)
+reads _phi's derivatives, closed forms (_phi_jet) that take its value from
+that memo and sum only their own series.  A kernel grid thus evaluates each
+tail integral once per X and each _phi once per point, on the diagonal too.
 """
 from __future__ import annotations
 
@@ -36,9 +36,22 @@ from .polynomials import EnsembleParams, _rr_args, rr_norm, rr_scaled_raw
 from .quadrature import tanh_sinh_adaptive
 from .series import _TINY, DEFAULT_CONTROL, NonConvergenceError, hyp2f1_terminating, log_gamma
 
-# the CD kernel takes its midpoint form for |X - Y| < _DIAG_SWITCH X: the
-# quotient loses digits as |X - Y| / X falls, at every scale of X
-_DIAG_SWITCH = 2e-6
+_DIAG_W = 3e-3
+
+
+def _over_diff(X: float, Y: float, jets, pair):
+    """G(X, Y)/(X - Y) for G(X, Y) = pair(f(X), f(Y)) antisymmetric and
+    bilinear in the sides f: None where |X - Y| >= _DIAG_W min(1, X), left to
+    the caller's quotient; else pair(f', f) + d^2 [pair(f''', f)/6 + pair(f',
+    f'')/2], error O(d^4), from jets(M, top) = [f, f', ...] at M = (X + Y)/2, d
+    = (X - Y)/2, top 1 at d = 0.  The quotient loses eps s/|X - Y|, the form
+    (d/s)^4, s the scale of G: X near 0 (powers of X), 1 beyond (e^{iX})."""
+    if abs(X - Y) >= _DIAG_W * min(1.0, X):
+        return None
+    M, d = 0.5 * (X + Y), 0.5 * (X - Y)
+    f = jets(M, 3 if d else 1)
+    curv = d * d * (pair(f[3], f[0]) / 6 + pair(f[1], f[2]) / 2) if d else 0.0
+    return pair(f[1], f[0]) + curv
 
 
 def _prefactor(N: int, k: int, P: float, Q: float, X: float) -> complex:
@@ -62,16 +75,28 @@ def _phi(N: int, k: int, P: float, Q: float, X: float) -> complex:
     return _prefactor(N, k, P, Q, X) * rr_scaled_raw(N, k, X, P, Q)
 
 
-def _phi_slope(N: int, k: int, P: float, Q: float, X: float) -> complex:
-    """d/dX _phi at a scalar X: _phi's memoised value times the prefactor's
-    log-derivative ((p+k) cot(X/N) + Q + ik)/N - i, plus the prefactor times
-    dF_k/dX = (2i/N)(z - 1)(-n b/c) 2F1(-n+1, b+1; c+1; z), one series, with
-    (n, b, c, z) those of F_k and b/c -> 1/2 in the joint limit b = c = 0."""
+def _phi_jet(N: int, k: int, P: float, Q: float, X: float, top: int) -> tuple:
+    """_phi (from its memo) and its X-derivatives to order top, 1 or 3: _phi =
+    e^g F, g' = ((p+k) cot u + Q + ik)/N - i, u = X/N, p = P - N; F's
+    z-derivatives (-n)_m (b)_m/(c)_m 2F1(-n+m, b+m; c+m; z) (DLMF 15.5.1; b/c
+    -> 1/2 at b = c = 0) with z' = (2i/N)(z - 1), z'' = (2i/N) z', ..."""
     n, b, c, z = _rr_args(N, k, X, P, Q)
-    ratio = 0.5 if b == 0 and c == 0 else b / c
-    dF = 2j / N * (z - 1) * -n * ratio * hyp2f1_terminating(max(n - 1, 0), b + 1, c + 1, z)
-    log_slope = ((P - N + k) / math.tan(X / N) + Q + 1j * k) / N - 1j
-    return _phi(N, k, P, Q, X) * log_slope + _prefactor(N, k, P, Q, X) * dF
+    F, coef = [0.0] * 3, 1.0
+    for m in range(1, top + 1):
+        coef *= (m - 1 - n) * (0.5 if m == 1 and b == c == 0 else (b + m - 1) / (c + m - 1))
+        F[m - 1] = coef * hyp2f1_terminating(max(n - m, 0), b + m, c + m, z)
+    kappa, u, pk = 2j / N, X / N, P - N + k
+    w, g = kappa * (z - 1), (pk / math.tan(u) + Q + 1j * k) / N - 1j
+    phi, pref = _phi(N, k, P, Q, X), _prefactor(N, k, P, Q, X)
+    if top == 1:  # the exact diagonal
+        return phi, phi * g + pref * w * F[0]
+    s = N * math.sin(u)
+    D = (w * F[0], w * (w * F[1] + kappa * F[0]),  # the X-derivatives of F
+         w * (w * (w * F[2] + 3 * kappa * F[1]) + kappa * kappa * F[0]))
+    B = (g, g * g - pk / (s * s))  # e^-g (e^g)^(r)
+    B += (g * (3 * B[1] - 2 * g * g) + 2 * pk * math.cos(u) / s ** 3,)
+    return (phi, phi * B[0] + pref * D[0], phi * B[1] + pref * (D[1] + 2 * B[0] * D[0]),
+            phi * B[2] + pref * (D[2] + 3 * (B[0] * D[1] + B[1] * D[0])))
 
 
 @lru_cache(maxsize=4096)
@@ -89,18 +114,15 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
     uX, uY = X / N, Y / N
     if not (0 < uX < math.pi and 0 < uY < math.pi):
         raise ValueError("X/N and Y/N must lie in (0, pi)")
-    h = _h_sub(N - k - 1, P, Q)
-    if abs(X - Y) < _DIAG_SWITCH * X:
-        # num(X,Y) ~ (Y-X) dnum while z(X)-z(Y) ~ -(Y-X) dz/dX: sign flips.
-        # S(z(X), z(Y)) is symmetric, so its midpoint value is second-order;
-        # dz/dX is not, and is taken at X
-        M = 0.5 * (X + Y)
-        f0, f1 = _phi(N, k, P, Q, M), _phi(N, k + 1, P, Q, M)
-        d0, d1 = _phi_slope(N, k, P, Q, M), _phi_slope(N, k + 1, P, Q, M)
-        return -(f0 * d1 - d0 * f1) / h * (math.sin(M / N) / math.sin(uX)) ** 2
+    h, delta = _h_sub(N - k - 1, P, Q), (X - Y) / N
+    near = _over_diff(X, Y, lambda M, top: list(zip(
+        _phi_jet(N, k, P, Q, M, top), _phi_jet(N, k + 1, P, Q, M, top))),
+        lambda a, b: a[0] * b[1] - b[0] * a[1])
+    if near is not None:  # times (X - Y)/(z(X) - z(Y)) dz/dX / h, not symmetric
+        return math.sin(uY) / math.sin(uX) * (delta / math.sin(delta) if delta else 1.0) / h * near
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)
            - _phi(N, k, P, Q, Y) * _phi(N, k + 1, P, Q, X))
-    dx = math.sin((X - Y) / N) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)
+    dx = math.sin(delta) / (math.sin(uX) * math.sin(uY))  # z(X) - z(Y)
     return num / dx / h * _dz_dX(X, N)
 
 

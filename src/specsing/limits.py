@@ -52,9 +52,9 @@ C_j's slopes are pieces too (_pieces with r > 0), read from the same family.
 The derivative identity L1 = p (X d/dX + Y d/dY + 1) K holds with the same
 constant p for all three beta; derivative_identity_residual checks it with
 E = X d/dX + Y d/dY in closed form (_euler_k).  Near the diagonal each
-beta = 2 term is G(X, Y)/(X - Y) times a prefactor, G antisymmetric, taken
-as -dG/dY at the midpoint; L2 is split into such a term plus (X^2/3) K_inf.
-The kernels take finite X > 0 and Y >= 0 and raise ValueError elsewhere.
+beta = 2 term is G(X, Y)/(X - Y) times a prefactor, G antisymmetric, by
+kernels._over_diff; L2 is split into such a term plus (X^2/3) K_inf.  The
+kernels take finite X > 0 and Y >= 0 and raise ValueError elsewhere.
 """
 from __future__ import annotations
 
@@ -66,12 +66,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import eta_constants
+from .kernels import _over_diff, eta_constants
 from .polynomials import EnsembleParams
 from .series import (DEFAULT_CONTROL, NonConvergenceError, PoleError, _TINY,
                      _is_nonpositive_integer, log_gamma)
 
-_DIAG_EPS, _DIAG_H = 3e-5, 1e-3
 _EPS = 2.0 ** -52
 
 
@@ -171,7 +170,7 @@ def _coulomb(pk: float, q: float, x: float, top: int) -> np.ndarray:
     return T
 
 
-def _family(pk: float, q: float, X: float, top: int) -> tuple:
+def _family(pk: float, q: float, X: float, top: int = _TOP) -> tuple:
     """A^{(pk, q)}(j; X) for j = 0..top at a scalar X, from the Coulomb pass
     at X: A(j; X) is the j-th derivative of 1F1(pk - iq; 2 pk; z) at z = 2iX.
 
@@ -204,10 +203,7 @@ def _family(pk: float, q: float, X: float, top: int) -> tuple:
 
 # c_tilde orders 0..2 and their slopes share one family, and the blocks of K,
 # L1 and L2 share points, so each point is summed once
-@functools.lru_cache(maxsize=1024)
-def _A(pk: float, q: float, X: float) -> tuple:
-    """A^{(pk, q)}(j; X) for j = 0..5 (_family) at a scalar X."""
-    return _family(pk, q, X, _TOP)
+_A = functools.lru_cache(maxsize=1024)(_family)
 
 
 @functools.lru_cache(maxsize=256)
@@ -242,8 +238,8 @@ def _c(order: int, k: int, p: float, q: float, X, r: int = 0):
     if isinstance(X, np.ndarray):
         A = np.array([_A(p + k, q, x) for x in X.ravel().tolist()],
                      complex).T.reshape((_TOP + 1,) + X.shape)
-    else:
-        A = _A(p + k, q, X)
+    else:  # C_2's slopes of orders 2 and 3 read A(6), A(7)
+        A = _A(p + k, q, X) if 2 * order + r <= _TOP else _A(p + k, q, X, _TOP + 2)
     if not (order or r):
         return A[0]
     powers = (1.0, X, X * X, X * X * X, X * X * X * X)
@@ -261,11 +257,8 @@ def _side(order: int, k: int, p: float, q: float, T: float, r: int = 0) -> tuple
     """The J blocks' side at T: (T, d, c) with c_a = C_a^{(p, q, k)}(T) and
     d_a = C_a^{(p, q, k + 1)}(T) for a = 0..order, so that u_a = T d_a; for
     r > 0 the r-th derivatives in T as (1, u^(r), c^(r)), u^(r) = T d^(r) +
-    r d^(r-1).
-
-    J_n = t_X sum_a d_a(X) c_(n-a)(Y) - t_Y sum_a d_a(Y) c_(n-a)(X) (_j) is
-    linear in each side, so its slope in Y is J_n of the side at X and the
-    slope side at Y."""
+    r d^(r-1).  J_n = t_X sum_a d_a(X) c_(n-a)(Y) - t_Y sum_a d_a(Y) c_(n-a)(X)
+    (_j) is linear in each side, so its derivatives are J_n of sides' ones."""
     c = [_c(a, k, p, q, T, r) for a in range(order + 1)]
     d = [_c(a, k + 1, p, q, T, r) for a in range(order + 1)]
     if not r:
@@ -296,28 +289,6 @@ def j_blocks(k: int, p: float, q_eff: float, X: float, Y: float) -> dict:
     return out
 
 
-def _bracket(order: int, p: float, q: float, X, Y, k: int, r: int):
-    """J0, J1 + Q1 J0 or J2 + Q1 J1 + Q2 J0 (L2's bracket less its X^2/3 J0
-    term, which is not antisymmetric) at (X, Y) for r = 0; for r = 1 at X = Y
-    its slope in Y (there J0 = 0, so Q2's slope drops out).  Order 1
-    evaluates no C2."""
-    fX, fY = _side(order, k, p, q, X), _side(order, k, p, q, Y, r)
-    if not order:
-        return _j(0, fX, fY)
-    Q = (1.0,) + _q(k, p, X, Y)
-    return sum(Q[order - n] * _j(n, fX, fY) for n in range(order, -1, -1))
-
-
-def _euler_j0(p: float, q: float, X, Y, k: int, r: int):
-    """E J0 = (X d/dX + Y d/dY) J0 = X J0(f'(X), f(Y)) + Y J0(f(X), f'(Y)) for
-    the sides f, antisymmetric as J0 is; for r = 1 at X = Y its slope in Y,
-    J0(f, f') + X J0(f, f'') (the first term's slope vanishes there)."""
-    f = functools.partial(_side, 0, k, p, q)
-    if r:
-        return _j(0, f(X), f(X, 1)) + X * _j(0, f(X), f(X, 2))
-    return X * _j(0, f(X, 1), f(Y)) + Y * _j(0, f(X), f(Y, 1))
-
-
 # K, L1, L2 and their diagonal and Euler terms at one (p, q) share it
 @functools.lru_cache(maxsize=256)
 def h_const(pk: float, q: float) -> float:
@@ -334,38 +305,44 @@ def _pref2(p: float, q: float, k: int, X, Y):
             * (X * Y) ** (p + k + 1) / (X * X))
 
 
-def _over_diff(G, p: float, q: float, X, Y, k: int = 0) -> complex:
-    """_pref2 G(X, Y)/(X - Y) for G antisymmetric in (X, Y); G(p, q, X, Y, k,
-    r) is G at (X, Y) for r = 0 and its slope in Y at X = Y for r = 1.
+def _beta2(order: int, p: float, q: float, X, Y, k: int = 0) -> complex:
+    """_pref2 G(X, Y)/(X - Y) for the bracket G = J0, J1 + Q1 J0 or J2 + Q1 J1
+    + Q2 J0 (L2's less its X^2/3 J0 term, which is not antisymmetric), a form
+    on the sides at X and Y with Q at (X, Y): Q2's XY = M^2 - d^2 is symmetric
+    (_over_diff's M, d).  Order 1 evaluates no C2."""
+    side, Q = functools.partial(_side, order, k, p, q), (1.0,) + _q(k, p, X, Y)
 
-    X^2 times it is a symmetric W(X, Y), so near the diagonal, |X - Y| below
-    _DIAG_EPS X, W(M + d, M - d) = W(M, M) + W2 d^2 + O(d^4): there G(M, Y)/
-    (M - Y) is -dG/dY, and W2 is read from W at M +- h, h = _DIAG_H M, where
-    the quotient loses little to cancellation.  Window and step are relative,
-    so they hold at any scale of X (an absolute step passes 0 for X << 1)."""
-    if abs(X - Y) < _DIAG_EPS * X:
-        M, d = 0.5 * (X + Y), 0.5 * (X - Y)
-        W = -M * M * _pref2(p, q, k, M, M) * G(p, q, M, M, k, 1)
-        h = _DIAG_H * M
-        Wh = (M + h) ** 2 * _over_diff(G, p, q, M + h, M - h, k)
-        return (W + (Wh - W) * (d / h) ** 2) / (X * X)
-    return _pref2(p, q, k, X, Y) * G(p, q, X, Y, k, 0) / (X - Y)
+    def G(f, g):
+        return sum(Q[order - n] * _j(n, f, g) for n in range(order, -1, -1))
+    near = _over_diff(X, Y, lambda M, top: [side(M, r) for r in range(top + 1)], G)
+    pref = _pref2(p, q, k, X, Y)
+    return pref * G(side(X), side(Y)) / (X - Y) if near is None else pref * near
 
 
-_k2 = functools.partial(_over_diff, functools.partial(_bracket, 0))
-_l1_2 = functools.partial(_over_diff, functools.partial(_bracket, 1))
+_k2 = functools.partial(_beta2, 0)
+_l1_2 = functools.partial(_beta2, 1)
 
 
 def _l2_2(p: float, q: float, X, Y, k: int = 0) -> complex:
-    return (_over_diff(functools.partial(_bracket, 2), p, q, X, Y, k)
-            + X * X / 3 * _k2(p, q, X, Y, k))
+    return _beta2(2, p, q, X, Y, k) + X * X / 3 * _k2(p, q, X, Y, k)
 
 
 def _euler_k2(p: float, q: float, X, Y, k: int = 0) -> complex:
     """(X d/dX + Y d/dY) _k2: _pref2 is e^{-i(X+Y)} times a function
-    homogeneous of degree 2(p + k), and 1/(X - Y) of degree -1."""
-    return ((2 * (p + k) - 1 - 1j * (X + Y)) * _k2(p, q, X, Y, k)
-            + _over_diff(_euler_j0, p, q, X, Y, k))
+    homogeneous of degree 2(p + k), and 1/(X - Y) of degree -1.  E J0 = X
+    J0(f'(X), f(Y)) + Y J0(f(X), f'(Y)) for the sides f is antisymmetric."""
+    f, pref = functools.partial(_side, 0, k, p, q), _pref2(p, q, k, X, Y)
+
+    def jets(T, top):  # E J0's pairs (T u', c) and (u, T c'), u = t d
+        s = [f(T, r) for r in range(top + 2)]
+        u, c = [t * d[0] for t, d, _ in s], [w[0] for _, _, w in s]
+        return [(T * u[r + 1] + r * u[r], c[r], u[r], T * c[r + 1] + r * c[r])
+                for r in range(top + 1)]
+    near = _over_diff(X, Y, jets,
+                      lambda a, b: a[0] * b[1] - b[0] * a[1] + a[2] * b[3] - b[2] * a[3])
+    ej0 = (pref * (X * _j(0, f(X, 1), f(Y)) + Y * _j(0, f(X), f(Y, 1))) / (X - Y)
+           if near is None else pref * near)
+    return (2 * (p + k) - 1 - 1j * (X + Y)) * _k2(p, q, X, Y, k) + ej0
 
 
 # --- integral operators ------------------------------------------------------

@@ -11,7 +11,7 @@ from specsing import (EnsembleParams, NonConvergenceError, correlation_det, k_li
                       kernel_s4_scaled, kernel_scaled, rho_finite, rr_norm, rr_poly,
                       skew_constants, tail_integral)
 from specsing import kernels, polynomials
-from specsing.kernels import (_cd_scaled, _h_sub, _phi, _phi_slope, _s_tilde,
+from specsing.kernels import (_cd_scaled, _h_sub, _phi, _phi_jet, _s_tilde,
                               _w1_full_line, eta_constants)
 from specsing.polynomials import CauchyWeightParams, scaled_point_map, weight_cauchy
 from specsing.quadrature import tanh_sinh_adaptive
@@ -46,9 +46,9 @@ class TestBeta2:
 
     @pytest.mark.parametrize("N", [12, 40])
     def test_near_diagonal_matches_direct_sum(self, N):
-        # inside the midpoint window |X - Y| < 2e-6 X, where the CD
-        # kernel is built from _phi_slope, against the direct sum at X of
-        # order 1 (measured worst 2.1e-12)
+        # inside the midpoint window |X - Y| < 3e-3 min(1, X), where the CD
+        # kernel is built from _phi_jet, against the direct sum at X of
+        # order 1 (measured worst 4.5e-13)
         pr = EnsembleParams(2, N, 1.5, 0.7)
         for X in (1.0, 2.5, 6.0):
             for d in (0.0, 1e-7, 5e-7 * (1 + X), -5e-7 * (1 + X)):
@@ -57,7 +57,7 @@ class TestBeta2:
                 assert abs(kernel_s2_scaled(X, X + d, pr) - ref) < 1e-11 * abs(ref)
 
     def test_near_diagonal_window_relative_at_small_X(self):
-        # at X = 1e-4 the midpoint window is |X - Y| < 2e-6 X: a gap of 1e-2 X
+        # at X = 1e-4 the midpoint window is |X - Y| < 3e-3 X: a gap of 1e-2 X
         # takes the quotient, one of 5e-7 X the midpoint (an absolute window
         # of 1e-6 sent the first to the midpoint, 6e-5 off); at N = 12 the
         # double-precision direct sum still resolves this X
@@ -122,9 +122,9 @@ def test_diagonal_is_offdiagonal_limit(beta, N, X):
 @pytest.mark.parametrize("N", [20, 200])
 @pytest.mark.parametrize("X", [0.6, 2.0])
 def test_near_diagonal_branch(beta, N, X):
-    # inside the midpoint window |X - Y| < 2e-6 X, against the exact
+    # inside the midpoint window |X - Y| < 3e-3 min(1, X), against the exact
     # diagonal plus the central slope over +-1e-4; a first-order branch
-    # misses by ~1e-6 (measured worst after the fix 5e-11)
+    # misses by ~1e-6 (measured worst 4.2e-11)
     pr = EnsembleParams(beta, N, 1.5, 0.7)
     diag = kernel_scaled(beta, X, X, pr)
     slope = (kernel_scaled(beta, X, X + 1e-4, pr)
@@ -147,7 +147,7 @@ def test_circular_limit_diagonal(beta, N, X):
 
 def test_diagonal_matches_closed_form_slope():
     # the CD kernel's diagonal against -(phi_k phi'_{k+1} - phi'_k phi_{k+1})/h
-    # from the closed-form slopes of _phi_slope, for the (N, k, P, Q) systems
+    # from the closed-form slopes of _phi_jet, for the (N, k, P, Q) systems
     # of beta = 1, 2 and 4
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -157,10 +157,58 @@ def test_diagonal_matches_closed_form_slope():
         X = rng.uniform(0.05, min(20.0, 0.2 * N))
         P, Q = EnsembleParams(beta, N, p, q).weight_params()
         M, k, S = {1: (N, 1 + N % 2, X), 2: (N, 0, X), 4: (2 * N, 0, 2 * X)}[beta]
-        f0, f1 = _phi(M, k, P, Q, S), _phi(M, k + 1, P, Q, S)
-        ref = -(f0 * _phi_slope(M, k + 1, P, Q, S)
-                - _phi_slope(M, k, P, Q, S) * f1) / _h_sub(M - k - 1, P, Q)
+        (f0, d0), (f1, d1) = _phi_jet(M, k, P, Q, S, 1), _phi_jet(M, k + 1, P, Q, S, 1)
+        ref = -(f0 * d1 - d0 * f1) / _h_sub(M - k - 1, P, Q)
         assert abs(_cd_scaled(M, k, P, Q, S, S) - ref) < 1e-13 * abs(ref)
+
+
+# bench/reference.py's 30-digit values (mpmath, no code shared with the
+# library) of kernel_scaled at (p, q) = (1.5, 0.7): (beta, N, X, 1 - Y/X,
+# value) at Y = X (1 - that), the arguments of the CD kernel (2X at beta = 4)
+# at most 2
+_NEAR_DIAGONAL = [
+    (2, 12, 0.01, 1e-08, 4.35162715753662365966596389232e-9),
+    (2, 12, 0.01, 3e-06, 4.35159458843258124288630858041e-9),
+    (2, 12, 0.01, 0.0001, 4.35053807823584576027296728277e-9),
+    (2, 12, 0.01, 0.0025, 4.3244466992928363630478506637e-9),
+    (2, 12, 0.01, 0.03, 4.03218269913488661154059831857e-9),
+    (2, 12, 0.5, 1e-08, 7.10484486342609455597723936283e-4),
+    (2, 12, 0.5, 3e-06, 7.10478930118776032119511501976e-4),
+    (2, 12, 0.5, 0.0001, 7.10298692813555749239475597508e-4),
+    (2, 12, 0.5, 0.0025, 7.0584833548816803193056948825e-4),
+    (2, 12, 0.5, 0.03, 6.56097926648107458342212130556e-4),
+    (2, 12, 2.0, 1e-08, 6.38457843096422004603834300916e-2),
+    (2, 12, 2.0, 3e-06, 6.38453099723578757189654638796e-2),
+    (2, 12, 2.0, 0.0001, 6.38299226570869385198149780104e-2),
+    (2, 12, 2.0, 0.0025, 6.34497526527385537500564673662e-2),
+    (2, 12, 2.0, 0.03, 5.91698402192822845893627188299e-2),
+    (4, 40, 0.005, 1e-08, 6.3201023275579407868159664442e-18),
+    (4, 40, 0.005, 3e-06, 6.31995109728488795818250098995e-18),
+    (4, 40, 0.005, 0.0001, 6.31504631423063977172003555837e-18),
+    (4, 40, 0.005, 0.0025, 6.19452206068042980600467696161e-18),
+    (4, 40, 0.005, 0.03, 4.92327540984718492825633456349e-18),
+    (4, 40, 0.25, 1e-08, 1.12141060311487130004698262508e-7),
+    (4, 40, 0.25, 3e-06, 1.12138339411693028235328819808e-7),
+    (4, 40, 0.25, 0.0001, 1.12050094128039789368883598098e-7),
+    (4, 40, 0.25, 0.0025, 1.09881923393879987936512977226e-7),
+    (4, 40, 0.25, 0.03, 8.70458473112942932198374492079e-8),
+    (4, 40, 1.0, 1e-08, 5.66008660215420060714605888932e-4),
+    (4, 40, 1.0, 3e-06, 5.65994956063156081223953682385e-4),
+    (4, 40, 1.0, 0.0001, 5.65550494851384882802089094944e-4),
+    (4, 40, 1.0, 0.0025, 5.54628457567657276021634614385e-4),
+    (4, 40, 1.0, 0.03, 4.39395289484732097524571091184e-4),
+]
+
+
+@pytest.mark.parametrize("beta,N,X,gap,ref", _NEAR_DIAGONAL,
+                         ids=[f"{b}-{X}-{g}" for b, _, X, g, _ in _NEAR_DIAGONAL])
+def test_near_diagonal_against_30_digits(beta, N, X, gap, ref):
+    # gaps on both sides of the window |X - Y| < 3e-3 min(1, X): the midpoint
+    # form inside, the quotient outside (a first-order midpoint inside
+    # 2e-6 X and the quotient beyond it were up to 3.8e-9 off here; measured
+    # worst now 3.1e-11)
+    val = kernel_scaled(beta, X, X * (1 - gap), EnsembleParams(beta, N, 1.5, 0.7))
+    assert abs(val - ref) < 1e-10 * abs(ref)
 
 
 class TestCorrelationDet:
@@ -471,7 +519,7 @@ class TestMemo:
 
 class TestCallCounts:
     """A kernel grid sums each 2F1 series once: a diagonal point reads
-    _phi's point memo and adds only its slope's series (_phi_slope).  The
+    _phi's point memo and adds only its slope's series (_phi_jet).  The
     tail integrals run one quadrature per upper limit, the w1 mass that the
     even degrees share; the beta = 4 degree is odd and runs none."""
 

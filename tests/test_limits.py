@@ -1,6 +1,5 @@
 """Scaled-limit kernels, confluent blocks, correction terms, and the
 derivative identity, validated against the finite-N machinery."""
-import functools
 import math
 
 import mpmath
@@ -11,8 +10,8 @@ from scipy.special import jv
 
 from specsing import (ConfluentBlock, EnsembleParams, NonConvergenceError,
                       a_confluent, c_tilde, derivative_identity_residual,
-                      j_blocks, k_limit, kernel_expansion, kernel_scaled, l1, l2,
-                      limits)
+                      j_blocks, k_limit, kernel_expansion, kernel_scaled, kernels, l1,
+                      l2, limits)
 from specsing.kernels import eta_constants
 from specsing.limits import _A, _ix, _jo, _js
 from specsing.series import PoleError
@@ -225,15 +224,31 @@ class TestJBlocks:
         assert [l1(beta, X, Y, params) for X, Y in points] == values
 
     @pytest.mark.parametrize("k", [0, 1])
-    def test_diagonal_bracket_slopes(self, k):
-        # the slope in Y of J0, J1 + Q1 J0 and J2 + Q1 J1 + Q2 J0 at X = Y
-        # (the brackets' r = 1 branch, from the sides' slopes) against
-        # central differences in Y of the brackets' values
+    def test_diagonal_bracket_slopes(self, k, monkeypatch):
+        # the beta = 2 blocks K, L1, L2 and E K by the midpoint form from the
+        # sides' derivatives (the window widened to every gap) against their
+        # quotients (the window shut) at X, Y = M +- d: the misses fall as
+        # d^4, as a first-order form's would as d^2; and at X = Y the blocks
+        # over their prefactor match central differences in Y of the
+        # brackets, from j_blocks
         p, q, M, h = 1.5, 0.7, 1.3, 1e-5
+
+        def at(w, f, d):
+            monkeypatch.setattr(kernels, "_DIAG_W", w)
+            return f(p, q, M + d, M - d, k)
+        for f in (limits._k2, limits._l1_2, limits._l2_2, limits._euler_k2):
+            miss = [abs(at(1.0, f, d) - at(0.0, f, d)) / abs(at(0.0, f, d))
+                    for d in (2e-2, 1e-2)]
+            assert miss[0] < 2e-8 and miss[0] > 12 * miss[1]
+        monkeypatch.undo()
         for order in (0, 1, 2):
-            G = functools.partial(limits._bracket, order, p, q, M)
-            slope = (G(M + h, k, 0) - G(M - h, k, 0)) / (2 * h)
-            assert abs(G(M, k, 1) - slope) <= 1e-8 * abs(slope)
+            def G(Y):
+                b = j_blocks(k, p, q, M, Y)
+                return (b["J0"], b["J1"] + b["Q1"] * b["J0"],
+                        b["J2"] + b["Q1"] * b["J1"] + b["Q2"] * b["J0"])[order]
+            slope = limits._beta2(order, p, q, M, M, k) / limits._pref2(p, q, k, M, M)
+            ref = (G(M - h) - G(M + h)) / (2 * h)
+            assert abs(slope - ref) <= 1e-8 * abs(ref)
 
 
 class TestLimitKernels:
@@ -306,7 +321,7 @@ class TestLimitKernels:
                                      (4, (2.5, -0.3))])
 def test_derivative_identity(beta, pq):
     # off, on and next to the diagonal (inside its midpoint window); measured
-    # worst 4.3e-16 / 1.2e-15 / 2.0e-14 at beta = 1 / 2 / 4, where five-point
+    # worst 3.4e-16 / 7.7e-16 / 9.7e-15 at beta = 1 / 2 / 4, where five-point
     # stencils of K_inf reach 2.9e-11 / 3.7e-10 / 4.8e-9
     pr = EnsembleParams(beta, 20, *pq)
     for (X, Y) in ((2.0, 0.9), (1.0, 2.5), (0.6, 1.7), (1.3, 1.3),
@@ -318,9 +333,9 @@ def test_derivative_identity(beta, pq):
 def test_derivative_identity_at_p_zero(beta):
     # at p = q = 0, L1 is exactly 0 and so is the right side, c = p; L1's
     # rounding noise read 1.0 relative to |L1| alone.  Against |L1| + |K_inf|
-    # measured worst 2.8e-15 / 1.6e-11 / 1.9e-8 at beta = 1 / 2 / 4, the
-    # last at X = 5 just outside the diagonal window, where the direct
-    # quotient cancels
+    # measured worst 2.7e-12 / 3.5e-12 / 9.1e-10 at beta = 1 / 2 / 4, all at
+    # (0.3, 7.0); at (5, 5.0005), inside the diagonal window, the quotient
+    # that it replaces read up to 1.9e-8
     pr = EnsembleParams(beta, 20, 0.0, 0.0)
     for (X, Y) in ((2.0, 0.9), (1.0, 2.5), (1.3, 1.3), (5.0, 5.0005), (0.3, 7.0)):
         assert derivative_identity_residual(beta, X, Y, pr) < 1e-7
@@ -340,8 +355,8 @@ def test_pq_constants_computed_once(beta):
 
 def _near_diagonal_misses(f, beta, X):
     """|f(X, X + d) - (f0 + d slope + d^2 curv)| / |f0| for d inside the
-    window |X - Y| < 1e-5 (1 + X) (for beta = 4 at 2X), slope and curvature
-    from +-1e-3 about the exact diagonal."""
+    window |X - Y| < 3e-3 min(1, X) (for beta = 4 at 2X), slope and
+    curvature from +-1e-3 about the exact diagonal."""
     pr = EnsembleParams(beta, 10, 1.5, 0.7)
     h = 1e-3
     f0 = f(beta, X, X, pr)
@@ -369,7 +384,7 @@ def test_l1_near_diagonal(beta, X):
 @pytest.mark.parametrize("beta", [2, 4])
 @pytest.mark.parametrize("X", [0.6, 2.0])
 def test_l2_near_diagonal(beta, X):
-    # a first-order branch misses by up to 5.4e-5 (measured worst 5.9e-9)
+    # a first-order branch misses by up to 5.4e-5 (measured worst 1.9e-9)
     assert max(_near_diagonal_misses(l2, beta, X)) < 1e-8
 
 
@@ -532,6 +547,145 @@ def test_small_x_next_to_the_diagonal(beta, X, rel, K, L1, L2):
     Y = X * (1 + rel)
     for fn, ref in ((k_limit, K), (l1, L1), (l2, L2)):
         assert abs(fn(beta, X, Y, pr) - ref) < 1e-10 * abs(ref)
+
+
+# bench/reference.py's 30-digit values at (p, q) = (0.5, 0): (beta, X,
+# 1 - Y/X, K_inf, L1, L2) at Y = X (1 - that), the arguments of the beta = 2
+# blocks (2X at beta = 4) at most 2, and beta = 4 at X = 3, 3.1e-5, where a
+# finite-difference curvature was 4.7e-8 (L1) and 8.7e-8 (L2) off
+_NEAR_DIAGONAL = [
+    (1, 0.01, 1e-08,
+     2.61509254583469402180734948265e-2, 1.96128828308356968892451432833e-2, None),
+    (1, 0.01, 3e-06,
+     2.61507299824768892378975362362e-2, 1.96127362280978049685152721147e-2, None),
+    (1, 0.01, 0.0001,
+     2.61443889331412979549665101399e-2, 1.9607980576179632507822462581e-2, None),
+    (1, 0.01, 0.0025,
+     2.59877906969242243238705127408e-2, 1.9490535226655761817517083744e-2, None),
+    (1, 0.01, 0.03,
+     2.42335318919337176133688201044e-2, 1.81748772946138026153392566682e-2, None),
+    (1, 0.5, 1e-08,
+     1.80739357934139454338298633328e-1, 1.31800089836840801651390927274e-1, None),
+    (1, 0.5, 3e-06,
+     1.80738029361720814285878246474e-1, 1.31799140652930181649398168931e-1, None),
+    (1, 0.5, 0.0001,
+     1.80694931568305893199221363471e-1, 1.31768349742526556445879263328e-1, None),
+    (1, 0.5, 0.0025,
+     1.79630479082411894969045577007e-1, 1.31007756299908676054083130339e-1, None),
+    (1, 0.5, 0.03,
+     1.6769149336018054039621361537e-1, 1.2246333893781320678844520484e-1, None),
+    (1, 2.0, 1e-08,
+     2.93357214679804505720099120946e-1, 1.71798521315325373627298752428e-1, None),
+    (1, 2.0, 3e-06,
+     2.93355310188087305041765915891e-1, 1.7179754960340201150402926819e-1, None),
+    (1, 2.0, 0.0001,
+     2.93293527345612082263310847246e-1, 1.71766024292314398196357084341e-1, None),
+    (1, 2.0, 0.0025,
+     2.91765918403908760953419737366e-1, 1.70985070514357030998315784242e-1, None),
+    (1, 2.0, 0.03,
+     2.74414266140373783853011610119e-1, 1.61922088832990752203989645435e-1, None),
+    (2, 0.01, 1e-08,
+     2.499968712761196196332566961e-3, 2.49993746328280669244498367801e-3, -1.04164051589821924536858166719e-8),
+    (2, 0.01, 3e-06,
+     2.49995750050322439046686732393e-3, 2.49992625125842237754333481886e-3, -1.04160781351539633984492148468e-8),
+    (2, 0.01, 0.0001,
+     2.49959376744708238161512514867e-3, 2.49956252577933100324527534657e-3, -1.04054707057115603348257022057e-8),
+    (2, 0.01, 0.0025,
+     2.49059980682870493814109756176e-3, 2.49056875209685557703468621048e-3, -1.01440709703823497970980962918e-8),
+    (2, 0.01, 0.03,
+     2.3883190315812340341598224704e-3, 2.38829004646121049914925011833e-3, -7.29122193675939832987159194699e-9),
+    (2, 0.5, 1e-08,
+     1.21174078004213819049781900601e-1, 1.17427446397802115813066163836e-1, -1.22279165222751758907384109044e-3),
+    (2, 0.5, 3e-06,
+     1.21173545741219427034044823203e-1, 1.17426941672813244908444518453e-1, -1.222752550430888559936292976e-3),
+    (2, 0.5, 0.0001,
+     1.21156278696300031191617759317e-1, 1.17410567900609002695205083936e-1, -1.2214842312120001454248918472e-3),
+    (2, 0.5, 0.0025,
+     1.20729269244274505684932100367e-1, 1.17005597911486308212751873087e-1, -1.19022695554838326886950801424e-3),
+    (2, 0.5, 0.03,
+     1.15866503969305831416534184939e-1, 1.12386999413464426116461324747e-1, -8.48844204402570212429291485524e-4),
+    (2, 2.0, 1e-08,
+     3.18176898082711793964864666083e-1, 1.91369291225854154627754140333e-1, -2.77176207273644909153109876932e-2),
+    (2, 2.0, 3e-06,
+     3.18175850212154833295525392039e-1, 1.91368930185228799935441839901e-1, -2.7716246483090156897779543813e-2),
+    (2, 2.0, 0.0001,
+     3.1814185369679773378804301239e-1, 1.9135721367369073907227283411e-1, -2.7671669689286619735082268261e-2),
+    (2, 2.0, 0.0025,
+     3.17299438190589238170755099441e-1, 1.91064963442214723004393703539e-1, -2.65722709117937657478465303433e-2),
+    (2, 2.0, 0.03,
+     3.07479145982573380807226647396e-1, 1.87400477064327520848685776926e-1, -1.44633215868542179345374727079e-2),
+    (4, 0.005, 1e-08,
+     5.30513803176415330749450931853e-6, 7.95768052195028603506989181078e-6, 2.65253806927979723305549397565e-6),
+    (4, 0.005, 3e-06,
+     5.30507458270810821366273275084e-6, 7.95758534884208507183285109373e-6, 2.65250634557132061101919769298e-6),
+    (4, 0.005, 0.0001,
+     5.3030164592203559691288210638e-6, 7.95449817904441343916012993676e-6, 2.65147731040636020017245824125e-6),
+    (4, 0.005, 0.0025,
+     5.25225261229209587129284606875e-6, 7.87835278814694064161695973145e-6, 2.62609603941788448448845776176e-6),
+    (4, 0.005, 0.03,
+     4.69210966472952353182160122579e-6, 7.03814240194482492557975370344e-6, 2.34603136558740019002832629042e-6),
+    (4, 0.25, 1e-08,
+     1.30981084097299824269740656673e-2, 1.94833396246118256742605805609e-2, 6.3585784492831181707314543571e-3),
+    (4, 0.25, 3e-06,
+     1.30979527365834078134326155289e-2, 1.94831090421746637647618534979e-2, 6.35850564412447348764787712002e-3),
+    (4, 0.25, 0.0001,
+     1.30929030899348250585650737018e-2, 1.94756295139755042640091073593e-2, 6.35614399627170564945269941568e-3),
+    (4, 0.25, 0.0025,
+     1.29683456877266113952899432384e-2, 1.92911279609534883488042296545e-2, 6.29787121159776553481043514422e-3),
+    (4, 0.25, 0.03,
+     1.15930049921966978690248510634e-2, 1.72529514599247448094289585837e-2, 5.65197159616456158017820625702e-3),
+    (4, 1.0, 1e-08,
+     1.73590699720100016200689480579e-1, 2.25386761778309062603629627256e-1, 4.82397268916410962748292716135e-2),
+    (4, 1.0, 3e-06,
+     1.73588832875761533480308123943e-1, 2.25384548547913099226498076039e-1, 4.82397722215596554143476793994e-2),
+    (4, 1.0, 0.0001,
+     1.7352827481958631362460114119e-1, 2.2531275152625248132838736268e-1, 4.82412363475779033639387550657e-2),
+    (4, 1.0, 0.0025,
+     1.72033098861067004400380444673e-1, 2.23538461297977416545544640821e-1, 4.82734977348252303266466370617e-2),
+    (4, 1.0, 0.03,
+     1.55340724791319466688178058517e-1, 2.03519730587502001266848523888e-1, 4.81265227112579286544833175423e-2),
+    (4, 3.0, 3.1e-05,
+     3.33122616518426540274708992768e-1, 6.34697360769834097136868162898e-3, -4.44326835060697157075780503742e-2),
+]
+
+
+@pytest.mark.parametrize("beta,X,gap,K,L1,L2", _NEAR_DIAGONAL,
+                         ids=[f"{b}-{X}-{g}" for b, X, g, *_ in _NEAR_DIAGONAL])
+def test_limits_near_diagonal_against_30_digits(beta, X, gap, K, L1, L2):
+    # gaps on both sides of the window |X - Y| < 3e-3 min(1, X) (measured
+    # worst 2.3e-11, where a window of 3e-5 X with a curvature from M +- 1e-3
+    # M was up to 8.7e-8 off).  Not at X = 1e-3: there beta = 2 L2's
+    # quotient, outside the window, is up to 9e-10 off at gaps near 1e-2, as
+    # its bracket cancels at small X
+    pr = EnsembleParams(beta, 10, 0.5, 0.0)
+    Y = X * (1 - gap)
+    for fn, ref in ((k_limit, K), (l1, L1), (l2, L2)):
+        if ref is not None:
+            assert abs(fn(beta, X, Y, pr) - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_diagonal_sums_only_the_passes_at_the_point(beta, monkeypatch):
+    # on the diagonal k_limit, l1 and l2 read the sides and their first
+    # slopes from the families at the point itself: two Coulomb passes (the
+    # blocks k and k + 1), which the integral terms share, where quotients
+    # at M +- 1e-3 M added four
+    passes = []
+    coulomb = limits._coulomb
+
+    def count(pk, q, x, top):
+        passes.append((pk, q, x))
+        return coulomb(pk, q, x, top)
+    monkeypatch.setattr(limits, "_coulomb", count)
+    for cache in (coulomb, limits._A, limits._jo, limits._js):
+        cache.cache_clear()
+    p, q = 1.37, 0.41
+    pr = EnsembleParams(beta, 100, p, q)
+    for fn in (k_limit, l1, l2)[:2 if beta == 1 else 3]:
+        fn(beta, 1.3, 1.3, pr)
+    pk, qe, x = {1: (p + 1, 2 * q, 1.3), 2: (p, q, 1.3), 4: (2 * p, q, 2.6)}[beta]
+    assert set(passes) == {(pk, qe, x), (pk + 1, qe, x)}
+    assert coulomb.cache_info().misses == 2
 
 
 class TestFiniteNConsistency:

@@ -13,7 +13,7 @@ from scipy.special import loggamma
 from specsing import (NonConvergenceError, PoleError, SeriesControl,
                       gamma_ratio_expansion, hyp1f1, hyp2f1_terminating,
                       log_gamma, pochhammer)
-from specsing.kernels import _phi, _phi_slope
+from specsing.kernels import _phi_jet
 from specsing.series import _TINY, _node_series
 
 
@@ -548,9 +548,23 @@ class TestConfluentLimit:
 
 @pytest.mark.parametrize("N", [12, 400])
 @pytest.mark.parametrize("k", [0, 1])
-def test_phi_slope(N, k):
-    # _phi's closed-form slope (the prefactor's log-derivative and the
-    # 2F1's slope series) against central differences of its values
-    P, Q, X, h = N + 1.3, 0.4, 1.7, 1e-5
-    slope = (_phi(N, k, P, Q, X + h) - _phi(N, k, P, Q, X - h)) / (2 * h)
-    assert abs(_phi_slope(N, k, P, Q, X) - slope) <= 1e-8 * abs(slope)
+def test_phi_jet(N, k):
+    # _phi's closed-form derivatives of orders 1..3 (the prefactor's
+    # log-derivatives and the 2F1's shifted series) against mpmath's
+    # numerical derivatives of the same function at 30 digits, whose 2F1 is
+    # mpmath's own
+    P, Q, X = N + 1.3, 0.4, 1.7
+    p = P - N
+
+    def phi(x):
+        u = x / N
+        F = mpmath.hyp2f1(-(N - k), mpmath.mpc(p + k, -Q), 2 * p + 2 * k, 1 - mpmath.expj(2 * u))
+        return ((-1) ** (N - k) * mpmath.sin(u) ** (p + k) * mpmath.exp(Q * (u - mpmath.pi / 2))
+                * mpmath.expj(k * u - x) * F)
+
+    with mpmath.workdps(30):
+        ref = [complex(mpmath.diff(phi, mpmath.mpf(X), r)) for r in range(4)]
+    jet = _phi_jet(N, k, P, Q, X, 3)
+    assert len(_phi_jet(N, k, P, Q, X, 1)) == 2
+    for r in range(4):
+        assert abs(jet[r] - ref[r]) <= 1e-13 * abs(ref[r])
