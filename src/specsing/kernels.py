@@ -39,13 +39,14 @@ from .series import _TINY, DEFAULT_CONTROL, NonConvergenceError, hyp2f1_terminat
 _DIAG_W = 3e-3
 
 
-def _over_diff(X: float, Y: float, jets, pair):
+def _over_diff(X: float, Y: float, jets, pair=lambda f, g: f[0] * g[1] - g[0] * f[1]):
     """G(X, Y)/(X - Y) for G(X, Y) = pair(f(X), f(Y)) antisymmetric and
-    bilinear in the sides f: None where |X - Y| >= _DIAG_W min(1, X), left to
-    the caller's quotient; else pair(f', f) + d^2 [pair(f''', f)/6 + pair(f',
-    f'')/2], error O(d^4), from jets(M, top) = [f, f', ...] at M = (X + Y)/2, d
-    = (X - Y)/2, top 1 at d = 0.  The quotient loses eps s/|X - Y|, the form
-    (d/s)^4, s the scale of G: X near 0 (powers of X), 1 beyond (e^{iX})."""
+    bilinear in the sides f (by default (a, b): a(X) b(Y) - a(Y) b(X)): None
+    where |X - Y| >= _DIAG_W min(1, X), left to the caller's quotient; else
+    pair(f', f) + d^2 [pair(f''', f)/6 + pair(f', f'')/2], error O(d^4), from
+    jets(M, top) = [f, f', ...] at M = (X + Y)/2, d = (X - Y)/2, top 1 at d =
+    0.  The quotient loses eps s/|X - Y|, the form (d/s)^4, s the scale of G:
+    X near 0 (powers of X), 1 beyond (e^{iX})."""
     if abs(X - Y) >= _DIAG_W * min(1.0, X):
         return None
     M, d = 0.5 * (X + Y), 0.5 * (X - Y)
@@ -116,8 +117,7 @@ def _cd_scaled(N: int, k: int, P: float, Q: float, X: float, Y: float) -> comple
         raise ValueError("X/N and Y/N must lie in (0, pi)")
     h, delta = _h_sub(N - k - 1, P, Q), (X - Y) / N
     near = _over_diff(X, Y, lambda M, top: list(zip(
-        _phi_jet(N, k, P, Q, M, top), _phi_jet(N, k + 1, P, Q, M, top))),
-        lambda a, b: a[0] * b[1] - b[0] * a[1])
+        _phi_jet(N, k, P, Q, M, top), _phi_jet(N, k + 1, P, Q, M, top))))
     if near is not None:  # times (X - Y)/(z(X) - z(Y)) dz/dX / h, not symmetric
         return math.sin(uY) / math.sin(uX) * (delta / math.sin(delta) if delta else 1.0) / h * near
     num = (_phi(N, k, P, Q, X) * _phi(N, k + 1, P, Q, Y)

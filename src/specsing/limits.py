@@ -258,7 +258,7 @@ def _side(order: int, k: int, p: float, q: float, T: float, r: int = 0) -> tuple
     d_a = C_a^{(p, q, k + 1)}(T) for a = 0..order, so that u_a = T d_a; for
     r > 0 the r-th derivatives in T as (1, u^(r), c^(r)), u^(r) = T d^(r) +
     r d^(r-1).  J_n = t_X sum_a d_a(X) c_(n-a)(Y) - t_Y sum_a d_a(Y) c_(n-a)(X)
-    (_j) is linear in each side, so its derivatives are J_n of sides' ones."""
+    (_j) is linear in each side: its derivatives are J_n of the sides' ones."""
     c = [_c(a, k, p, q, T, r) for a in range(order + 1)]
     d = [_c(a, k + 1, p, q, T, r) for a in range(order + 1)]
     if not r:

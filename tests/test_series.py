@@ -548,7 +548,7 @@ class TestConfluentLimit:
 
 @pytest.mark.parametrize("N", [12, 400])
 @pytest.mark.parametrize("k", [0, 1])
-def test_phi_jet(N, k):
+def test_phi_slope(N, k):
     # _phi's closed-form derivatives of orders 1..3 (the prefactor's
     # log-derivatives and the 2F1's shifted series) against mpmath's
     # numerical derivatives of the same function at 30 digits, whose 2F1 is
