@@ -12,6 +12,9 @@ eigenvalue PDF, and the determinantal diagonal at beta = 2):
         * e^{-q theta} e^{i n b theta / 2} |1 - e^{i theta}|^{p b} * F_n(theta),
   n = N - 1,  F_n = 2F1^{(b/2)}(-n, p+1-2iq/b; -n-p-2(1+iq)/b+2; (e^{-i theta})^b).
 
+F_n's Jack series is summed once per parameter set, by shells at x = 1,
+and each theta is a Horner pass over them at e^{-i theta} on the unit circle.
+
   rho_inf(theta) = e^{q pi} C_b e^{i b theta/2} theta^{p b}
                    1F1^{(b/2)}(p+1-2iq/b; 2p+2; (-i theta)^b).
 """
@@ -19,12 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .jack import _hyp2f1_unit, _pfq_shells, hyper_pfq_alpha
+from .jack import _hyp2f1_unit, _pfq_shells
 from .polynomials import EnsembleParams
 from .quadrature import _T_CUT, _sinc_matrix, _unit_nodes, sector_integrate_adaptive
 from .series import NonConvergenceError, PoleError, log_gamma
@@ -412,10 +416,32 @@ def _rho_prefactor(theta: float, params: EnsembleParams) -> complex:
             * np.abs(1 - np.exp(1j * theta)) ** (p * beta))
 
 
+@lru_cache(maxsize=256)
+def _finite_shells(params: EnsembleParams) -> np.ndarray:
+    """Shells of rho_finite's Jack series F_n at x = 1, read-only: shell w
+    is homogeneous of degree w in x, so at x = e^{-i theta} it is
+    e^{-i w theta} times entry w.  |x| = 1 gives every term the same modulus
+    at every theta, so these overflow or underflow exactly where the series
+    at x would.  Weight beta n holds the whole beta x n box: the series is
+    summed exactly.  It does not depend on theta, so it is cached per
+    parameter set; lru_cache keeps no exception, so a parameter set that
+    raises (a pole, a non-finite shell, a tree past the node budget) raises
+    on every call."""
+    beta, p, q, n = params.beta, params.p, params.q, params.size - 1
+    cpar = complex(-n - p - 2 / beta + 2, -2 * q / beta)
+    shells = _pfq_shells([complex(-n), complex(p + 1, -2 * q / beta)], [cpar],
+                         beta / 2, beta, 1.0, beta * n)
+    shells.flags.writeable = False
+    return shells
+
+
 def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> float:
     """Finite-N spectral density rho_{N,beta}(theta), beta even.
 
-    path 'jack' sums the Jack series F_n.  path 'integral' (beta in {2, 4})
+    path 'jack' sums the Jack series F_n once per parameter set, at x = 1
+    (_finite_shells), and evaluates it at x = e^{-i theta} by Horner's rule
+    over its shells, whose rounding bound, eps sum_w |shell_w|, is that of
+    the sum at x.  path 'integral' (beta in {2, 4})
     takes F_n = I_N(theta) / 2F1^(beta/2)(-n, -b~; 2p+2; 1^beta), -b~ =
     p+1-2iq/beta, with the denominator in closed form (_hyp2f1_unit): it
     shares no series with the Jack path.
@@ -425,19 +451,18 @@ def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> floa
         raise ValueError("density requires even beta")
     if not 0 < theta < 2 * math.pi:
         raise ValueError("theta must lie in (0, 2 pi)")
+    if path not in ("jack", "integral"):
+        raise ValueError("path must be 'jack' or 'integral'")
     if p == 0:
         return N / (2 * math.pi)  # circular ensemble: exactly uniform
     n = N - 1
     if path == "jack":
-        # weight beta n holds the whole beta x n box: the series is summed exactly
-        cpar = complex(-n - p - 2 / beta + 2, -2 * q / beta)
-        F = hyper_pfq_alpha([complex(-n), complex(p + 1, -2 * q / beta)], [cpar],
-                            beta / 2, beta, np.exp(-1j * theta), max_weight=beta * n)
-    elif path == "integral":
+        z, F = cmath.exp(-1j * theta), 0j
+        for shell in reversed(_finite_shells(params).tolist()):
+            F = F * z + shell
+    else:
         F = i_integral("finite_N", theta, params) / _hyp2f1_unit(
             n, complex(p + 1, -2 * q / beta), complex(2 * p + 2), beta / 2, beta)
-    else:
-        raise ValueError("path must be 'jack' or 'integral'")
     val = _rho_prefactor(theta, params) * F
     if not np.isfinite(val):
         raise ArithmeticError(f"density is not finite at theta={theta}: {val}")
@@ -481,18 +506,20 @@ def _rho_limit(theta: float, params: EnsembleParams, path: str = "jack",
     beta, p, q = params.beta, params.p, params.q
     if beta % 2:
         raise ValueError("density requires even beta")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
+    if path not in ("jack", "integral"):
+        raise ValueError("path must be 'jack' or 'integral'")
+    if operator.index(max_weight) < 0:
+        raise ValueError("max_weight must be a nonnegative integer")
     if p == 0:
         return 1 / (2 * math.pi), None  # circular ensemble limit, uniform
     shells = None
     if path == "jack":
         shells = _limit_shells(theta, params, max_weight)
         F = np.sum(shells)
-    elif path == "integral":
-        F = _b_integral(params, lambda z: np.exp(1j * theta * z), normalized=True)
     else:
-        raise ValueError("path must be 'jack' or 'integral'")
+        F = _b_integral(params, lambda z: np.exp(1j * theta * z), normalized=True)
     val = c_beta_limit(params) * np.exp(1j * beta * theta / 2) \
         * theta ** (p * beta) * F
     if not np.isfinite(val):

@@ -78,6 +78,15 @@ class TestCommands:
         rep = load_report(cfg.out)
         assert rep["rows"][0][1] > 0
 
+    def test_density_eval_grid_deterministic_bytes(self, tmp_path):
+        # theta values share each N's cached Jack series
+        out = [str(tmp_path / f"r{k}.csv") for k in (1, 2)]
+        for path in out:
+            assert run(_cfg(tmp_path, command="density-eval", beta=4, n_list=[6, 12],
+                            grid_x=[0.3, 1.1, 2.0, 3.5, 5.9], out=path, format="csv")) == 0
+        first = open(out[0], "rb").read()
+        assert first == open(out[1], "rb").read() and first.count(b"\n") == 11
+
     def test_verify_identity(self, tmp_path):
         cfg = _cfg(tmp_path, command="verify-identity", n_list=[20],
                    grid_x=[2.0], grid_y=[0.9])

@@ -13,6 +13,7 @@ from specsing import (DensityTilde, EnsembleParams, MorrisParams, NonConvergence
                       tanh_sinh_rule)
 from specsing import density
 from specsing.density import _morris_ratio, c_beta_limit
+from specsing.jack import hyper_pfq_alpha
 from specsing.quadrature import _T_CUT, sector_integrate
 
 
@@ -457,6 +458,77 @@ class TestRhoFinite:
         with pytest.raises(ValueError):
             rho_finite(1.0, pr, "bogus")
 
+    @pytest.mark.parametrize("theta,path", [(1.0, "bogus"), (math.nan, "jack"),
+                                            (0.0, "jack")])
+    def test_domain_checked_before_uniform_shortcut(self, theta, path):
+        # p = 0 returned N / (2 pi) before path was checked
+        with pytest.raises(ValueError):
+            rho_finite(theta, EnsembleParams(2, 5, 0, 0), path)
+
+    def test_shells_match_series_at_theta(self):
+        # one Jack series at x = 1 and Horner at e^{-i theta} against the
+        # series summed at x = e^{-i theta}, on a seeded grid.  At (p, q) =
+        # (1.3, 0.4) they agree to 1e-10 (measured 9.5e-12 over seeds 1-5).
+        # At other (p, q) the shells cancel by up to 1e8 near theta = pi,
+        # where each sum is only within a few eps sum_w |shell_w| of F
+        # (measured: the two differ by at most 5 eps sum_w |shell_w|)
+        rng = random.Random(32)
+        eps = np.finfo(float).eps
+        for beta, top in ((2, 45), (4, 20), (6, 8)):
+            for _ in range(8):
+                N = rng.randint(1, top)
+                for p, q in ((1.3, 0.4), (rng.uniform(0.5, 2.5), rng.uniform(-1, 1))):
+                    pr, n = EnsembleParams(beta, N, p, q), N - 1
+                    shells = density._finite_shells(pr)
+                    for _ in range(3):
+                        theta = rng.uniform(0.01, 2 * math.pi - 0.01)
+                        F = hyper_pfq_alpha([complex(-n), complex(p + 1, -2 * q / beta)],
+                                            [complex(-n - p - 2 / beta + 2, -2 * q / beta)],
+                                            beta / 2, beta, np.exp(-1j * theta), beta * n)
+                        pref = density._rho_prefactor(theta, pr)
+                        ref = (pref * F).real
+                        err = abs(rho_finite(theta, pr) - ref)
+                        if (p, q) == (1.3, 0.4):
+                            assert err < 1e-10 * ref, (beta, N, theta)
+                        bound = 32 * eps * abs(pref) * np.sum(np.abs(shells))
+                        assert err < 1e-10 * ref + bound, (beta, N, p, q, theta)
+
+    def test_theta_sweep_sums_series_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shells(*args)
+
+        shells = density._pfq_shells
+        monkeypatch.setattr(density, "_pfq_shells", counted)
+        density._finite_shells.cache_clear()
+        pr = EnsembleParams(4, 12, 1.3, 0.4)
+        vals = [rho_finite(float(t), pr) for t in np.linspace(0.1, 6.1, 20)]
+        assert len(calls) == 1 and all(v > 0 for v in vals)
+        assert not density._finite_shells(pr).flags.writeable
+
+    def test_expansion_check_sums_each_finite_series_once(self, monkeypatch):
+        # theta / N and theta / (N + p) share the parameter set at each N
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4])
+            return shells(*args)
+
+        shells = density._pfq_shells
+        monkeypatch.setattr(density, "_pfq_shells", counted)
+        density._finite_shells.cache_clear()
+        density_expansion_check(1.0, EnsembleParams(2, 8, 1.5, 0.7), [8, 16, 32])
+        assert calls.count(1.0) == 3 and len(calls) == 4  # and one limit series
+
+    def test_past_node_budget_raises_at_every_theta(self):
+        # the budget does not depend on theta, and lru_cache keeps no exception
+        pr = EnsembleParams(6, 64, 1.3, 0.4)
+        for theta in (0.5, 2.0):
+            with pytest.raises(NonConvergenceError):
+                rho_finite(theta, pr)
+
     def test_reality_and_positivity_grid(self):
         pr = EnsembleParams(2, 5, 1.5, 0.7)
         for theta in np.linspace(0.2, 6.0, 9):
@@ -468,6 +540,16 @@ class TestRhoLimit:
         pr = EnsembleParams(2, 8, 0.0, 0.0)
         assert rho_limit(1.0, pr) == pytest.approx(1 / (2 * math.pi))
         assert rho_limit(2.5, pr) == pytest.approx(1 / (2 * math.pi))
+
+    @pytest.mark.parametrize("pq", [(0.0, 0.0), (1.5, 0.7)])
+    @pytest.mark.parametrize("theta,kw,match", [
+        (1.0, {"path": "bogus"}, "path"), (1.0, {"max_weight": -3}, "max_weight"),
+        (math.nan, {}, "theta"), (math.inf, {}, "theta"), (0.0, {}, "theta")])
+    def test_domain_checked_before_uniform_shortcut(self, pq, theta, kw, match):
+        # p = 0 returned 1 / (2 pi) before path and max_weight were checked,
+        # and a NaN theta raised naming the series argument x
+        with pytest.raises(ValueError, match=match):
+            rho_limit(theta, EnsembleParams(2, 5, *pq), **kw)
 
     def test_small_theta_power(self):
         # leading behaviour theta^(p beta) (1 - q theta/(p+1)): the sum rule
