@@ -12,11 +12,11 @@ eigenvalue PDF, and the determinantal diagonal at beta = 2):
         * e^{-q theta} e^{i n b theta / 2} |1 - e^{i theta}|^{p b} * F_n(theta),
   n = N - 1,  F_n = 2F1^{(b/2)}(-n, p+1-2iq/b; -n-p-2(1+iq)/b+2; (e^{-i theta})^b).
 
-F_n's Jack series is summed once per parameter set, by shells at x = 1,
-and each theta is a Horner pass over them at e^{-i theta} on the unit circle.
-
   rho_inf(theta) = e^{q pi} C_b e^{i b theta/2} theta^{p b}
                    1F1^{(b/2)}(p+1-2iq/b; 2p+2; (-i theta)^b).
+
+F_n's Jack series is summed once per parameter set, by shells at x = 1,
+and each theta is a Horner pass over them at x = e^{-i theta}.
 """
 from __future__ import annotations
 
@@ -418,15 +418,14 @@ def _rho_prefactor(theta: float, params: EnsembleParams) -> complex:
 
 @lru_cache(maxsize=256)
 def _finite_shells(params: EnsembleParams) -> np.ndarray:
-    """Shells of rho_finite's Jack series F_n at x = 1, read-only: shell w
-    is homogeneous of degree w in x, so at x = e^{-i theta} it is
-    e^{-i w theta} times entry w.  |x| = 1 gives every term the same modulus
-    at every theta, so these overflow or underflow exactly where the series
-    at x would.  Weight beta n holds the whole beta x n box: the series is
-    summed exactly.  It does not depend on theta, so it is cached per
-    parameter set; lru_cache keeps no exception, so a parameter set that
-    raises (a pole, a non-finite shell, a tree past the node budget) raises
-    on every call."""
+    """Shells of rho_finite's Jack series F_n at x = 1, read-only and cached
+    per parameter set.  Shell w is homogeneous of degree w in x, so at
+    x = e^{-i theta} it is e^{-i w theta} times entry w; |x| = 1 gives every
+    term the same modulus at every theta, so the sum at x = 1 overflows or
+    underflows only where the sum at x would.  Weight beta n holds the whole
+    beta x n box: the series is summed exactly.  lru_cache keeps no
+    exception: a parameter set that raises (a pole, a non-finite shell, a
+    tree past the node budget) raises on every call."""
     beta, p, q, n = params.beta, params.p, params.q, params.size - 1
     cpar = complex(-n - p - 2 / beta + 2, -2 * q / beta)
     shells = _pfq_shells([complex(-n), complex(p + 1, -2 * q / beta)], [cpar],
@@ -438,13 +437,13 @@ def _finite_shells(params: EnsembleParams) -> np.ndarray:
 def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> float:
     """Finite-N spectral density rho_{N,beta}(theta), beta even.
 
-    path 'jack' sums the Jack series F_n once per parameter set, at x = 1
-    (_finite_shells), and evaluates it at x = e^{-i theta} by Horner's rule
-    over its shells, whose rounding bound, eps sum_w |shell_w|, is that of
-    the sum at x.  path 'integral' (beta in {2, 4})
-    takes F_n = I_N(theta) / 2F1^(beta/2)(-n, -b~; 2p+2; 1^beta), -b~ =
-    p+1-2iq/beta, with the denominator in closed form (_hyp2f1_unit): it
-    shares no series with the Jack path.
+    path 'jack' evaluates the Jack series F_n by Horner's rule in
+    e^{-i theta} over its shells at x = 1 (_finite_shells), whose rounding
+    bound, eps sum_w |shell_w|, is that of the sum at x = e^{-i theta}.
+    path 'integral' (beta in {2, 4}) takes F_n = I_N(theta) /
+    2F1^(beta/2)(-n, -b~; 2p+2; 1^beta), -b~ = p+1-2iq/beta, with the
+    denominator in closed form (_hyp2f1_unit): it shares no series with the
+    Jack path.
     """
     beta, p, q, N = params.beta, params.p, params.q, params.size
     if beta % 2:
@@ -455,14 +454,13 @@ def rho_finite(theta: float, params: EnsembleParams, path: str = "jack") -> floa
         raise ValueError("path must be 'jack' or 'integral'")
     if p == 0:
         return N / (2 * math.pi)  # circular ensemble: exactly uniform
-    n = N - 1
     if path == "jack":
         z, F = cmath.exp(-1j * theta), 0j
         for shell in reversed(_finite_shells(params).tolist()):
             F = F * z + shell
     else:
         F = i_integral("finite_N", theta, params) / _hyp2f1_unit(
-            n, complex(p + 1, -2 * q / beta), complex(2 * p + 2), beta / 2, beta)
+            N - 1, complex(p + 1, -2 * q / beta), complex(2 * p + 2), beta / 2, beta)
     val = _rho_prefactor(theta, params) * F
     if not np.isfinite(val):
         raise ArithmeticError(f"density is not finite at theta={theta}: {val}")
