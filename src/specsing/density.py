@@ -86,13 +86,19 @@ class DensityTilde:
 
 
 def _log_morris(m: MorrisParams) -> complex:
-    """log M_N(a, b, lam), summed term by term (see morris_closed)."""
-    a, b, lam, N = m.a, m.b, m.lam, m.N
+    """log M_N(a, b, lam), summed term by term (see morris_closed).  For
+    b = conj(a) off the real axis (the ensemble's normalizations) log G at
+    lam j + b + 1 is the conjugate of log G at lam j + a + 1, which log_gamma
+    forms by that conjugation anyway."""
+    a, b, lam, N = complex(m.a), complex(m.b), m.lam, m.N
+    mirror = a.imag != 0 and b == a.conjugate()
+    log_g1 = log_gamma(1 + lam)
     total = 0.0 + 0.0j
     for j in range(N):
+        ga = log_gamma(lam * j + a + 1)
+        gb = ga.conjugate() if mirror else log_gamma(lam * j + b + 1)
         total += (log_gamma(lam * j + a + b + 1) + log_gamma(lam * (j + 1) + 1)
-                  - log_gamma(lam * j + a + 1) - log_gamma(lam * j + b + 1)
-                  - log_gamma(1 + lam))
+                  - ga - gb - log_g1)
     return total
 
 

@@ -6,6 +6,14 @@ and the duality/ratio transformation.
 The C-normalization is pinned by the sum rule
     sum_{|k| = n} C_k^(alpha)(x 1_m) = (m x)^n,
 which the principal-specialization product below satisfies identically.
+
+A series is summed on a cached partition tree.  A terminating series that
+sums its whole m x n box shares the tree of the m x w box, w the least
+power of two >= n, while that tree is small (_SHARED_NODES): the m x n box
+is parent-closed in it, so every term inside is formed from the same
+factors along the same path as on the box's own tree, and the nodes with
+k_1 > n are set to zero and left out of the sums.  A sweep over the box
+widths then builds one tree per power of two instead of one per n.
 """
 from __future__ import annotations
 
@@ -81,6 +89,17 @@ class _PartitionTree:
 # 600 MB.  beta = 6, N = 32 (2,324,784 nodes) is admitted; beta = 6, N >= 36
 # and beta = 4, N >= 99 (4,249,575 nodes) are not.
 _MAX_NODES = 2 ** 22
+
+# a series that sums its whole m x n box is summed on the tree of the m x w
+# box, w the least power of two >= n, while that tree has at most
+# _SHARED_NODES partitions, so one tree serves every n in (w/2, w].  Measured
+# (2-CPU VM): a build (_jack_tree) costs a flat 120-330 us, growing with m,
+# up to about 2,000 nodes, then about 0.13 us a node, and a series about
+# 0.035 us a node.  Past the cap the wider tree's extra nodes cost more than
+# a build saves: m = 4, n = 33 would go from 66,045 to 814,385 nodes (a
+# build of 8 ms to one of 108 ms).  Under it, m = 2 shares widths up to 64,
+# m = 4 and m = 6 up to 8.
+_SHARED_NODES = 2 ** 12
 
 
 def _tree_size(m: int, max_weight: int, max_part: int) -> float:
@@ -175,6 +194,14 @@ def _partition_tree(m: int, max_weight: int, max_part: int) -> _PartitionTree:
     for a in arrays + (scan, blocks, block_weights) + tuple(t[2] for t in sweeps):
         a.setflags(write=False)   # shared by every caller through the cache
     return _PartitionTree(*arrays, starts, scan, sweeps, blocks, block_weights)
+
+
+def _box_width(m: int, n: int) -> int:
+    """The part bound of the tree that sums a whole m x n box: the least
+    power of two w >= n if the m x w box holds at most _SHARED_NODES
+    partitions (C(w + m, m) of them), n otherwise."""
+    w = 1 << (n - 1).bit_length() if n else 0
+    return w if math.comb(w + m, m) <= _SHARED_NODES else n
 
 
 def _sweep_plan(parent: np.ndarray, sizes: np.ndarray) -> tuple:
@@ -333,7 +360,9 @@ def hyper_pfq_alpha(a_list, b_list, alpha: float, m: int, x: complex,
     to an ancestor's, which can overflow where no term does; a shell that is
     not finite raises NonConvergenceError.  A numerator parameter
     -n (n a nonnegative integer) makes every term with k_1 > n vanish, and
-    those partitions are never enumerated.  A zero denominator factor raises
+    those partitions are left out of the sum: the tree bounds k_1 by n, or,
+    when it is shared by a whole box (see _pfq_shells), holds them with
+    their terms set to zero and unsummed.  A zero denominator factor raises
     ZeroDivisionError unless the numerator of that term vanishes too.  alpha
     must be positive and finite and x finite; otherwise ValueError is
     raised.  A tree past _MAX_NODES partitions raises NonConvergenceError
@@ -354,7 +383,13 @@ def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex,
     Every term is the product of the steps (term / parent's term) along its
     path from the root: the steps are formed in scan order, with the root's
     set to 1, and _sweep multiplies them out in place, in 2 ceil(log2(depth
-    + 1)) - 1 vectorized passes rather than one pass per shell."""
+    + 1)) - 1 vectorized passes rather than one pass per shell.
+
+    A whole m x n box (m n <= max_weight) is summed on the tree of the m x w
+    box (_box_width).  There the nodes with k_1 > n, below the box, get a
+    zero step (and a unit denominator, so no pole outside the box raises),
+    and each shell sums its inside nodes alone, packed and in graded order,
+    as the box's own tree holds them."""
     alpha, m = float(alpha), int(m)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be positive and finite")
@@ -363,11 +398,19 @@ def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex,
     orders = [int(-a.real) for a in map(complex, a_list)
               if a.imag == 0 and a.real <= 0 and a.real.is_integer()]
     max_part = min([max_weight, *orders])
-    tree, ratio, content = _jack_tree(m, max_weight, alpha, max_part)
+    whole = bool(orders) and m * min(orders) <= max_weight   # the whole m x n box
+    width = _box_width(m, max_part) if whole else max_part
+    tree, ratio, content = _jack_tree(m, m * width if whole else max_weight,
+                                      alpha, width)
     terms = _box_factors(a_list, content)   # the steps, formed in place
     den = _box_factors(b_list, content)
+    if width > max_part:
+        # a shared tree: the box is parent-closed in it, so the nodes with
+        # k_1 > n only hang below it; they take no part in the sums
+        outside = tree.parts[tree.scan, 0] > max_part
+        terms[outside], den[outside] = 0, 1
+    den[0] = 1   # the root's step, which is 1
     pole = den == 0
-    pole[0] = False
     if pole.any():
         _check_poles(tree, terms, pole)
         terms[pole], den[pole] = 0, 1
@@ -378,12 +421,21 @@ def _pfq_shells(a_list, b_list, alpha: float, m: int, x: complex,
     shells = np.zeros(max_weight + 1, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep(terms, tree)
-        shells[tree.block_weights] = np.add.reduceat(terms, tree.blocks)
+        if width > max_part:
+            # each shell summed over its inside nodes alone, contiguous and in
+            # graded order as on the box's own tree: numpy's sums round by
+            # position, so zeros between them would move the sum
+            inside = np.flatnonzero(~outside)
+            keep = tree.block_weights <= m * max_part
+            shells[tree.block_weights[keep]] = np.add.reduceat(
+                terms[inside], np.searchsorted(inside, tree.blocks[keep]))
+        else:
+            shells[tree.block_weights] = np.add.reduceat(terms, tree.blocks)
     bad = np.flatnonzero(~np.isfinite(shells))
     if len(bad):
         raise NonConvergenceError(
             f"pFq^(alpha) shell {bad[0]} is not finite (its terms overflow)")
-    if orders and m * min(orders) <= max_weight:
+    if whole:
         return shells   # every term of the terminating series is summed
     scale = max(abs(np.sum(shells)), 1e-300)
     tail = np.abs(shells[-3:])

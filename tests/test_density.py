@@ -44,6 +44,26 @@ class TestMorris:
         val = morris_closed(m)
         assert val.real > 0 and abs(val.imag) < 1e-14
 
+    @pytest.mark.parametrize("a, b", [(1.3 + 0.4j, 1.3 - 0.4j), (1.3 - 0.4j, 1.3 + 0.4j),
+                                      (1.3 + 0j, 1.3 + 0j), (1.3 + 0j, complex(1.3, -0.0)),
+                                      (1.5 + 0j, 0.7 + 0j), (-2.3 + 0.5j, -2.3 - 0.5j),
+                                      (-2.3 + 0j, -2.3 + 0j), (0.9 + 0.4j, 1.1 - 0.4j)])
+    def test_closed_matches_unshared_sum(self, a, b, monkeypatch):
+        # b = conj(a) off the real axis reads log G at lam j + b + 1 as the
+        # conjugate of the value at lam j + a + 1: bit for bit the sum of
+        # five log-gamma values per j, in 3 N + 1 calls instead of 5 N
+        lam, N = 0.7, 6
+        ref = 0j
+        for j in range(N):
+            ref += (log_gamma(lam * j + a + b + 1) + log_gamma(lam * (j + 1) + 1)
+                    - log_gamma(lam * j + a + 1) - log_gamma(lam * j + b + 1)
+                    - log_gamma(1 + lam))
+        calls = []
+        monkeypatch.setattr(density, "log_gamma", lambda z: calls.append(z) or log_gamma(z))
+        val = morris_closed(MorrisParams(a, b, lam, N))
+        assert repr(val) == repr(complex(np.exp(ref)))
+        assert len(calls) == (3 * N + 1 if a.imag and b == a.conjugate() else 4 * N + 1)
+
     @pytest.mark.parametrize("N,lam", [(2, 0.5), (2, 1.0), (3, 2.0)])
     def test_closed_vs_quadrature(self, N, lam):
         m = MorrisParams(1.5 + 0j, 0.7 + 0j, lam, N)

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsing import (NonConvergenceError, Partition, duality_ratio_2f1,
-                      gen_pochhammer, hyp2f1_terminating, hyper_pfq_alpha,
-                      jack_principal, partitions_up_to, pochhammer)
-from specsing.jack import (_MAX_NODES, _hyp2f1_unit, _jack_tree, _partition_tree,
-                           _pfq_shells, _sweep, _tree_size)
+from specsing import (EnsembleParams, NonConvergenceError, Partition,
+                      duality_ratio_2f1, gen_pochhammer, hyp2f1_terminating,
+                      hyper_pfq_alpha, jack_principal, partitions_up_to,
+                      pochhammer, rho_finite)
+from specsing import jack
+from specsing.density import _finite_shells
+from specsing.jack import (_MAX_NODES, _box_width, _hyp2f1_unit, _jack_tree,
+                           _partition_tree, _pfq_shells, _sweep, _tree_size)
 
 
 class TestPartitions:
@@ -384,6 +387,110 @@ class TestProductOrder:
             ref, mass = _sequential_shells(a_list, b_list, alpha, m, x, w, top)
             err = np.abs(shells[:len(ref)] - ref).max()
             assert err <= 4 * eps * mass, (m, alpha, w, x, err / (eps * mass))
+
+
+def _shared_tree_cases():
+    """(a_list, b_list, alpha, m, x, max_weight, n) of whole-box series: a
+    seeded grid over m 1-6 and n 0-18, alpha random or m/2, max_weight past
+    the box, |x| off 1, and now and then a pole in c (shielded or not by a
+    zero numerator factor, or just outside the box) or an x whose terms
+    overflow."""
+    rng = np.random.default_rng(33)
+    for case in range(240):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(0, 19))
+        if case < 12:
+            n = case % 2                       # n = 0 and 1 at every m
+            m = case // 2 + 1
+        alpha = m / 2 if rng.random() < 0.3 else float(rng.uniform(0.2, 3.0))
+        x = complex(*rng.uniform(-1, 1, 2))
+        x *= rng.choice([0.3, 0.8, 1.25, 2.5]) / abs(x)
+        a = complex(rng.uniform(0.5, 2.5), rng.uniform(-1, 1))
+        c = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+        kind = rng.random()
+        if n and kind < 0.2:
+            # [c]_k vanishes at the box (i, j) of content j - i/alpha
+            i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+            c = complex(i / alpha - j)
+            if kind < 0.1:   # shielded by [a]_k, which vanishes at (0, j)
+                a = complex(-j)
+        elif kind < 0.25:
+            c = complex(-n)    # a pole at (0, n), outside the box
+        elif kind > 0.95:
+            x *= 1e150
+        yield [complex(-n), a], [c], alpha, m, x, m * n + int(rng.integers(0, 5)), n
+
+
+def _shell_masses(a_list, b_list, alpha, m, x, n):
+    """sum |terms| per shell of the whole m x n box, walked from the root on
+    the box's own tree (a step at a shielded pole is 0, as in _pfq_shells)."""
+    tree, ratio, content = _jack_tree(m, m * n, alpha, n)
+    num = np.ones(len(ratio), dtype=complex)
+    den = np.ones(len(ratio), dtype=complex)
+    for a in a_list:
+        num *= content + a
+    for b in b_list:
+        den *= content + b
+    step = np.empty(len(ratio), dtype=complex)
+    step[tree.scan] = np.where(den == 0, 0, ratio * x * num / np.where(den == 0, 1, den))
+    terms = np.empty_like(step)
+    terms[0] = 1
+    for s, e in zip(tree.starts[1:-1], tree.starts[2:]):
+        terms[s:e] = terms[tree.parent[s:e]] * step[s:e]
+    return np.add.reduceat(np.abs(terms), tree.starts[:-1])
+
+
+def _outcome(*args):
+    try:
+        return _pfq_shells(*args)
+    except (ZeroDivisionError, NonConvergenceError) as exc:
+        return type(exc)
+
+
+class TestSharedTrees:
+    def test_width_rule(self):
+        # the least power of two while C(w + m, m) <= 2^12; read off the
+        # binomials, no tree built
+        _partition_tree.cache_clear()
+        cases = {(2, 33): 64, (2, 64): 64, (2, 65): 65, (4, 5): 8, (4, 9): 9,
+                 (6, 5): 8, (1, 0): 0, (4, 0): 0, (3, 1): 1, (3, 3): 4}
+        for (m, n), width in cases.items():
+            assert _box_width(m, n) == width, (m, n)
+        assert _partition_tree.cache_info().misses == 0
+
+    def test_shared_tree_matches_exact_tree(self, monkeypatch):
+        # each shell of the wider tree within 4 eps of that shell's sum
+        # |terms| of the box's own tree (the cap at 0 shares nothing), or the
+        # same raise on both sides
+        eps, raised = np.finfo(float).eps, set()
+        cases = list(_shared_tree_cases())
+        got = [_outcome(a, b, alpha, m, x, w) for a, b, alpha, m, x, w, _ in cases]
+        assert sum(_box_width(case[3], case[6]) > case[6] for case in cases) >= 80
+        monkeypatch.setattr(jack, "_SHARED_NODES", 0)
+        for case, val in zip(cases, got):
+            a_list, b_list, alpha, m, x, w, n = case
+            ref = _outcome(a_list, b_list, alpha, m, x, w)
+            if isinstance(ref, type):
+                assert val is ref, case
+                raised.add(ref)
+                continue
+            assert len(val) == len(ref) == w + 1
+            mass = _shell_masses(a_list, b_list, alpha, m, x, n)
+            assert np.all(ref[len(mass):] == 0) and np.all(val[len(mass):] == 0)
+            err = np.abs(val[:len(mass)] - ref[:len(mass)])
+            assert np.all(err <= 4 * eps * mass), (case, (err / (eps * mass)).max())
+        assert raised == {ZeroDivisionError, NonConvergenceError}
+
+    def test_density_sweep_shares_trees(self, monkeypatch):
+        # beta = 2, N = 3..40: boxes 2 x 2..39 on widths 2, 4, ..., 64
+        _partition_tree.cache_clear()
+        _jack_tree.cache_clear()
+        vals = [rho_finite(1.0, EnsembleParams(2, N, 1.3, 0.4)) for N in range(3, 41)]
+        assert _partition_tree.cache_info().misses <= 6
+        monkeypatch.setattr(jack, "_SHARED_NODES", 0)
+        _finite_shells.cache_clear()
+        for N, val in zip(range(3, 41), vals):
+            ref = rho_finite(1.0, EnsembleParams(2, N, 1.3, 0.4))
+            assert abs(val - ref) <= 1e-13 * abs(ref), N
 
 
 def _reference_pfq(a_list, b_list, alpha, m, x, max_weight):
