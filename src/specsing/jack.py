@@ -90,15 +90,13 @@ class _PartitionTree:
 # and beta = 4, N >= 99 (4,249,575 nodes) are not.
 _MAX_NODES = 2 ** 22
 
-# a series that sums its whole m x n box is summed on the tree of the m x w
-# box, w the least power of two >= n, while that tree has at most
-# _SHARED_NODES partitions, so one tree serves every n in (w/2, w].  Measured
-# (2-CPU VM): a build (_jack_tree) costs a flat 120-330 us, growing with m,
-# up to about 2,000 nodes, then about 0.13 us a node, and a series about
-# 0.035 us a node.  Past the cap the wider tree's extra nodes cost more than
-# a build saves: m = 4, n = 33 would go from 66,045 to 814,385 nodes (a
-# build of 8 ms to one of 108 ms).  Under it, m = 2 shares widths up to 64,
-# m = 4 and m = 6 up to 8.
+# the most partitions a whole-box tree shared by every n in (w/2, w] may
+# hold (_box_width).  Measured (2-CPU VM): a build (_jack_tree) costs a flat
+# 120-330 us, growing with m, up to about 2,000 nodes, then about 0.13 us a
+# node, and a series about 0.035 us a node.  Past the cap the wider tree's
+# extra nodes cost more than a build saves: m = 4, n = 33 would go from
+# 66,045 to 814,385 nodes (a build of 8 ms to one of 108 ms).  Under it,
+# m = 2 shares widths up to 64, m = 4 and m = 6 up to 8.
 _SHARED_NODES = 2 ** 12
 
 

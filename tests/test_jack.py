@@ -282,6 +282,13 @@ class TestHyperPfq:
         val = hyper_pfq_alpha(a_list, b_list, alpha, m, 0.3, max_weight=6)
         assert abs(val - 1.15) < 1e-15
 
+    @pytest.mark.parametrize("a_list", [[0.0, 0.5], [-1.0, 0.0]])
+    def test_zero_denominator_at_the_root(self, a_list):
+        # c = 0 vanishes at the root's content as well as at the box (1), and
+        # [0]_k vanishes from k = (1) on: only the root's term 1 is left; the
+        # root's step is not divided by c (a RuntimeWarning, an error here)
+        assert hyper_pfq_alpha(a_list, [0.0], 1.0, 2, 0.3, max_weight=4) == 1
+
     @pytest.mark.parametrize("n", [30, 80])
     def test_m1_long_terminating(self, n):
         # k_1 > 64 takes pochhammer's log-gamma branch in the reference; at
@@ -409,10 +416,11 @@ def _shared_tree_cases():
         kind = rng.random()
         if n and kind < 0.2:
             # [c]_k vanishes at the box (i, j) of content j - i/alpha
-            i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+            shield = kind < 0.1 and m > 1
+            i, j = int(rng.integers(shield, m)), int(rng.integers(0, n))
             c = complex(i / alpha - j)
-            if kind < 0.1:   # shielded by [a]_k, which vanishes at (0, j)
-                a = complex(-j)
+            if shield:   # [a]_k vanishes at (i, 0), inside every k holding (i, j)
+                a = complex(i / alpha)
         elif kind < 0.25:
             c = complex(-n)    # a pole at (0, n), outside the box
         elif kind > 0.95:
@@ -460,7 +468,8 @@ class TestSharedTrees:
     def test_shared_tree_matches_exact_tree(self, monkeypatch):
         # each shell of the wider tree within 4 eps of that shell's sum
         # |terms| of the box's own tree (the cap at 0 shares nothing), or the
-        # same raise on both sides
+        # same raise on both sides (measured: 190 of the 201 sums equal bit
+        # for bit, the rest within 1.1 eps)
         eps, raised = np.finfo(float).eps, set()
         cases = list(_shared_tree_cases())
         got = [_outcome(a, b, alpha, m, x, w) for a, b, alpha, m, x, w, _ in cases]
